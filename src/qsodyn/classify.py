@@ -3,7 +3,7 @@ vertex stability, and strict-contraction criteria."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -12,11 +12,12 @@ from .operator import (
     EPS_COEF,
     HeredityTensor,
     QsoOperator,
+    TensorError,
     evaluate_array,
     make_operator,
     vertex_eigenvalues,
 )
-from .simplex import EPS_ORDER, SimplexPoint, grid_simplex, points_as_array, sample_simplex
+from .simplex import EPS_ORDER, SimplexPoint, grid_array, sample_array
 
 EPS_CONTRACTION = 1e-12
 EPS_EIGEN = 1e-10
@@ -127,10 +128,9 @@ def verify_bbistochastic_numeric(
     """
     n = V.n
     res = _default_resolution(n) if resolution is None else resolution
-    pts = grid_simplex(n, res)
+    X = grid_array(n, res)
     if samples > 0:
-        pts = pts + sample_simplex(n, samples, seed)
-    X = points_as_array(pts)
+        X = np.vstack([X, sample_array(n, samples, seed)])
     Y = evaluate_array(V, X)
     cx = np.cumsum(X, axis=1)[:, :-1]
     cy = np.cumsum(Y, axis=1)[:, :-1]
@@ -141,7 +141,7 @@ def verify_bbistochastic_numeric(
         k = int(np.nonzero(bad[r])[0][0])
         return NumericOrderVerdict(
             violated=True,
-            witness_point=pts[r],
+            witness_point=SimplexPoint(tuple(X[r].tolist())),
             violating_k=k + 1,
             gap=float(cx[r, k] - cy[r, k]),
             resolution=res,
@@ -173,7 +173,7 @@ def check_uniqueness_conditions(V: QsoOperator, eps: float = EPS_COEF) -> Unique
 
 def check_convex_combination(V1: QsoOperator, V2: QsoOperator, lam: float) -> QsoOperator:
     """Coefficient-wise blend lam*V1 + (1-lam)*V2 of two operators that both
-    meet the uniqueness bounds; the blend is asserted to meet them too."""
+    meet the uniqueness bounds; the blend is checked to meet them too."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     if V1.n != V2.n:
@@ -183,7 +183,8 @@ def check_convex_combination(V1: QsoOperator, V2: QsoOperator, lam: float) -> Qs
             raise ValueError("both operators must satisfy the uniqueness bounds")
     blended = lam * V1.tensor.p + (1.0 - lam) * V2.tensor.p
     out = make_operator(HeredityTensor(V1.n, blended))
-    assert check_uniqueness_conditions(out).met
+    if not check_uniqueness_conditions(out).met:
+        raise TensorError(f"blend at lambda={lam} violates the uniqueness bounds")
     return out
 
 
@@ -284,6 +285,18 @@ def linear_form_nonpositive(A: Sequence[float], C: float, strict: bool = False) 
     return C <= 0 and all(a + C <= 0 for a in A)
 
 
+def order_checks_to_dict(necessary: NecessaryReport, verdict: NumericOrderVerdict) -> dict:
+    """Report fields shared by ``validate`` and ``classify``."""
+    witness = verdict.witness_point
+    return {
+        "necessary_conditions": [asdict(c) for c in necessary.conditions],
+        "numeric_b_verdict": {
+            **asdict(verdict),
+            "witness_point": list(witness.coords) if witness else None,
+        },
+    }
+
+
 @dataclass(frozen=True)
 class ClassificationReport:
     """Aggregate of every certificate applicable to the operator's dimension."""
@@ -297,27 +310,11 @@ class ClassificationReport:
     contraction: ContractionResult
     contraction_1d: Optional[bool] = None
     contraction_2d: Optional[Contraction2D] = None
-    coefficient_mass: Optional[list] = None
 
     def to_dict(self) -> dict:
         d = {
             "n": self.n,
-            "necessary_conditions": [
-                {"name": c.name, "passed": c.passed, "witness": c.witness}
-                for c in self.necessary.conditions
-            ],
-            "numeric_b_verdict": {
-                "violated": self.numeric_b_verdict.violated,
-                "witness_point": (
-                    list(self.numeric_b_verdict.witness_point.coords)
-                    if self.numeric_b_verdict.witness_point
-                    else None
-                ),
-                "violating_k": self.numeric_b_verdict.violating_k,
-                "gap": self.numeric_b_verdict.gap,
-                "resolution": self.numeric_b_verdict.resolution,
-                "sample_count": self.numeric_b_verdict.sample_count,
-            },
+            **order_checks_to_dict(self.necessary, self.numeric_b_verdict),
             "uniqueness_conditions_met": self.uniqueness.met,
             "uniqueness_violations": [list(v) for v in self.uniqueness.violations],
             "vertex_stability": self.vertex_stability,
@@ -338,8 +335,6 @@ class ClassificationReport:
                 "is_strict": self.contraction_2d.is_strict,
                 "quantities": self.contraction_2d.quantities,
             }
-        if self.coefficient_mass is not None:
-            d["coefficient_mass_diagnostic"] = [list(row) for row in self.coefficient_mass]
         return d
 
 
@@ -349,8 +344,6 @@ def classify_operator(
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> ClassificationReport:
-    from .operator import coefficient_mass_diagnostic
-
     return ClassificationReport(
         n=V.n,
         necessary=check_necessary_bbistochastic(V),
@@ -363,5 +356,4 @@ def classify_operator(
         contraction=strict_contraction_general(V),
         contraction_1d=strict_contraction_1d(V) if V.n == 2 else None,
         contraction_2d=strict_contraction_2d(V) if V.n == 3 else None,
-        coefficient_mass=coefficient_mass_diagnostic(V),
     )

@@ -19,7 +19,12 @@ from .abscont import (
     rn_series,
     rn_series_csv,
 )
-from .classify import classify_operator
+from .classify import (
+    check_necessary_bbistochastic,
+    classify_operator,
+    order_checks_to_dict,
+    verify_bbistochastic_numeric,
+)
 from .markov import CylinderSet, TransitionFamily, cylinder_measure, mixing_series, mixing_series_csv
 from .operator import TensorError, find_fixed_points, trajectory
 from .simplex import SimplexError, make_point, partial_sum
@@ -36,8 +41,9 @@ def _die(code: int, kind: str, message: str, **extra):
     sys.exit(code)
 
 
-def _f17(x: float) -> float:
-    return float(f"{x:.17g}")
+def _require(ok: bool, message: str):
+    if not ok:
+        _die(EXIT_VALIDATION, "validation_error", message)
 
 
 def _load_operator(spec_path: str, symmetrize: bool):
@@ -51,11 +57,13 @@ def _load_operator(spec_path: str, symmetrize: bool):
         _die(EXIT_VALIDATION, "validation_error", str(exc), path=spec_path)
 
 
-def _parse_point(text: str):
+def _parse_point(text: str, n: Optional[int] = None):
     try:
-        return make_point([float(v) for v in text.split(",")])
+        x = make_point([float(v) for v in text.split(",")])
     except (ValueError, SimplexError) as exc:
         _die(EXIT_VALIDATION, "validation_error", f"bad point {text!r}: {exc}")
+    _require(n is None or x.n == n, f"point has {x.n} states, operator {n}")
+    return x
 
 
 def _parse_cylinder(text: str) -> CylinderSet:
@@ -126,32 +134,11 @@ out_opt = click.option("--out", type=click.Path(), default=None)
 def validate(spec_path, symmetrize, seed, out):
     """Tensor validation plus structural and numeric order checks."""
     spec, V = _load_operator(spec_path, symmetrize)
-    from .classify import check_necessary_bbistochastic, verify_bbistochastic_numeric
-
-    nec = check_necessary_bbistochastic(V)
-    num = verify_bbistochastic_numeric(V, seed=seed)
     result = {
         "n": V.n,
         "tensor_valid": True,
-        "necessary_conditions": [
-            {"name": c.name, "passed": c.passed, "witness": c.witness}
-            for c in nec.conditions
-        ],
-        "numeric_b_verdict": (
-            {
-                "violated": True,
-                "witness_point": [_f17(v) for v in num.witness_point.coords],
-                "violating_k": num.violating_k,
-                "gap": _f17(num.gap),
-                "resolution": num.resolution,
-                "sample_count": num.sample_count,
-            }
-            if num.violated
-            else {
-                "violated": False,
-                "resolution": num.resolution,
-                "sample_count": num.sample_count,
-            }
+        **order_checks_to_dict(
+            check_necessary_bbistochastic(V), verify_bbistochastic_numeric(V, seed=seed)
         ),
     }
     _emit(
@@ -188,9 +175,10 @@ def classify(spec_path, symmetrize, seed, out):
 def iterate(spec_path, symmetrize, x_text, steps, tol, max_iter, out):
     """Trajectory CSV: step, coordinates, prefix sums, step size."""
     spec, V = _load_operator(spec_path, symmetrize)
-    x = _parse_point(x_text)
-    if x.n != V.n:
-        _die(EXIT_VALIDATION, "validation_error", f"point has {x.n} states, operator {V.n}")
+    x = _parse_point(x_text, V.n)
+    _require(tol > 0, f"--tol must be positive, got {tol}")
+    _require(steps is None or steps >= 0, f"--steps must be >= 0, got {steps}")
+    _require(max_iter >= 0, f"--max-iter must be >= 0, got {max_iter}")
     tr = trajectory(V, x, tol=tol, max_iter=steps if steps is not None else max_iter, record_path=True)
     n = V.n
     header = (
@@ -220,11 +208,12 @@ def iterate(spec_path, symmetrize, x_text, steps, tol, max_iter, out):
 def fixed_points(spec_path, symmetrize, tol, out):
     """Multistart fixed-point search, JSON output."""
     spec, V = _load_operator(spec_path, symmetrize)
+    _require(tol > 0, f"--tol must be positive, got {tol}")
     fps = find_fixed_points(V, tol=tol)
     result = {
         "dedup_radius": fps.dedup_radius,
         "points": [
-            {"coords": [_f17(v) for v in p.coords], "residual_l1": _f17(r)}
+            {"coords": list(p.coords), "residual_l1": r}
             for p, r in zip(fps.points, fps.residuals)
         ],
     }
@@ -240,20 +229,16 @@ def fixed_points(spec_path, symmetrize, tol, out):
 def markov(spec_path, symmetrize, x_text, horizon, out):
     """Transition matrices up to the horizon plus basic cylinder measures."""
     spec, V = _load_operator(spec_path, symmetrize)
-    x = _parse_point(x_text)
-    if x.n != V.n:
-        _die(EXIT_VALIDATION, "validation_error", f"point has {x.n} states, operator {V.n}")
+    x = _parse_point(x_text, V.n)
+    _require(horizon >= 0, f"--horizon must be >= 0, got {horizon}")
     fam = TransitionFamily(V, x)
-    mats = {
-        str(k): [[_f17(v) for v in row] for row in fam.transition_matrix(k)]
-        for k in range(horizon)
-    }
+    mats = {str(k): fam.transition_matrix(k).tolist() for k in range(horizon)}
     singles = {
-        f"[0,0]({i})": _f17(cylinder_measure(fam, CylinderSet(0, (i,))))
+        f"[0,0]({i})": cylinder_measure(fam, CylinderSet(0, (i,)))
         for i in range(1, V.n + 1)
     }
     pairs = {
-        f"[0,1]({i},{j})": _f17(cylinder_measure(fam, CylinderSet(0, (i, j))))
+        f"[0,1]({i},{j})": cylinder_measure(fam, CylinderSet(0, (i, j)))
         for i in range(1, V.n + 1)
         for j in range(1, V.n + 1)
     }
@@ -272,7 +257,8 @@ def markov(spec_path, symmetrize, x_text, horizon, out):
 def mixing(spec_path, symmetrize, x_text, a_text, b_text, m_max, out):
     """Correlation-gap series CSV: m, tau_m, bound_m."""
     spec, V = _load_operator(spec_path, symmetrize)
-    x = _parse_point(x_text)
+    x = _parse_point(x_text, V.n)
+    _require(m_max >= 1, f"--m-max must be >= 1, got {m_max}")
     A = _parse_cylinder(a_text)
     B = _parse_cylinder(b_text)
     fam = TransitionFamily(V, x)
@@ -320,84 +306,14 @@ def abscont(a, a2, x_text, y_text, m_max, fmt, out):
             "l": c.l,
             "m": c.m,
             "k": c.k,
-            "constructive": _f17(cons),
-            "printed": _f17(printed),
-            "abs_difference": _f17(d),
+            "constructive": cons,
+            "printed": printed,
+            "abs_difference": d,
         }
         for c, cons, printed, d in disc
     ]
     config = {"a": a, "a2": a2, "x": list(x.coords), "y": list(y.coords), "m_max": m_max}
     _emit(_envelope(None, config, result), out, "abscont")
-
-
-@main.command("rn-sweep")
-@spec_opt
-@symmetrize_opt
-@click.option("--x", "x_text", required=True)
-@click.option("--y", "y_text", required=True)
-@click.option("--m-max", type=int, default=12, show_default=True)
-@click.option("--samples", type=int, default=200, show_default=True)
-@seed_opt
-@out_opt
-def rn_sweep(spec_path, symmetrize, x_text, y_text, m_max, samples, seed, out):
-    """HEURISTIC: sampled likelihood-ratio series for a general operator.
-
-    Samples trajectories under the x-chain and accumulates the conditional
-    second moment of the one-step transition ratio against the y-chain.
-    The verdict is exploratory evidence only.
-    """
-    spec, V = _load_operator(spec_path, symmetrize)
-    x = _parse_point(x_text)
-    y = _parse_point(y_text)
-    if x.n != V.n or y.n != V.n:
-        _die(EXIT_VALIDATION, "validation_error", "point dimensions must match operator")
-    from .abscont import _classify_terms
-
-    fam_x = TransitionFamily(V, x)
-    fam_y = TransitionFamily(V, y)
-    rng = np.random.default_rng(seed)
-    hx = [fam_x.transition_matrix(k) for k in range(m_max)]
-    hy = [fam_y.transition_matrix(k) for k in range(m_max)]
-    x0 = fam_x.trajectory_point(0)
-    states = rng.choice(V.n, size=samples, p=x0 / x0.sum())
-    sums = np.zeros(samples)
-    mean_terms = []
-    for m in range(1, m_max + 1):
-        hxm, hym = hx[m - 1], hy[m - 1]
-        terms = np.zeros(samples)
-        for s_idx in range(samples):
-            i = states[s_idx]
-            t = 0.0
-            for j in range(V.n):
-                px, py = hxm[i, j], hym[i, j]
-                if px == 0.0:
-                    continue
-                ratio = 1.0 if py == 0.0 and px == 0.0 else (px / py if py > 0 else np.inf)
-                t += (1.0 - ratio) ** 2 * px if np.isfinite(ratio) else np.inf
-            terms[s_idx] = t
-        sums += terms
-        mean_terms.append(float(np.mean(terms)))
-        nxt = np.empty(samples, dtype=int)
-        for s_idx in range(samples):
-            nxt[s_idx] = rng.choice(V.n, p=hxm[states[s_idx]] / hxm[states[s_idx]].sum())
-        states = nxt
-    classification = _classify_terms(mean_terms)
-    result = {
-        "heuristic": True,
-        "classification": classification,
-        "mean_terms": [_f17(t) for t in mean_terms],
-        "mean_partial_sum": _f17(float(np.mean(sums[np.isfinite(sums)])) if np.isfinite(sums).any() else float("inf")),
-        "divergent_sample_fraction": _f17(float(np.mean(~np.isfinite(sums)))),
-    }
-    config = {
-        "x": list(x.coords),
-        "y": list(y.coords),
-        "m_max": m_max,
-        "samples": samples,
-        "seed": seed,
-        "symmetrize": symmetrize,
-    }
-    _emit(_envelope(spec_path, config, result), out, "rn_sweep")
 
 
 if __name__ == "__main__":

@@ -92,14 +92,13 @@ def make_operator(
     n = tensor.n
     if symmetrize:
         p = 0.5 * (p + p.transpose(1, 0, 2))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if p[i, j, k] < -eps or p[i, j, k] > 1 + eps:
-                    raise TensorError(
-                        f"coefficient ({i + 1},{j + 1},{k + 1}) = {p[i, j, k]} "
-                        "outside [0, 1]"
-                    )
+    bad = ~((p >= -eps) & (p <= 1 + eps))  # NaN fails both comparisons
+    if bad.any():
+        i, j, k = np.unravel_index(np.argmax(bad), bad.shape)
+        raise TensorError(
+            f"coefficient ({i + 1},{j + 1},{k + 1}) = {p[i, j, k]} "
+            "outside [0, 1]"
+        )
     asym = np.abs(p - p.transpose(1, 0, 2))
     if asym.max() > eps:
         i, j, k = np.unravel_index(np.argmax(asym), asym.shape)
@@ -122,26 +121,17 @@ def evaluate(V: QsoOperator, x: SimplexPoint) -> SimplexPoint:
     """V(x)_k = sum_{i,j} p[i,j,k] x_i x_j."""
     if x.n != V.n:
         raise DimensionMismatch(f"operator on {V.n} states, point has {x.n}")
-    xa = x.as_array()
-    y = np.einsum("ijk,i,j->k", V.tensor.p, xa, xa)
-    return make_point(y, eps=1e-9)
+    return make_point(_image(V, x.as_array()), eps=1e-9)
+
+
+def _image(V: QsoOperator, xa: np.ndarray) -> np.ndarray:
+    """V(x) for one coordinate array, without renormalization."""
+    return np.einsum("ijk,i,j->k", V.tensor.p, xa, xa)
 
 
 def evaluate_array(V: QsoOperator, X: np.ndarray) -> np.ndarray:
     """Batch evaluation on rows of X; no per-point normalization."""
     return np.einsum("ijk,pi,pj->pk", V.tensor.p, X, X)
-
-
-def _upper_block_zero(t: HeredityTensor, eps: float = EPS_COEF) -> bool:
-    # p[i,j,k] must vanish when both i, j exceed k (0-based: i, j >= k+1... n-1)
-    for k in range(t.n - 1):
-        if np.abs(t.p[k + 1 :, k + 1 :, k]).max() > eps:
-            return False
-    return True
-
-
-def _necessary_structure_ok(t: HeredityTensor, eps: float = EPS_COEF) -> bool:
-    return _upper_block_zero(t, eps) and abs(t.p[-1, -1, -1] - 1.0) <= eps
 
 
 def evaluate_canonical(V: QsoOperator, x: SimplexPoint) -> SimplexPoint:
@@ -150,7 +140,10 @@ def evaluate_canonical(V: QsoOperator, x: SimplexPoint) -> SimplexPoint:
     Uses only coefficients p[l, j, k] with l <= k, plus the leading x_n^2
     term in the last coordinate.
     """
-    if not _necessary_structure_ok(V.tensor):
+    from .classify import check_necessary_bbistochastic
+
+    nec = check_necessary_bbistochastic(V)
+    if not (nec.by_name("upper_block_zero").passed and nec.by_name("absorbing_last").passed):
         raise TensorError("tensor lacks the zero upper-block structure")
     if x.n != V.n:
         raise DimensionMismatch(f"operator on {V.n} states, point has {x.n}")
@@ -254,14 +247,11 @@ class FixedPointSet:
 
 
 def _residual(V: QsoOperator, xa: np.ndarray) -> float:
-    y = np.einsum("ijk,i,j->k", V.tensor.p, xa, xa)
-    return float(np.abs(y - xa).sum())
+    return float(np.abs(_image(V, xa) - xa).sum())
 
 
 def _reduced_map(V: QsoOperator, u: np.ndarray) -> np.ndarray:
-    xa = np.append(u, max(0.0, 1.0 - u.sum()))
-    y = np.einsum("ijk,i,j->k", V.tensor.p, xa, xa)
-    return y[:-1]
+    return _image(V, np.append(u, max(0.0, 1.0 - u.sum())))[:-1]
 
 
 def _in_reduced_simplex(u: np.ndarray, slack: float = 1e-9) -> bool:
@@ -354,17 +344,3 @@ def find_fixed_points(
         residuals=[r for _, r in found],
         dedup_radius=dedup_radius,
     )
-
-
-def coefficient_mass_diagnostic(V: QsoOperator) -> list:
-    """Cumulative coefficient mass sum_{m<=k} sum_{ij} p[i,j,m] vs k*n.
-
-    Reported as (k, mass, bound, ok); a diagnostic, no implications assumed.
-    """
-    n = V.n
-    out = []
-    running = 0.0
-    for k in range(1, n + 1):
-        running += float(V.tensor.p[:, :, k - 1].sum())
-        out.append((k, running, k * n, running <= k * n + 1e-9))
-    return out

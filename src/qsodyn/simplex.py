@@ -6,8 +6,8 @@ All indices in public interfaces are 1-based; arrays are 0-based internally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from itertools import chain, combinations
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -62,15 +62,18 @@ def make_point(coords: Sequence[float], eps: float = EPS_SIMPLEX) -> SimplexPoin
     arr = np.asarray(coords, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise SimplexError(f"need at least 2 coordinates, got shape {arr.shape}")
-    for idx, v in enumerate(arr):
-        if v < -eps:
-            raise SimplexError(f"coordinate {idx + 1} is {v}, below -{eps}")
+    # NaN fails this comparison; +inf fails the sum check below
+    if not arr.min() >= -eps:
+        idx = int(np.argmin(arr >= -eps))
+        v = arr[idx]
+        reason = f"below -{eps}" if v < -eps else "not a number"
+        raise SimplexError(f"coordinate {idx + 1} is {v}, {reason}")
     total = float(arr.sum())
     if abs(total - 1.0) > eps:
         raise SimplexError(f"coordinates sum to {total}, deviation exceeds {eps}")
     arr = np.clip(arr, 0.0, None)
     arr = arr / arr.sum()
-    return SimplexPoint(tuple(float(v) for v in arr))
+    return SimplexPoint(tuple(arr.tolist()))
 
 
 def vertex(n: int, i: int) -> SimplexPoint:
@@ -135,34 +138,41 @@ def in_relative_interior(x: SimplexPoint, eps: float = EPS_SIMPLEX) -> bool:
     return all(v > eps for v in x.coords)
 
 
-def sample_simplex(n: int, count: int, seed: int) -> list:
-    """Uniform points via exponential normalization, driven by PCG64(seed)."""
+def _as_points(X: np.ndarray) -> list:
+    """Rows of an array already on the simplex as points, without revalidation."""
+    return [SimplexPoint(tuple(row)) for row in X.tolist()]
+
+
+def sample_array(n: int, count: int, seed: int) -> np.ndarray:
+    """(count, n) uniform points via exponential normalization, driven by PCG64(seed).
+
+    Rows are normalized twice, as :func:`make_point` would renormalize them.
+    """
     if n < 2 or count < 1:
         raise ValueError("need n >= 2 and count >= 1")
-    rng = np.random.default_rng(seed)
-    draws = rng.exponential(size=(count, n))
+    draws = np.random.default_rng(seed).exponential(size=(count, n))
     draws /= draws.sum(axis=1, keepdims=True)
-    return [make_point(row) for row in draws]
+    return draws / draws.sum(axis=1, keepdims=True)
 
 
-def grid_simplex(n: int, resolution: int) -> list:
+def sample_simplex(n: int, count: int, seed: int) -> list:
+    """The rows of :func:`sample_array` as points."""
+    return _as_points(sample_array(n, count, seed))
+
+
+def grid_array(n: int, resolution: int) -> np.ndarray:
     """All lattice points (k_1/r, ..., k_n/r) with sum k_i = r, lexicographic."""
     if n < 2 or resolution < 1:
         raise ValueError("need n >= 2 and resolution >= 1")
     r = resolution
-    points = []
     # stars-and-bars: cut positions determine the composition of r into n parts
-    for cuts in combinations(range(r + n - 1), n - 1):
-        parts = []
-        prev = -1
-        for c in cuts:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(r + n - 2 - prev)
-        points.append(make_point([p / r for p in parts]))
-    return points
+    cut_iter = chain.from_iterable(combinations(range(r + n - 1), n - 1))
+    cuts = np.fromiter(cut_iter, dtype=np.int64).reshape(-1, n - 1)
+    edges = np.pad(cuts, ((0, 0), (1, 1)), constant_values=(-1, r + n - 1))
+    X = (np.diff(edges, axis=1) - 1) / r
+    return X / X.sum(axis=1, keepdims=True)
 
 
-def points_as_array(points: Iterable[SimplexPoint]) -> np.ndarray:
-    """Stack points into a (count, n) array for vectorized evaluation."""
-    return np.asarray([p.coords for p in points], dtype=float)
+def grid_simplex(n: int, resolution: int) -> list:
+    """The rows of :func:`grid_array` as points."""
+    return _as_points(grid_array(n, resolution))

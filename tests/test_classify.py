@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import load_fixture, reference_grid, reference_samples
 from qsodyn.abscont import va_operator
 from qsodyn.classify import (
+    DEFAULT_SAMPLES,
+    NumericOrderVerdict,
     check_convex_combination,
     check_necessary_bbistochastic,
     check_uniqueness_conditions,
@@ -15,7 +18,8 @@ from qsodyn.classify import (
     verify_bbistochastic_numeric,
 )
 from qsodyn.generate import random_structured_tensors
-from qsodyn.operator import make_operator, tensor_from_entries
+from qsodyn.operator import HeredityTensor, TensorError, evaluate_array, make_operator, tensor_from_entries
+from qsodyn.simplex import EPS_ORDER, SimplexPoint
 
 
 def modulus_by_enumeration(V):
@@ -92,6 +96,51 @@ class TestNumericVerification:
         assert v.sample_count == 100
 
 
+def reference_verdict(V, seed=0, samples=DEFAULT_SAMPLES):
+    """The verifier rebuilt from pointwise-constructed grid and sample points,
+    with the first violation located by np.argwhere in row-major order."""
+    res = 40 if V.n <= 3 else 12 if V.n == 4 else 6
+    X = np.array(reference_grid(V.n, res) + reference_samples(V.n, samples, seed))
+    cx = np.cumsum(X, axis=1)[:, :-1]
+    cy = np.cumsum(evaluate_array(V, X), axis=1)[:, :-1]
+    hits = np.argwhere(cy > cx + EPS_ORDER)
+    if len(hits) == 0:
+        return NumericOrderVerdict(False, resolution=res, sample_count=samples)
+    r, k = hits[0]
+    return NumericOrderVerdict(
+        True, SimplexPoint(tuple(X[r].tolist())), int(k) + 1, float(cx[r, k] - cy[r, k]),
+        res, samples,
+    )
+
+
+def random_general_operator(n, rng):
+    """Symmetric tensor with Dirichlet outcome rows; usually breaks the order."""
+    p = rng.dirichlet(np.ones(n), size=(n, n))
+    return make_operator(HeredityTensor(n, 0.5 * (p + p.transpose(1, 0, 2))))
+
+
+class TestVerifierMatchesReference:
+    # repr compares every field, floats to the last bit (and the sign of zero)
+
+    @pytest.mark.parametrize(
+        "name", ["attracting_not_unique", "uniqueness_sufficiency_gap", "unique_not_contractive_s2"]
+    )
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_fixtures(self, name, seed):
+        V = load_fixture(name).build()
+        assert repr(verify_bbistochastic_numeric(V, seed=seed)) == repr(reference_verdict(V, seed))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_seeded_operators(self, n):
+        rng = np.random.default_rng(70 + n)
+        ops = random_structured_tensors(n, 15, seed=80 + n)
+        ops += [random_general_operator(n, rng) for _ in range(15)]
+        verdicts = [verify_bbistochastic_numeric(V, samples=2000) for V in ops]
+        assert [repr(v) for v in verdicts] == [repr(reference_verdict(V, samples=2000)) for V in ops]
+        assert any(v.violated for v in verdicts[15:])
+        assert not all(v.violated for v in verdicts)
+
+
 class TestUniquenessConditions:
     def test_va_met(self):
         assert check_uniqueness_conditions(va_operator(0.9)).met
@@ -125,6 +174,21 @@ class TestConvexCombination:
     def test_requires_uniqueness(self, three_vertex_operator):
         with pytest.raises(ValueError):
             check_convex_combination(three_vertex_operator, three_vertex_operator, 0.5)
+
+    def test_postcondition_raises(self, monkeypatch):
+        import qsodyn.classify as classify_module
+
+        real = classify_module.check_uniqueness_conditions
+        calls = []
+
+        def fails_on_blend(V):
+            calls.append(V)
+            rep = real(V)
+            return rep if len(calls) <= 2 else type(rep)(met=False, violations=[(1, 1)])
+
+        monkeypatch.setattr(classify_module, "check_uniqueness_conditions", fails_on_blend)
+        with pytest.raises(TensorError):
+            check_convex_combination(va_operator(0.2), va_operator(0.8), 0.5)
 
     def test_random_blends_stay_in_class(self):
         ops = random_structured_tensors(3, 6, seed=62)
@@ -247,7 +311,7 @@ class TestAggregateReport:
         assert not d["uniqueness_conditions_met"]
         assert not d["contraction"]["is_strict"]
         assert "contraction_2d" in d
-        assert all(row[3] for row in d["coefficient_mass_diagnostic"])
+        assert rep.necessary.by_name("cumulative_mass").passed
 
     def test_1d_branch(self):
         rep = classify_operator(va_operator(0.4), samples=500)

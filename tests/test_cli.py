@@ -18,6 +18,12 @@ def run_json(runner, args):
     return json.loads(result.output)
 
 
+def assert_validation_error(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == EXIT_VALIDATION, result.output
+    assert json.loads(result.stderr)["error"] == "validation_error"
+
+
 class TestValidate:
     def test_clean_fixture(self, runner):
         payload = run_json(runner, ["validate", "--spec", fixture_path("va_a05")])
@@ -47,7 +53,24 @@ class TestValidate:
         assert err["error"] == "validation_error"
 
 
+    def test_verdict_matches_classify(self, runner):
+        args = ["--spec", fixture_path("uniqueness_sufficiency_gap"), "--seed", "5"]
+        validated = run_json(runner, ["validate", *args])["result"]
+        classified = run_json(runner, ["classify", *args])["result"]
+        assert validated["numeric_b_verdict"] == classified["numeric_b_verdict"]
+        assert validated["necessary_conditions"] == classified["necessary_conditions"]
+
+
 class TestClassify:
+    def test_non_finite_coefficient(self, runner, tmp_path):
+        spec = tmp_path / "nan.json"
+        spec.write_text(
+            '{"n": 2, "coefficients": [{"i": 1, "j": 1, "k": 1, "p": NaN}, '
+            '{"i": 1, "j": 1, "k": 2, "p": 0.5}, {"i": 1, "j": 2, "k": 2, "p": 1.0}, '
+            '{"i": 2, "j": 2, "k": 2, "p": 1.0}]}'
+        )
+        assert_validation_error(runner, ["classify", "--spec", str(spec)])
+
     def test_example_report(self, runner):
         payload = run_json(
             runner, ["classify", "--spec", fixture_path("attracting_not_unique")]
@@ -82,6 +105,17 @@ class TestIterate:
         )
         assert result.exit_code == EXIT_VALIDATION
 
+    def test_non_finite_start(self, runner):
+        assert_validation_error(
+            runner, ["iterate", "--spec", fixture_path("va_a05"), "--x", "nan,0.5"]
+        )
+
+    @pytest.mark.parametrize("option", [["--tol", "0"], ["--steps", "-2"], ["--max-iter", "-1"]])
+    def test_out_of_range(self, runner, option):
+        assert_validation_error(
+            runner, ["iterate", "--spec", fixture_path("va_a05"), "--x", "0.5,0.5", *option]
+        )
+
 
 class TestFixedPoints:
     def test_three_points(self, runner):
@@ -91,6 +125,11 @@ class TestFixedPoints:
         pts = {tuple(round(c, 9) for c in p["coords"]) for p in payload["result"]["points"]}
         assert pts == {(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)}
         assert all(p["residual_l1"] <= 1e-9 for p in payload["result"]["points"])
+
+    def test_negative_tol(self, runner):
+        assert_validation_error(
+            runner, ["fixed-points", "--spec", fixture_path("va_a05"), "--tol", "-1"]
+        )
 
 
 class TestMarkov:
@@ -103,6 +142,12 @@ class TestMarkov:
         assert r["transition_matrices"]["0"] == [[0.25, 0.75], [0.0, 1.0]]
         assert r["cylinder_measures"]["[0,1](1,1)"] == pytest.approx(0.125)
         assert r["cylinder_measures"]["[0,1](2,1)"] == 0.0
+
+    def test_negative_horizon(self, runner):
+        assert_validation_error(
+            runner,
+            ["markov", "--spec", fixture_path("va_a05"), "--x", "0.5,0.5", "--horizon", "-3"],
+        )
 
 
 class TestMixing:
@@ -136,6 +181,13 @@ class TestMixing:
         )
         assert result.exit_code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("x,m_max", [("0.5,0.5", "0"), ("0.2,0.3,0.5", "12")])
+    def test_bad_arguments(self, runner, x, m_max):
+        assert_validation_error(
+            runner,
+            ["mixing", "--spec", fixture_path("va_a05"), "--x", x, "--A", "0:1", "--B", "0:1", "--m-max", m_max],
+        )
+
 
 class TestAbscont:
     def test_equivalent_both_directions(self, runner):
@@ -160,28 +212,6 @@ class TestAbscont:
         )
         assert result.exit_code == 0
         assert result.output.splitlines()[0] == "m,K_term,Khat_term,partial_sum"
-
-
-class TestRnSweep:
-    def test_heuristic_label(self, runner):
-        payload = run_json(
-            runner,
-            [
-                "rn-sweep",
-                "--spec",
-                fixture_path("va_a05"),
-                "--x",
-                "0.3,0.7",
-                "--y",
-                "0.6,0.4",
-                "--samples",
-                "50",
-                "--seed",
-                "1",
-            ],
-        )
-        assert payload["result"]["heuristic"] is True
-        assert payload["config"]["seed"] == 1
 
 
 def test_out_directory(runner, tmp_path):

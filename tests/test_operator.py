@@ -37,6 +37,14 @@ class TestMakeOperator:
         with pytest.raises(TensorError):
             make_operator(t)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry(self, bad):
+        t = tensor_from_entries(
+            2, {(1, 1, 1): bad, (1, 1, 2): 0.5, (1, 2, 2): 1.0, (2, 2, 2): 1.0}
+        )
+        with pytest.raises(TensorError, match=r"\(1,1,1\)"):
+            make_operator(t)
+
     def test_asymmetry_detected_and_symmetrized(self):
         p = np.zeros((2, 2, 2))
         p[0, 0, 0], p[0, 0, 1] = 0.5, 0.5

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_grid, reference_samples
 from qsodyn.simplex import (
     DimensionMismatch,
     SimplexError,
@@ -52,6 +53,13 @@ class TestMakePoint:
     def test_too_short(self):
         with pytest.raises(SimplexError):
             make_point([1.0])
+
+    @pytest.mark.parametrize(
+        "coords", [[math.nan, 0.5], [0.5, math.nan], [math.inf, 0.0], [-math.inf, 1.0]]
+    )
+    def test_non_finite_rejected(self, coords):
+        with pytest.raises(SimplexError):
+            make_point(coords)
 
 
 class TestPartialSum:
@@ -162,6 +170,16 @@ class TestSampling:
     @pytest.mark.parametrize("n,r", [(2, 5), (3, 7), (4, 4)])
     def test_grid_count(self, n, r):
         assert len(grid_simplex(n, r)) == math.comb(r + n - 1, n - 1)
+
+    @pytest.mark.parametrize("n,r", [(2, 40), (3, 40), (4, 12), (5, 6), (8, 6)])
+    def test_grid_matches_pointwise_construction(self, n, r):
+        got = np.array([p.coords for p in grid_simplex(n, r)])
+        assert got.tobytes() == np.array(reference_grid(n, r)).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_samples_match_pointwise_construction(self, n):
+        got = np.array([p.coords for p in sample_simplex(n, 2000, seed=n)])
+        assert got.tobytes() == np.array(reference_samples(n, 2000, n)).tobytes()
 
     def test_grid_points_valid(self):
         for p in grid_simplex(3, 5):
