@@ -10,6 +10,7 @@ import numpy as np
 
 from .operator import (
     EPS_COEF,
+    ROW_BLOCK,
     HeredityTensor,
     QsoOperator,
     TensorError,
@@ -131,22 +132,23 @@ def verify_bbistochastic_numeric(
     X = grid_array(n, res)
     if samples > 0:
         X = np.vstack([X, sample_array(n, samples, seed)])
-    Y = evaluate_array(V, X)
-    cx = np.cumsum(X, axis=1)[:, :-1]
-    cy = np.cumsum(Y, axis=1)[:, :-1]
-    bad = cy > cx + eps
-    if bad.any():
-        rows = np.nonzero(bad.any(axis=1))[0]
-        r = int(rows[0])
-        k = int(np.nonzero(bad[r])[0][0])
-        return NumericOrderVerdict(
-            violated=True,
-            witness_point=SimplexPoint(tuple(X[r].tolist())),
-            violating_k=k + 1,
-            gap=float(cx[r, k] - cy[r, k]),
-            resolution=res,
-            sample_count=samples,
-        )
+    # block by block, so that the prefix-sum arrays stay small
+    for s in range(0, len(X), ROW_BLOCK):
+        B = X[s : s + ROW_BLOCK]
+        cx = np.cumsum(B, axis=1)[:, :-1]
+        cy = np.cumsum(evaluate_array(V, B), axis=1)[:, :-1]
+        bad = cy > cx + eps
+        if bad.any():
+            r = int(np.nonzero(bad.any(axis=1))[0][0])
+            k = int(np.nonzero(bad[r])[0][0])
+            return NumericOrderVerdict(
+                violated=True,
+                witness_point=SimplexPoint(tuple(B[r].tolist())),
+                violating_k=k + 1,
+                gap=float(cx[r, k] - cy[r, k]),
+                resolution=res,
+                sample_count=samples,
+            )
     return NumericOrderVerdict(False, resolution=res, sample_count=samples)
 
 

@@ -32,6 +32,9 @@ from .specfile import SpecFileError, load_spec, spec_hash
 
 EXIT_VALIDATION = 2
 EXIT_PARSE = 3
+# abscont terms are already 0 in double precision from about m = 12, while
+# the cost grows with the 2^m-bit exponents of the closed forms
+ABSCONT_M_MAX = 256
 
 
 def _die(code: int, kind: str, message: str, **extra):
@@ -212,6 +215,7 @@ def fixed_points(spec_path, symmetrize, tol, out):
     fps = find_fixed_points(V, tol=tol)
     result = {
         "dedup_radius": fps.dedup_radius,
+        "diagnostics": fps.diagnostics,
         "points": [
             {"coords": list(p.coords), "residual_l1": r}
             for p, r in zip(fps.points, fps.residuals)
@@ -278,6 +282,7 @@ def abscont(a, a2, x_text, y_text, m_max, fmt, out):
     """Likelihood-ratio second-moment series for the one-parameter family."""
     x = _parse_point(x_text)
     y = _parse_point(y_text)
+    _require(m_max <= ABSCONT_M_MAX, f"--m-max must be <= {ABSCONT_M_MAX}, got {m_max}")
     try:
         num = VaParams(a, x)
         den = VaParams(a2 if a2 is not None else a, y)

@@ -37,6 +37,14 @@ def _log_float(v) -> float:
     return _to_float(mp.log(v))
 
 
+def _unit_sum(values: list) -> list:
+    """The values scaled to sum 1 in the working precision (all-zero stays)."""
+    total = sum(values)
+    if total != 0 and total != 1:
+        return [v / total for v in values]
+    return values
+
+
 class TransitionFamily:
     """Memoized trajectory and one-step matrices for (operator, start).
 
@@ -53,7 +61,9 @@ class TransitionFamily:
         self._dps = dps
         self._lock = threading.Lock()
         with mp.workdps(dps):
-            self._traj = [[mp.mpf(c) for c in start.coords]]
+            # a double start point sums to 1 only within float rounding; at
+            # this precision that error would set a floor under every gap
+            self._traj = [_unit_sum([mp.mpf(c) for c in start.coords])]
         self._mats: list = []  # _mats[k] = one-step matrix from time k
 
     # -- internal extension ------------------------------------------------
@@ -76,10 +86,7 @@ class TransitionFamily:
             out.append(acc)
         # the exact map preserves total mass; renormalize so that sub-ulp
         # round-off in the stored coefficients cannot double every step
-        total = sum(out)
-        if total != 0 and total != 1:
-            out = [v / total for v in out]
-        return out
+        return _unit_sum(out)
 
     def _matrix_at(self, k: int):
         p = self.operator.tensor.p
@@ -93,7 +100,8 @@ class TransitionFamily:
                     if p[i, l, j] != 0.0 and x[l] != 0:
                         acc += mp.mpf(p[i, l, j]) * x[l]
                 mat[i][j] = acc
-        return mat
+        # coefficient rows sum to 1 only within float rounding
+        return [_unit_sum(row) for row in mat]
 
     def extend(self, horizon: int) -> None:
         """Ensure trajectory up to x^(horizon) and matrices up to H^[horizon-1, horizon]."""

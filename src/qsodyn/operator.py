@@ -11,11 +11,9 @@ import numpy as np
 from .simplex import (
     SimplexPoint,
     DimensionMismatch,
-    grid_simplex,
-    l1_distance,
+    grid_array,
     make_point,
-    terminal_vertex,
-    vertex,
+    renormalize_rows,
 )
 
 EPS_COEF = 1e-12
@@ -23,6 +21,9 @@ EPS_COEF = 1e-12
 TRAJECTORY_TOL = 1e-12
 TRAJECTORY_MAX_ITER = 10_000
 DEDUP_RADIUS = 1e-6
+# rows per block in evaluate_array and the Newton polish: bounds the
+# (rows, n, n) intermediates, about 130 KB at n = 8
+ROW_BLOCK = 256
 
 
 class TensorError(ValueError):
@@ -130,8 +131,20 @@ def _image(V: QsoOperator, xa: np.ndarray) -> np.ndarray:
 
 
 def evaluate_array(V: QsoOperator, X: np.ndarray) -> np.ndarray:
-    """Batch evaluation on rows of X; no per-point normalization."""
-    return np.einsum("ijk,pi,pj->pk", V.tensor.p, X, X)
+    """Batch evaluation on rows of X; no per-point normalization.
+
+    V(x)_k = sum_j (sum_i x_i p[i,j,k]) x_j, block by block through one
+    reused (ROW_BLOCK, n, n) buffer. Each row's result depends on that row
+    alone, not on the other rows of X.
+    """
+    X = np.asarray(X, dtype=float)
+    out = np.empty_like(X)
+    inner = np.empty((min(len(X), ROW_BLOCK), V.n, V.n))
+    for s in range(0, len(X), ROW_BLOCK):
+        B = X[s : s + ROW_BLOCK]
+        W = np.einsum("pi,ijk->pjk", B, V.tensor.p, out=inner[: len(B)])
+        np.einsum("pjk,pj->pk", W, B, out=out[s : s + ROW_BLOCK])
+    return out
 
 
 def evaluate_canonical(V: QsoOperator, x: SimplexPoint) -> SimplexPoint:
@@ -193,20 +206,24 @@ def trajectory(
     """Iterate until the consecutive step shrinks below tol in l1 norm."""
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter > 0 and x.n != V.n:
+        raise DimensionMismatch(f"operator on {V.n} states, point has {x.n}")
     path = [x] if record_path else None
     step = float("inf")
     used = 0
+    xa = x.as_array()
     for it in range(1, max_iter + 1):
-        nxt = evaluate(V, x)
-        step = l1_distance(x, nxt)
-        x = nxt
+        # evaluate() and l1_distance() on the coordinate array
+        nxt = renormalize_rows(_image(V, xa), eps=1e-9)
+        step = float(np.abs(xa - nxt).sum())
+        xa = nxt
         used = it
         if record_path:
-            path.append(x)
+            path.append(SimplexPoint(tuple(xa.tolist())))
         if step <= tol:
             break
     return TrajectoryResult(
-        limit=x,
+        limit=x if used == 0 else SimplexPoint(tuple(xa.tolist())),
         iterations_used=used,
         final_step_l1=step,
         converged=step <= tol,
@@ -221,14 +238,13 @@ def reduced_jacobian(V: QsoOperator, x: SimplexPoint) -> np.ndarray:
     """
     if x.n != V.n:
         raise DimensionMismatch(f"operator on {V.n} states, point has {x.n}")
-    n = V.n
-    xa = x.as_array()
-    grad = 2.0 * np.einsum("ijk,j->ik", V.tensor.p, xa)  # grad[i, k] = dV_k/dx_i
-    J = np.empty((n - 1, n - 1))
-    for k in range(n - 1):
-        for i in range(n - 1):
-            J[k, i] = grad[i, k] - grad[n - 1, k]
-    return J
+    return _reduced_jacobians(V, x.as_array()[None])[0]
+
+
+def _reduced_jacobians(V: QsoOperator, X: np.ndarray) -> np.ndarray:
+    """:func:`reduced_jacobian` at every row of X, shape (count, n-1, n-1)."""
+    grad = 2.0 * np.einsum("ijk,pj->pik", V.tensor.p, X)  # grad[p, i, k] = dV_k/dx_i
+    return (grad[:, :-1, :-1] - grad[:, -1:, :-1]).transpose(0, 2, 1)
 
 
 def vertex_eigenvalues(V: QsoOperator) -> list:
@@ -239,70 +255,117 @@ def vertex_eigenvalues(V: QsoOperator) -> list:
 
 @dataclass(frozen=True)
 class FixedPointSet:
-    """Deduplicated fixed points with their residuals ||V(x) - x||_1."""
+    """Deduplicated fixed points with their residuals ||V(x) - x||_1.
+
+    ``diagnostics`` holds deterministic counters of the search: seeds tried,
+    seeds whose pre-iteration step fell to 1e-10 within 500 steps, polished
+    seeds rejected by the residual test, accepted seeds merged into an
+    earlier point, and accepted damped Newton steps over all seeds.
+    """
 
     points: list  # list[SimplexPoint]
     residuals: list  # list[float]
     dedup_radius: float
+    diagnostics: dict = field(default_factory=dict)
 
 
-def _residual(V: QsoOperator, xa: np.ndarray) -> float:
-    return float(np.abs(_image(V, xa) - xa).sum())
+PRE_ITER_TOL = 1e-10
+PRE_ITER_MAX = 500
+NEWTON_MAX_STEPS = 60
+NEWTON_HALVINGS = 40
+NEWTON_SLACK = 1e-9  # how far a Newton step may leave the simplex before it is halved
 
 
-def _reduced_map(V: QsoOperator, u: np.ndarray) -> np.ndarray:
-    return _image(V, np.append(u, max(0.0, 1.0 - u.sum())))[:-1]
+def _pre_iterate(V: QsoOperator, X: np.ndarray):
+    """Iterate every row of X with V, each as :func:`trajectory` would with
+    tol=1e-10 and max_iter=500: a row stops once its l1 step is <= 1e-10 or
+    it has taken 500 steps. Returns the rows and each row's last l1 step."""
+    X = X.copy()
+    last = np.full(len(X), np.inf)
+    live = np.arange(len(X))
+    for _ in range(PRE_ITER_MAX):
+        prev = X[live]
+        Y = renormalize_rows(evaluate_array(V, prev), eps=1e-9)
+        step = np.abs(Y - prev).sum(axis=1)
+        X[live] = Y
+        last[live] = step
+        live = live[~(step <= PRE_ITER_TOL)]
+        if live.size == 0:
+            break
+    return X, last
 
 
-def _in_reduced_simplex(u: np.ndarray, slack: float = 1e-9) -> bool:
-    return bool((u >= -slack).all() and u.sum() <= 1.0 + slack)
+def _lift(U: np.ndarray) -> np.ndarray:
+    """Reduced-chart rows back to n coordinates, x_n = max(0, 1 - sum u)."""
+    return np.concatenate([U, np.maximum(0.0, 1.0 - U.sum(axis=1))[:, None]], axis=1)
 
 
-def _newton_polish(
-    V: QsoOperator, x: SimplexPoint, tol: float, max_steps: int = 60
-) -> SimplexPoint:
-    """Damped Newton on V(x) - x in the reduced chart, clipped to the simplex.
+def _reduced_residual(V: QsoOperator, U: np.ndarray) -> np.ndarray:
+    """F(u) - u for every row, F being V in the reduced chart."""
+    return evaluate_array(V, _lift(U))[:, :-1] - U
 
-    Polishes well past tol so that seeds stalled near a degenerate fixed
-    point collapse onto it instead of surviving dedup as near-duplicates.
+
+def _solve_rows(J: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve J[r] s = b[r] for every row; least squares for singular rows."""
+    try:
+        return np.linalg.solve(J, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.empty_like(b)
+        for r in range(len(b)):
+            try:
+                out[r] = np.linalg.solve(J[r], b[r])
+            except np.linalg.LinAlgError:
+                out[r] = np.linalg.lstsq(J[r], b[r], rcond=None)[0]
+        return out
+
+
+def _newton_polish(V: QsoOperator, X: np.ndarray, tol: float):
+    """Damped Newton on V(x) - x in the reduced chart, for every row of X.
+
+    Each row takes up to 60 steps and stops once its residual is at most
+    min(tol/10, 1e-15), polishing well past tol so that seeds stalled near a
+    degenerate fixed point collapse onto it instead of surviving dedup as
+    near-duplicates. A step is halved (up to 40 times) until it stays on the
+    simplex and lowers the residual; a row whose step never does stops.
+    Returns the polished rows and the number of accepted steps.
     """
     target = min(tol / 10, 1e-15)
-    u = x.as_array()[:-1]
-    best_u = u.copy()
-    best_res = np.abs(_reduced_map(V, u) - u).sum()
-    for _ in range(max_steps):
-        f = _reduced_map(V, u) - u
-        norm = np.abs(f).sum()
-        if norm <= target:
+    n = V.n
+    U = X[:, :-1].copy()
+    accepted_steps = 0
+    live = np.arange(len(U))
+    for _ in range(NEWTON_MAX_STEPS):
+        u = U[live]
+        f = _reduced_residual(V, u)
+        norm = np.abs(f).sum(axis=1)
+        keep = norm > target
+        live, u, f, norm = live[keep], u[keep], f[keep], norm[keep]
+        if live.size == 0:
             break
-        xa = np.clip(np.append(u, max(0.0, 1.0 - u.sum())), 0.0, None)
-        J = reduced_jacobian(V, make_point(xa / xa.sum())) - np.eye(V.n - 1)
-        try:
-            step = np.linalg.solve(J, -f)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(J, -f, rcond=None)
-        # backtrack: halve until the step stays on the simplex and improves
+        Xa = _lift(u).clip(0.0)
+        Xa = renormalize_rows(Xa / Xa.sum(axis=1, keepdims=True))
+        step = _solve_rows(_reduced_jacobians(V, Xa) - np.eye(n - 1), -f)
+        # backtracking: every still-pending row halves its step together
+        pending = np.arange(len(live))
+        moved = np.zeros(len(live), dtype=bool)
         scale = 1.0
-        accepted = False
-        for _ in range(40):
-            cand = u + scale * step
-            if _in_reduced_simplex(cand):
-                cand = np.clip(cand, 0.0, None)
-                if cand.sum() > 1.0:
-                    cand = cand / cand.sum()
-                res = np.abs(_reduced_map(V, cand) - cand).sum()
-                if res < norm:
-                    u = cand
-                    accepted = True
-                    if res < best_res:
-                        best_res, best_u = res, cand.copy()
-                    break
+        for _ in range(NEWTON_HALVINGS):
+            cand = u[pending] + scale * step[pending]
+            ok = (cand >= -NEWTON_SLACK).all(axis=1) & (cand.sum(axis=1) <= 1.0 + NEWTON_SLACK)
+            cand = cand[ok].clip(0.0)
+            cand /= np.maximum(cand.sum(axis=1, keepdims=True), 1.0)  # rescale sums above 1
+            better = np.abs(_reduced_residual(V, cand)).sum(axis=1) < norm[pending[ok]]
+            ok[ok] = better
+            U[live[pending[ok]]] = cand[better]
+            moved[pending[ok]] = True
+            pending = pending[~ok]
+            if pending.size == 0:
+                break
             scale *= 0.5
-        if not accepted:
-            break
-    xa = np.append(best_u, max(0.0, 1.0 - best_u.sum()))
-    xa = np.clip(xa, 0.0, None)
-    return make_point(xa / xa.sum())
+        accepted_steps += int(moved.sum())
+        live = live[moved]
+    Xa = _lift(U).clip(0.0)
+    return renormalize_rows(Xa / Xa.sum(axis=1, keepdims=True)), accepted_steps
 
 
 def find_fixed_points(
@@ -312,35 +375,52 @@ def find_fixed_points(
     extra_seeds: Sequence[SimplexPoint] = (),
 ) -> FixedPointSet:
     """Multistart search: vertices, barycenter, a coarse grid, and extra seeds,
-    each pre-iterated then polished by damped Newton."""
+    all pre-iterated and then polished by damped Newton as one array."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = V.n
-    seeds = [vertex(n, i) for i in range(1, n + 1)]
-    seeds.append(make_point([1.0 / n] * n))
-    seeds.extend(grid_simplex(n, 6))
-    seeds.extend(extra_seeds)
-    seeds.sort(key=lambda p: p.coords)
+    for s in extra_seeds:
+        if s.n != n:
+            raise DimensionMismatch(f"operator on {n} states, seed has {s.n}")
+    seeds = np.concatenate(
+        [
+            np.eye(n),
+            renormalize_rows(np.full((1, n), 1.0 / n)),
+            grid_array(n, 6),
+            np.array([s.coords for s in extra_seeds], dtype=float).reshape(-1, n),
+        ]
+    )
+    seeds = seeds[np.lexsort(seeds.T[::-1])]  # stable, like sorting the coordinate tuples
 
-    found: list[tuple[SimplexPoint, float]] = []
-    for seed in seeds:
-        tr = trajectory(V, seed, tol=1e-10, max_iter=500)
-        cand = _newton_polish(V, tr.limit, tol)
-        res = _residual(V, cand.as_array())
-        if res > tol:
-            continue
-        merged = False
-        for idx, (p, r) in enumerate(found):
-            if l1_distance(p, cand) <= dedup_radius:
+    limits, last_step = _pre_iterate(V, seeds)
+    # rows are independent; blocks bound the memory of the stacked Jacobians
+    polished = [_newton_polish(V, limits[s : s + ROW_BLOCK], tol) for s in range(0, len(limits), ROW_BLOCK)]
+    cands = np.concatenate([rows for rows, _ in polished])
+    newton_steps = sum(steps for _, steps in polished)
+    residuals = np.abs(evaluate_array(V, cands) - cands).sum(axis=1)
+    accepted = ~(residuals > tol)
+
+    found: list[tuple] = []  # (coordinates, residual), in order of discovery
+    merged = 0
+    for cand, res in zip(cands[accepted], residuals[accepted].tolist()):
+        for idx, (x, r) in enumerate(found):
+            if np.abs(x - cand).sum() <= dedup_radius:
                 if res < r:
                     found[idx] = (cand, res)
-                merged = True
+                merged += 1
                 break
-        if not merged:
+        else:
             found.append((cand, res))
-    found.sort(key=lambda pr: pr[0].coords)
+    found.sort(key=lambda xr: xr[0].tolist())
     return FixedPointSet(
-        points=[p for p, _ in found],
+        points=[SimplexPoint(tuple(x.tolist())) for x, _ in found],
         residuals=[r for _, r in found],
         dedup_radius=dedup_radius,
+        diagnostics={
+            "seeds_tried": len(seeds),
+            "seeds_converged": int((last_step <= PRE_ITER_TOL).sum()),
+            "rejected_by_residual": int((~accepted).sum()),
+            "merged": merged,
+            "newton_steps": newton_steps,
+        },
     )

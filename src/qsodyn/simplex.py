@@ -62,18 +62,26 @@ def make_point(coords: Sequence[float], eps: float = EPS_SIMPLEX) -> SimplexPoin
     arr = np.asarray(coords, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise SimplexError(f"need at least 2 coordinates, got shape {arr.shape}")
+    return SimplexPoint(tuple(renormalize_rows(arr, eps).tolist()))
+
+
+def renormalize_rows(X: np.ndarray, eps: float = EPS_SIMPLEX) -> np.ndarray:
+    """The checks and the clip-and-renormalize of :func:`make_point`, applied
+    to every row of X (a single point is a 1-D X)."""
     # NaN fails this comparison; +inf fails the sum check below
-    if not arr.min() >= -eps:
-        idx = int(np.argmin(arr >= -eps))
-        v = arr[idx]
+    if not X.min() >= -eps:
+        idx = np.unravel_index(np.argmin(X >= -eps), X.shape)
+        v = X[idx]
         reason = f"below -{eps}" if v < -eps else "not a number"
-        raise SimplexError(f"coordinate {idx + 1} is {v}, {reason}")
-    total = float(arr.sum())
-    if abs(total - 1.0) > eps:
+        raise SimplexError(f"coordinate {idx[-1] + 1} is {v}, {reason}")
+    totals = X.sum(axis=-1)
+    dev = abs(totals - 1.0)
+    # a single point's dev is a numpy scalar, whose .max() costs microseconds
+    if (dev.max() if X.ndim > 1 else dev) > eps:
+        total = float(np.ravel(totals)[np.argmax(dev)])
         raise SimplexError(f"coordinates sum to {total}, deviation exceeds {eps}")
-    arr = np.clip(arr, 0.0, None)
-    arr = arr / arr.sum()
-    return SimplexPoint(tuple(arr.tolist()))
+    X = X.clip(0.0)
+    return X / X.sum(axis=-1, keepdims=True)
 
 
 def vertex(n: int, i: int) -> SimplexPoint:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import load_fixture, reference_grid, reference_samples
+from conftest import load_fixture, random_general_operator, reference_grid, reference_samples
 from qsodyn.abscont import va_operator
 from qsodyn.classify import (
     DEFAULT_SAMPLES,
@@ -18,7 +18,7 @@ from qsodyn.classify import (
     verify_bbistochastic_numeric,
 )
 from qsodyn.generate import random_structured_tensors
-from qsodyn.operator import HeredityTensor, TensorError, evaluate_array, make_operator, tensor_from_entries
+from qsodyn.operator import TensorError, evaluate_array, make_operator, tensor_from_entries
 from qsodyn.simplex import EPS_ORDER, SimplexPoint
 
 
@@ -111,12 +111,6 @@ def reference_verdict(V, seed=0, samples=DEFAULT_SAMPLES):
         True, SimplexPoint(tuple(X[r].tolist())), int(k) + 1, float(cx[r, k] - cy[r, k]),
         res, samples,
     )
-
-
-def random_general_operator(n, rng):
-    """Symmetric tensor with Dirichlet outcome rows; usually breaks the order."""
-    p = rng.dirichlet(np.ones(n), size=(n, n))
-    return make_operator(HeredityTensor(n, 0.5 * (p + p.transpose(1, 0, 2))))
 
 
 class TestVerifierMatchesReference:

@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import fixture_path
-from qsodyn.cli import EXIT_PARSE, EXIT_VALIDATION, main
+from qsodyn.cli import ABSCONT_M_MAX, EXIT_PARSE, EXIT_VALIDATION, main
 
 
 @pytest.fixture
@@ -126,6 +126,19 @@ class TestFixedPoints:
         assert pts == {(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)}
         assert all(p["residual_l1"] <= 1e-9 for p in payload["result"]["points"])
 
+    def test_diagnostics(self, runner):
+        payload = run_json(
+            runner, ["fixed-points", "--spec", fixture_path("attracting_not_unique")]
+        )
+        # 28 grid seeds at resolution 6, 3 vertices (also on the grid) and the barycenter
+        assert payload["result"]["diagnostics"] == {
+            "seeds_tried": 32,
+            "seeds_converged": 32,
+            "rejected_by_residual": 0,
+            "merged": 29,
+            "newton_steps": 26,
+        }
+
     def test_negative_tol(self, runner):
         assert_validation_error(
             runner, ["fixed-points", "--spec", fixture_path("va_a05"), "--tol", "-1"]
@@ -204,6 +217,12 @@ class TestAbscont:
             ["abscont", "--a", "0.5", "--x", "0.3,0.7", "--y", "0.6,0.4", "--m-max", "6"],
         )
         assert payload["result"]["closed_form_discrepancies"]
+
+    @pytest.mark.parametrize("m_max", [str(ABSCONT_M_MAX + 1), "3000"])
+    def test_m_max_bounded(self, runner, m_max):
+        assert_validation_error(
+            runner, ["abscont", "--a", "0.5", "--x", "0.3,0.7", "--y", "0.6,0.4", "--m-max", m_max]
+        )
 
     def test_csv_format(self, runner):
         result = runner.invoke(

@@ -168,6 +168,15 @@ class TestMixing:
         assert taus[-1] < taus[0]
         assert taus[-1] < 1e-10
 
+    def test_gap_decays_past_double_rounding(self):
+        """The start point and the matrix rows sum to 1 in the working
+        precision, so the gap is not held near 2.5e-17 by float rounding."""
+        fam = TransitionFamily(va_operator(2.0 / 3.0), make_point([0.9, 0.1]))
+        series = mixing_series(fam, CylinderSet(0, (1,)), CylinderSet(0, (2,)), 12)
+        tail = [tau for m, tau, _ in series.terms if m >= 8]
+        assert len(tail) == 5
+        assert all(tau < 1e-39 for tau in tail)
+
     def test_series_skips_overlapping_shifts(self, half_family):
         series = mixing_series(half_family, CylinderSet(0, (1, 1, 1)), CylinderSet(0, (1,)), 8)
         assert series.terms[0][0] == 3

@@ -7,6 +7,7 @@ from qsodyn.operator import (
     HeredityTensor,
     TensorError,
     evaluate,
+    evaluate_array,
     evaluate_canonical,
     find_fixed_points,
     iterate,
@@ -16,7 +17,7 @@ from qsodyn.operator import (
     trajectory,
     vertex_eigenvalues,
 )
-from qsodyn.simplex import b_leq, l1_distance, make_point, sample_simplex, terminal_vertex, vertex
+from qsodyn.simplex import b_leq, l1_distance, make_point, sample_array, sample_simplex, terminal_vertex, vertex
 
 
 class TestMakeOperator:
@@ -97,6 +98,19 @@ class TestEvaluate:
                 y = evaluate(V, x)
                 assert abs(sum(y.coords) - 1.0) <= 1e-12
                 assert min(y.coords) >= 0.0
+
+
+def test_batch_rows_independent():
+    """A row's batch image depends on that row alone, whatever block it
+    falls in, and agrees with the scalar map to rounding."""
+    for n in (2, 3, 5, 8):
+        V = random_structured_tensors(n, 1, seed=n)[0]
+        X = sample_array(n, 700, seed=n)
+        Y = evaluate_array(V, X)
+        assert np.array_equal(Y[3:600], evaluate_array(V, X[3:600]))
+        for r in range(0, 700, 37):
+            assert np.array_equal(Y[r], evaluate_array(V, X[r : r + 1])[0])
+        assert np.abs(Y - np.einsum("ijk,pi,pj->pk", V.tensor.p, X, X)).max() <= 1e-15
 
 
 class TestCanonicalEvaluation:
