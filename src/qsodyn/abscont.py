@@ -14,13 +14,16 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import mpmath as mp
+import mpmath
 import numpy as np
 
 from .operator import HeredityTensor, QsoOperator, make_operator, tensor_from_entries
 from .simplex import SimplexPoint, make_point
 
-_DPS = 40
+# every closed form is evaluated in this private context, never in mpmath's
+# global one, which other threads may be using at another precision
+_CTX = mpmath.MPContext()
+_CTX.dps = 40
 
 TAIL_TOL = 1e-12
 DECREASE_FACTOR = 10.0
@@ -136,8 +139,8 @@ def _constructive_mpf(params: VaParams, c: CylinderClass):
 
     Uses x1 at time t = a^(2^t - 1) * x1^(2^t) and the one-step entries.
     """
-    a = mp.mpf(params.a)
-    x1 = mp.mpf(params.x1)
+    a = _CTX.mpf(params.a)
+    x1 = _CTX.mpf(params.x1)
 
     def traj_x1(t: int):
         if t == 0:
@@ -148,7 +151,7 @@ def _constructive_mpf(params: VaParams, c: CylinderClass):
         return (a * x1) ** _pow2(t)
 
     if c.kind == "two_one":
-        return mp.mpf(0)
+        return _CTX.zero
     if c.kind == "all_ones":
         acc = traj_x1(c.l)
         for t in range(c.l, c.m):
@@ -166,19 +169,19 @@ def _constructive_mpf(params: VaParams, c: CylinderClass):
 
 def _printed_mpf(params: VaParams, c: CylinderClass):
     """The tabulated closed-form values, taken verbatim (exponent 2^(l-1))."""
-    a = mp.mpf(params.a)
-    x1 = mp.mpf(params.x1)
-    half_exp = mp.mpf(2) ** (c.l - 1)  # fractional for l = 0, as written
+    a = _CTX.mpf(params.a)
+    x1 = _CTX.mpf(params.x1)
+    half_exp = _CTX.mpf(2) ** (c.l - 1)  # fractional for l = 0, as written
     if c.kind == "two_one":
-        return mp.mpf(0)
+        return _CTX.zero
     if c.kind == "all_ones":
         if a == 0:
-            return mp.mpf(0) if c.m > 0 or x1 == 0 else x1
+            return _CTX.zero if c.m > 0 or x1 == 0 else x1
         return a ** (_pow2(c.m) - half_exp) * x1 ** _pow2(c.m)
     if c.kind == "all_twos":
         return 1 - a**half_exp * x1 ** _pow2(c.l)
     if a == 0:
-        return mp.mpf(0)
+        return _CTX.zero
     return a ** (_pow2(c.k) - half_exp) * x1 ** _pow2(c.k) * (1 - (a * x1) ** _pow2(c.k))
 
 
@@ -193,20 +196,14 @@ class CylinderValue:
 def va_cylinder_closed_form(params: VaParams, c: CylinderClass) -> CylinderValue:
     """Constructive chain-product measure, with the tabulated formula value
     recorded alongside; the constructive value is the ground truth."""
-    with mp.workdps(_DPS):
-        cons = _constructive_mpf(params, c)
-        printed = _printed_mpf(params, c)
-        if cons == 0:
-            clog = float("-inf")
-        else:
-            clog = float(mp.log(cons))
-        try:
-            cf = float(cons)
-            pf = float(printed)
-            disc = float(abs(cons - printed))
-        except OverflowError:  # pragma: no cover
-            cf, pf, disc = 0.0, 0.0, 0.0
-    return CylinderValue(constructive=cf, constructive_log=clog, printed=pf, discrepancy=disc)
+    cons = _constructive_mpf(params, c)
+    printed = _printed_mpf(params, c)
+    return CylinderValue(
+        constructive=float(cons),
+        constructive_log=float(_CTX.log(cons)),
+        printed=float(printed),
+        discrepancy=float(abs(cons - printed)),
+    )
 
 
 def cylinder_discrepancy_log(
@@ -240,14 +237,13 @@ def rn_ratio_z(
     """
     if m is not None and c.kind != "two_one":
         c = CylinderClass(c.kind, l=c.l, m=m, k=min(c.k, m - 1) if c.kind == "ones_then_twos" else 0)
-    with mp.workdps(_DPS):
-        top = _constructive_mpf(num, c)
-        bot = _constructive_mpf(den, c)
-        if bot == 0:
-            if top == 0:
-                return RnRatio(1.0, False)
-            return RnRatio(float("inf"), True)
-        return RnRatio(float(top / bot), False)
+    top = _constructive_mpf(num, c)
+    bot = _constructive_mpf(den, c)
+    if bot == 0:
+        if top == 0:
+            return RnRatio(1.0, False)
+        return RnRatio(float("inf"), True)
+    return RnRatio(float(top / bot), False)
 
 
 def conditional_expectation_term(num: VaParams, den: VaParams, m: int):
@@ -261,30 +257,21 @@ def conditional_expectation_term(num: VaParams, den: VaParams, m: int):
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    with mp.workdps(_DPS):
-        e = _pow2(m - 1)
-        p = (mp.mpf(num.a) * mp.mpf(num.x1)) ** e  # numerator stay probability
-        q = (mp.mpf(den.a) * mp.mpf(den.x1)) ** e
-        # escape-ratio term
-        if q == 1:
-            k_term = mp.mpf(0) if p == 1 else mp.inf
-        else:
-            k_term = (1 - (1 - p) / (1 - q)) ** 2 * (1 - p)
-        # stay-ratio term
-        if q == 0:
-            khat = mp.mpf(0) if p == 0 else mp.inf
-        else:
-            khat = (1 - p / q) ** 2 * p
-        return _safe_float(k_term), _safe_float(khat)
-
-
-def _safe_float(v) -> float:
-    if v == mp.inf:
-        return float("inf")
-    try:
-        return float(v)
-    except OverflowError:  # pragma: no cover
-        return float("inf")
+    e = _pow2(m - 1)
+    p = (_CTX.mpf(num.a) * _CTX.mpf(num.x1)) ** e  # numerator stay probability
+    q = (_CTX.mpf(den.a) * _CTX.mpf(den.x1)) ** e
+    # escape-ratio term
+    if q == 1:
+        k_term = _CTX.zero if p == 1 else _CTX.inf
+    else:
+        k_term = (1 - (1 - p) / (1 - q)) ** 2 * (1 - p)
+    # stay-ratio term
+    if q == 0:
+        khat = _CTX.zero if p == 0 else _CTX.inf
+    else:
+        khat = (1 - p / q) ** 2 * p
+    # a term past the double range reads inf
+    return float(k_term), float(khat)
 
 
 @dataclass(frozen=True)

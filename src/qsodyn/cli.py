@@ -266,7 +266,10 @@ def mixing(spec_path, symmetrize, x_text, a_text, b_text, m_max, out):
     A = _parse_cylinder(a_text)
     B = _parse_cylinder(b_text)
     fam = TransitionFamily(V, x)
-    series = mixing_series(fam, A, B, m_max)
+    try:
+        series = mixing_series(fam, A, B, m_max)
+    except ValueError as exc:
+        _die(EXIT_VALIDATION, "validation_error", str(exc))
     _emit_csv(mixing_series_csv(series), out, "mixing")
 
 

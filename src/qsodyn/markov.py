@@ -9,11 +9,11 @@ arithmetic (mpmath) and exposes both linear floats and log-domain views.
 from __future__ import annotations
 
 import io
+import itertools
 import threading
 from dataclasses import dataclass
-from typing import Optional
 
-import mpmath as mp
+import mpmath
 import numpy as np
 
 from .operator import QsoOperator
@@ -24,32 +24,20 @@ UNDERFLOW_GUARD = 1e-300
 _DPS = 40
 
 
-def _to_float(v) -> float:
-    try:
-        return float(v)
-    except OverflowError:
-        return 0.0
-
-
-def _log_float(v) -> float:
-    if v == 0:
-        return float("-inf")
-    return _to_float(mp.log(v))
-
-
-def _unit_sum(values: list) -> list:
-    """The values scaled to sum 1 in the working precision (all-zero stays)."""
-    total = sum(values)
-    if total != 0 and total != 1:
-        return [v / total for v in values]
-    return values
+def _unit_sum(values: np.ndarray) -> np.ndarray:
+    """The values scaled so that each row sums to 1 in the working precision
+    (all-zero rows stay)."""
+    total = values.sum(axis=-1, keepdims=True)
+    return values / np.where(total == 0, 1, total)
 
 
 class TransitionFamily:
     """Memoized trajectory and one-step matrices for (operator, start).
 
-    Extension of the horizon is append-only and guarded by a lock; reads of
-    already-computed entries are safe from any thread.
+    All arithmetic runs in the family's own mpmath context, so families at
+    different precisions never share state. Extension of the horizon is
+    append-only and guarded by a lock; reads of already-computed entries are
+    safe from any thread.
     """
 
     def __init__(self, operator: QsoOperator, start: SimplexPoint, dps: int = _DPS):
@@ -58,112 +46,81 @@ class TransitionFamily:
         self.operator = operator
         self.start = start
         self.n = operator.n
-        self._dps = dps
+        ctx = mpmath.MPContext()
+        ctx.dps = dps
+        self._log = np.frompyfunc(ctx.log, 1, 1)
         self._lock = threading.Lock()
-        with mp.workdps(dps):
-            # a double start point sums to 1 only within float rounding; at
-            # this precision that error would set a floor under every gap
-            self._traj = [_unit_sum([mp.mpf(c) for c in start.coords])]
+        to_mpf = np.frompyfunc(ctx.mpf, 1, 1)
+        # P[i, j, l] = p[i, l, j], so that P @ x is the one-step matrix at x
+        self._P = to_mpf(operator.tensor.p.transpose(0, 2, 1))
+        # a double start point sums to 1 only within float rounding; at
+        # this precision that error would set a floor under every gap
+        self._traj = [_unit_sum(to_mpf(start.as_array()))]
         self._mats: list = []  # _mats[k] = one-step matrix from time k
-
-    # -- internal extension ------------------------------------------------
-
-    def _apply(self, x):
-        p = self.operator.tensor.p
-        n = self.n
-        out = []
-        for k in range(n):
-            acc = mp.mpf(0)
-            for i in range(n):
-                if x[i] == 0:
-                    continue
-                row = p[i, :, k]
-                inner = mp.mpf(0)
-                for j in range(n):
-                    if row[j] != 0.0 and x[j] != 0:
-                        inner += mp.mpf(row[j]) * x[j]
-                acc += x[i] * inner
-            out.append(acc)
-        # the exact map preserves total mass; renormalize so that sub-ulp
-        # round-off in the stored coefficients cannot double every step
-        return _unit_sum(out)
-
-    def _matrix_at(self, k: int):
-        p = self.operator.tensor.p
-        n = self.n
-        x = self._traj[k]
-        mat = [[mp.mpf(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = mp.mpf(0)
-                for l in range(n):
-                    if p[i, l, j] != 0.0 and x[l] != 0:
-                        acc += mp.mpf(p[i, l, j]) * x[l]
-                mat[i][j] = acc
-        # coefficient rows sum to 1 only within float rounding
-        return [_unit_sum(row) for row in mat]
 
     def extend(self, horizon: int) -> None:
         """Ensure trajectory up to x^(horizon) and matrices up to H^[horizon-1, horizon]."""
-        with self._lock, mp.workdps(self._dps):
-            while len(self._traj) <= horizon:
-                self._traj.append(self._apply(self._traj[-1]))
+        with self._lock:
             while len(self._mats) < horizon:
-                self._mats.append(self._matrix_at(len(self._mats)))
+                x = self._traj[-1]
+                raw = self._P @ x
+                # coefficient rows sum to 1 only within float rounding
+                self._mats.append(_unit_sum(raw))
+                # x^(k+1) = x^(k) H^[k,k+1]; the exact map preserves total
+                # mass, and renormalizing keeps sub-ulp round-off in the
+                # stored coefficients from doubling every step
+                self._traj.append(_unit_sum(x @ raw))
 
-    # -- trajectory views --------------------------------------------------
+    def _view(self, values, log: bool = False) -> np.ndarray:
+        """Doubles of extended values, or of their natural logs (-inf at zeros)."""
+        return np.asarray(self._log(values) if log else values, dtype=float)
 
-    def trajectory_point(self, k: int) -> np.ndarray:
+    def _point(self, k: int) -> np.ndarray:
+        if k < 0:
+            raise ValueError("k must be >= 0")
         self.extend(k)
-        return np.array([_to_float(v) for v in self._traj[k]])
+        return self._traj[k]
 
-    def trajectory_point_log(self, k: int) -> np.ndarray:
-        self.extend(k)
-        with mp.workdps(self._dps):
-            return np.array([_log_float(v) for v in self._traj[k]])
-
-    # -- transition matrices -----------------------------------------------
-
-    def _mat_mpf(self, k: int):
+    def _matrix(self, k: int) -> np.ndarray:
         if k < 0:
             raise ValueError("k must be >= 0")
         self.extend(k + 1)
         return self._mats[k]
 
-    def transition_matrix(self, k: int) -> np.ndarray:
-        """One-step matrix H^[k, k+1], row-stochastic."""
-        mat = self._mat_mpf(k)
-        return np.array([[_to_float(v) for v in row] for row in mat])
+    def _products(self, k: int):
+        """The running products H^[k,k+1] ... H^[m-1,m] for m = k+1, k+2, ..."""
+        acc = self._matrix(k)
+        yield acc
+        for t in itertools.count(k + 1):
+            acc = acc @ self._matrix(t)
+            yield acc
 
-    def transition_matrix_log(self, k: int) -> np.ndarray:
-        mat = self._mat_mpf(k)
-        with mp.workdps(self._dps):
-            return np.array([[_log_float(v) for v in row] for row in mat])
-
-    def _compose_mpf(self, k: int, m: int):
+    def _compose(self, k: int, m: int) -> np.ndarray:
         if not 0 <= k < m:
             raise ValueError(f"need 0 <= k < m, got k={k}, m={m}")
-        self.extend(m)
-        with mp.workdps(self._dps):
-            acc = self._mats[k]
-            for t in range(k + 1, m):
-                nxt = self._mats[t]
-                n = self.n
-                acc = [
-                    [sum(acc[i][l] * nxt[l][j] for l in range(n)) for j in range(n)]
-                    for i in range(n)
-                ]
-            return acc
+        return next(itertools.islice(self._products(k), m - k - 1, None))
+
+    # -- views -------------------------------------------------------------
+
+    def trajectory_point(self, k: int) -> np.ndarray:
+        return self._view(self._point(k))
+
+    def trajectory_point_log(self, k: int) -> np.ndarray:
+        return self._view(self._point(k), log=True)
+
+    def transition_matrix(self, k: int) -> np.ndarray:
+        """One-step matrix H^[k, k+1], row-stochastic."""
+        return self._view(self._matrix(k))
+
+    def transition_matrix_log(self, k: int) -> np.ndarray:
+        return self._view(self._matrix(k), log=True)
 
     def compose_transitions(self, k: int, m: int) -> np.ndarray:
         """Ordered product H^[k,k+1] ... H^[m-1,m]."""
-        acc = self._compose_mpf(k, m)
-        return np.array([[_to_float(v) for v in row] for row in acc])
+        return self._view(self._compose(k, m))
 
     def compose_transitions_log(self, k: int, m: int) -> np.ndarray:
-        acc = self._compose_mpf(k, m)
-        with mp.workdps(self._dps):
-            return np.array([[_log_float(v) for v in row] for row in acc])
+        return self._view(self._compose(k, m), log=True)
 
 
 def probabilities_close(
@@ -203,37 +160,40 @@ def shift_cylinder(c: CylinderSet, m: int) -> CylinderSet:
     return CylinderSet(c.start + m, c.states)
 
 
-def _cylinder_measure_mpf(family: TransitionFamily, c: CylinderSet):
+def _check_states(family: TransitionFamily, c: CylinderSet) -> None:
     for s in c.states:
         if not 1 <= s <= family.n:
             raise ValueError(f"state {s} out of range 1..{family.n}")
-    family.extend(c.end)
-    with mp.workdps(family._dps):
-        acc = family._traj[c.start][c.states[0] - 1]
-        for offset in range(len(c.states) - 1):
-            t = c.start + offset
-            mat = family._mat_mpf(t)
-            acc *= mat[c.states[offset] - 1][c.states[offset + 1] - 1]
-        return acc
+
+
+def _chain_factors(family: TransitionFamily, head, c: CylinderSet):
+    """head times the one-step factors H^[t,t+1]_{i_t i_(t+1)} along the window."""
+    for t, (i, j) in enumerate(zip(c.states, c.states[1:]), c.start):
+        head *= family._matrix(t)[i - 1, j - 1]
+    return head
+
+
+def _cylinder_measure_mpf(family: TransitionFamily, c: CylinderSet):
+    _check_states(family, c)
+    return _chain_factors(family, family._point(c.start)[c.states[0] - 1], c)
 
 
 def cylinder_measure(family: TransitionFamily, c: CylinderSet) -> float:
     """Initial weight at the window start times the one-step chain factors."""
-    return _to_float(_cylinder_measure_mpf(family, c))
+    return float(_cylinder_measure_mpf(family, c))
 
 
 def cylinder_measure_log(family: TransitionFamily, c: CylinderSet) -> float:
-    with mp.workdps(family._dps):
-        return _log_float(_cylinder_measure_mpf(family, c))
+    return float(family._view(_cylinder_measure_mpf(family, c), log=True))
 
 
 def two_point_measure(family: TransitionFamily, k: int, i: int, m: int, j: int) -> float:
     """Mass of trajectories with state i at time k and j at time m > k."""
     if k >= m:
         raise ValueError("need k < m")
-    with mp.workdps(family._dps):
-        comp = family._compose_mpf(k, m)
-        return _to_float(family._traj[k][i - 1] * comp[i - 1][j - 1])
+    _check_states(family, CylinderSet(k, (i, j)))
+    comp = family._compose(k, m)
+    return float(family._point(k)[i - 1] * comp[i - 1, j - 1])
 
 
 @dataclass(frozen=True)
@@ -244,6 +204,28 @@ class MixingSeries:
     numerically_mixing: bool
 
 
+def _gap_terms(family: TransitionFamily, A: CylinderSet, B: CylinderSet, m_min: int, m_max: int):
+    """(m, tau_m, bound_m) of mixing_gap for m = m_min..m_max, along one
+    running product from A's window end."""
+    l = A.end
+    s = B.start
+    if l >= s + m_min:
+        raise ValueError(
+            f"windows overlap: A ends at {l}, shifted B starts at {s + m_min}"
+        )
+    _check_states(family, B)
+    prefix = _cylinder_measure_mpf(family, A)
+    i, j = A.states[-1] - 1, B.states[0] - 1
+    # the running product from l reaches s+m at m = l+1-s, l+2-s, ...
+    for m, comp in zip(range(l + 1 - s, m_max + 1), family._products(l)):
+        if m < m_min:
+            continue
+        diff = abs(comp[i, j] - family._point(s + m)[j])
+        suffix = _chain_factors(family, 1, shift_cylinder(B, m))
+        tau = prefix * suffix * diff
+        yield m, float(tau), float(diff)
+
+
 def mixing_gap(family: TransitionFamily, A: CylinderSet, B: CylinderSet, m: int):
     """Correlation gap tau_m between A and the m-shifted B, plus its bound.
 
@@ -251,28 +233,8 @@ def mixing_gap(family: TransitionFamily, A: CylinderSet, B: CylinderSet, m: int)
     with l = A's window end and s = B's window start; the bound is the bare
     absolute difference. Requires A's window to end before the shifted B begins.
     """
-    l = A.end
-    s = B.start
-    if l >= s + m:
-        raise ValueError(
-            f"windows overlap: A ends at {l}, shifted B starts at {s + m}"
-        )
-    with mp.workdps(family._dps):
-        prefix = _cylinder_measure_mpf(family, A)
-        comp = family._compose_mpf(l, s + m)
-        family.extend(s + m)
-        diff = abs(
-            comp[A.states[-1] - 1][B.states[0] - 1]
-            - family._traj[s + m][B.states[0] - 1]
-        )
-        suffix = mp.mpf(1)
-        shifted = shift_cylinder(B, m)
-        for offset in range(len(shifted.states) - 1):
-            t = shifted.start + offset
-            mat = family._mat_mpf(t)
-            suffix *= mat[shifted.states[offset] - 1][shifted.states[offset + 1] - 1]
-        tau = prefix * suffix * diff
-        return _to_float(tau), _to_float(diff)
+    ((_, tau, bound),) = _gap_terms(family, A, B, m, m)
+    return tau, bound
 
 
 def mixing_series(
@@ -286,10 +248,7 @@ def mixing_series(
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     m_min = max(1, A.end - B.start + 1)
-    terms = []
-    for m in range(m_min, m_max + 1):
-        tau, bound = mixing_gap(family, A, B, m)
-        terms.append((m, tau, bound))
+    terms = list(_gap_terms(family, A, B, m_min, m_max))
     tail = [t for _, t, _ in terms[-3:]]
     mixing = len(tail) == 3 and all(t < mixing_threshold for t in tail)
     return MixingSeries(A=A, B=B, terms=terms, numerically_mixing=mixing)

@@ -3,6 +3,7 @@ from functools import lru_cache
 from importlib import resources
 from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -151,6 +152,154 @@ def reference_fixed_points(V, tol=1e-9, dedup_radius=1e-6, extra_seeds=()):
             found.append((cand, res))
     found.sort(key=lambda pr: pr[0].coords)
     return FixedPointSet([p for p, _ in found], [r for _, r in found], dedup_radius, diagnostics)
+
+
+def _ref_float(v):
+    try:
+        return float(v)
+    except OverflowError:
+        return 0.0
+
+
+def _ref_log_float(v):
+    if v == 0:
+        return float("-inf")
+    return _ref_float(mpmath.log(v))
+
+
+def _ref_unit_sum(values):
+    total = sum(values)
+    if total != 0 and total != 1:
+        return [v / total for v in values]
+    return values
+
+
+class ReferenceMarkov:
+    """The Markov chain of (operator, start) one matrix entry at a time in
+    mpmath's global context: trajectory by the quadratic map, one-step
+    matrices, products and chain factors each by their own loop."""
+
+    def __init__(self, operator, start, dps=40):
+        self.p = operator.tensor.p
+        self.n = operator.n
+        self.dps = dps
+        with mpmath.workdps(dps):
+            self.traj = [_ref_unit_sum([mpmath.mpf(c) for c in start.coords])]
+        self.mats = []
+        self.products = {}
+
+    def _apply(self, x):
+        p, n = self.p, self.n
+        out = []
+        for k in range(n):
+            acc = mpmath.mpf(0)
+            for i in range(n):
+                if x[i] == 0:
+                    continue
+                inner = mpmath.mpf(0)
+                for j in range(n):
+                    if p[i, j, k] != 0.0 and x[j] != 0:
+                        inner += mpmath.mpf(p[i, j, k]) * x[j]
+                acc += x[i] * inner
+            out.append(acc)
+        return _ref_unit_sum(out)
+
+    def _matrix_at(self, k):
+        p, n = self.p, self.n
+        x = self.traj[k]
+        mat = [[mpmath.mpf(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                acc = mpmath.mpf(0)
+                for l in range(n):
+                    if p[i, l, j] != 0.0 and x[l] != 0:
+                        acc += mpmath.mpf(p[i, l, j]) * x[l]
+                mat[i][j] = acc
+        return [_ref_unit_sum(row) for row in mat]
+
+    def extend(self, horizon):
+        with mpmath.workdps(self.dps):
+            while len(self.traj) <= horizon:
+                self.traj.append(self._apply(self.traj[-1]))
+            while len(self.mats) < horizon:
+                self.mats.append(self._matrix_at(len(self.mats)))
+
+    def _compose(self, k, m):
+        self.extend(m)
+        n = self.n
+        with mpmath.workdps(self.dps):
+            acc = self.mats[k]
+            for t in range(k + 1, m):
+                # the partial products are kept, so that a mixing series
+                # costs one loop per term
+                if (k, t + 1) not in self.products:
+                    nxt = self.mats[t]
+                    self.products[k, t + 1] = [
+                        [sum(acc[i][l] * nxt[l][j] for l in range(n)) for j in range(n)] for i in range(n)
+                    ]
+                acc = self.products[k, t + 1]
+            return acc
+
+    def _chain(self, acc, start, states):
+        self.extend(start + len(states))
+        with mpmath.workdps(self.dps):
+            for offset in range(len(states) - 1):
+                acc *= self.mats[start + offset][states[offset] - 1][states[offset + 1] - 1]
+            return acc
+
+    def _cylinder(self, start, states):
+        self.extend(start)
+        return self._chain(self.traj[start][states[0] - 1], start, states)
+
+    def _view(self, values, log):
+        with mpmath.workdps(self.dps):
+            convert = _ref_log_float if log else _ref_float
+            if isinstance(values, list):
+                return np.array([[convert(v) for v in row] if isinstance(row, list) else convert(row) for row in values])
+            return convert(values)
+
+    def trajectory_point(self, k, log=False):
+        self.extend(k)
+        return self._view(self.traj[k], log)
+
+    def transition_matrix(self, k, log=False):
+        self.extend(k + 1)
+        return self._view(self.mats[k], log)
+
+    def compose_transitions(self, k, m, log=False):
+        return self._view(self._compose(k, m), log)
+
+    def cylinder_measure(self, c, log=False):
+        return self._view(self._cylinder(c.start, c.states), log)
+
+    def two_point_measure(self, k, i, m, j):
+        comp = self._compose(k, m)
+        with mpmath.workdps(self.dps):
+            return _ref_float(self.traj[k][i - 1] * comp[i - 1][j - 1])
+
+    def mixing_gap(self, A, B, m):
+        """tau_m and its bound: the composed product from A's end to the
+        shifted B's start, then B's chain factors after it."""
+        l, s = A.end, B.start
+        prefix = self._cylinder(A.start, A.states)
+        comp = self._compose(l, s + m)
+        with mpmath.workdps(self.dps):
+            diff = abs(comp[A.states[-1] - 1][B.states[0] - 1] - self.traj[s + m][B.states[0] - 1])
+            suffix = self._chain(mpmath.mpf(1), s + m, B.states)
+            tau = prefix * suffix * diff
+            return _ref_float(tau), _ref_float(diff)
+
+
+def reference_markov(operator, start, dps=40):
+    return ReferenceMarkov(operator, start, dps)
+
+
+@pytest.fixture(autouse=True)
+def global_precision_unchanged():
+    """No library call may leave mpmath's global precision changed."""
+    prec = mpmath.mp.prec
+    yield
+    assert mpmath.mp.prec == prec, f"mpmath.mp.prec changed from {prec} to {mpmath.mp.prec}"
 
 
 @pytest.fixture

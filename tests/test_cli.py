@@ -201,6 +201,12 @@ class TestMixing:
             ["mixing", "--spec", fixture_path("va_a05"), "--x", x, "--A", "0:1", "--B", "0:1", "--m-max", m_max],
         )
 
+    @pytest.mark.parametrize("a,b", [("0:1", "0:0"), ("0:1", "0:1,0"), ("0:3", "0:1"), ("0:1", "0:3")])
+    def test_state_out_of_range(self, runner, a, b):
+        assert_validation_error(
+            runner, ["mixing", "--spec", fixture_path("va_a05"), "--x", "0.5,0.5", "--A", a, "--B", b]
+        )
+
 
 class TestAbscont:
     def test_equivalent_both_directions(self, runner):

@@ -63,6 +63,12 @@ class TestTransitionMatrices:
         with pytest.raises(ValueError):
             half_family.compose_transitions(3, 3)
 
+    @pytest.mark.parametrize("view", ["trajectory_point", "trajectory_point_log"])
+    def test_negative_time_rejected(self, half_family, view):
+        half_family.extend(5)
+        with pytest.raises(ValueError):
+            getattr(half_family, view)(-1)
+
     def test_log_view_beyond_underflow(self):
         fam = TransitionFamily(va_operator(0.9), make_point([0.9, 0.1]))
         logs = fam.transition_matrix_log(20)
@@ -131,6 +137,11 @@ class TestTwoPointMeasure:
     def test_window_order_enforced(self, half_family):
         with pytest.raises(ValueError):
             two_point_measure(half_family, 3, 1, 3, 1)
+
+    @pytest.mark.parametrize("i,j", [(0, 1), (1, 0), (3, 1), (1, 3)])
+    def test_state_out_of_range(self, half_family, i, j):
+        with pytest.raises(ValueError):
+            two_point_measure(half_family, 0, i, 3, j)
 
 
 class TestShift:
@@ -203,7 +214,13 @@ class TestProbabilitiesClose:
 
 
 def test_thread_safe_extension():
+    """Threads extending one family, and threads running families at three
+    precisions next to the likelihood-ratio series, each get exactly their
+    serial result: no thread changes another's working precision."""
+    import sys
     import threading
+
+    from qsodyn.abscont import VaParams, rn_series
 
     fam = TransitionFamily(va_operator(0.5), make_point([0.5, 0.5]))
     errors = []
@@ -221,3 +238,30 @@ def test_thread_safe_extension():
     for t in threads:
         t.join()
     assert not errors
+
+    V = random_structured_tensors(3, 1, seed=74)[0]
+    x = make_point([0.5, 0.3, 0.2])
+    A, B = CylinderSet(0, (1,)), CylinderSet(1, (3, 2))
+    num, den = VaParams.of(0.5, 0.3), VaParams.of(0.5, 0.6)
+    jobs = [
+        lambda dps=dps: mixing_series(TransitionFamily(V, x, dps=dps), A, B, 30).terms
+        for dps in (15, 40, 60)
+    ] + [lambda: rn_series(num, den, 40).terms]
+    serial = [job() for job in jobs]
+    results = {}
+
+    def run(idx, job):
+        results[idx] = job()
+
+    threads = [threading.Thread(target=run, args=(i, job)) for i, job in enumerate(jobs * 3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [results.get(i) for i in range(len(threads))] == serial * 3

@@ -1,0 +1,114 @@
+"""The Markov kernel against the per-entry reference in conftest.
+
+The reference computes the trajectory by the quadratic map, each one-step
+matrix entry, each matrix product and each chain factor in its own mpmath
+loop, as ``TransitionFamily`` did before it became one object-array kernel.
+Every float and log view is required equal to the reference's to the bit.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import load_fixture, reference_markov
+from qsodyn.abscont import va_operator
+from qsodyn.generate import random_structured_tensors
+from qsodyn.markov import (
+    CylinderSet,
+    TransitionFamily,
+    cylinder_measure,
+    cylinder_measure_log,
+    mixing_gap,
+    mixing_series,
+    two_point_measure,
+)
+from qsodyn.simplex import make_point, vertex
+
+HORIZON = 30
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), (got, want)
+
+
+def cylinders(n):
+    return [CylinderSet(0, (i,)) for i in range(1, n + 1)] + [
+        CylinderSet(0, (1, n)),
+        CylinderSet(0, (n, 1)),
+        CylinderSet(3, (1, n, 1, n)),
+        CylinderSet(5, (1, 1, 1)),
+        CylinderSet(20, (n, n, 1)),
+    ]
+
+
+def mixing_pairs(n):
+    return [
+        (CylinderSet(0, (1,)), CylinderSet(0, (n,))),
+        (CylinderSet(1, (n, 1)), CylinderSet(0, (1, n))),
+        (CylinderSet(2, (1, n, 1)), CylinderSet(4, (n,))),
+    ]
+
+
+def assert_kernel_matches_reference(V, x, dps=40):
+    fam = TransitionFamily(V, x, dps=dps)
+    ref = reference_markov(V, x, dps=dps)
+    n = V.n
+    for k in range(HORIZON + 1):
+        assert_same_bits(fam.trajectory_point(k), ref.trajectory_point(k))
+        assert_same_bits(fam.trajectory_point_log(k), ref.trajectory_point(k, log=True))
+    for k in range(HORIZON):
+        assert_same_bits(fam.transition_matrix(k), ref.transition_matrix(k))
+        assert_same_bits(fam.transition_matrix_log(k), ref.transition_matrix(k, log=True))
+    for k, m in ((0, 1), (0, 7), (0, HORIZON), (3, 17), (12, HORIZON), (HORIZON - 1, HORIZON)):
+        assert_same_bits(fam.compose_transitions(k, m), ref.compose_transitions(k, m))
+        assert_same_bits(fam.compose_transitions_log(k, m), ref.compose_transitions(k, m, log=True))
+    for c in cylinders(n):
+        assert_same_bits(cylinder_measure(fam, c), ref.cylinder_measure(c))
+        assert_same_bits(cylinder_measure_log(fam, c), ref.cylinder_measure(c, log=True))
+    for k, i, m, j in ((0, 1, 1, n), (1, n, 9, 1), (4, 1, HORIZON, 1)):
+        assert_same_bits(two_point_measure(fam, k, i, m, j), ref.two_point_measure(k, i, m, j))
+    for A, B in mixing_pairs(n):
+        series = mixing_series(fam, A, B, HORIZON)
+        m_min = max(1, A.end - B.start + 1)
+        assert [m for m, _, _ in series.terms] == list(range(m_min, HORIZON + 1))
+        assert series.terms == [(m, *mixing_gap(fam, A, B, m)) for m in range(m_min, HORIZON + 1)]
+        for m, tau, bound in series.terms:
+            assert_same_bits((tau, bound), ref.mixing_gap(A, B, m))
+
+
+FIXTURE_STARTS = {
+    "va_a0": [(0.5, 0.5), (0.9, 0.1), (1.0, 0.0)],
+    "va_a05": [(0.5, 0.5), (0.9, 0.1), (0.0, 1.0)],
+    "va_a23": [(0.9, 0.1), (0.3, 0.7), (1.0, 0.0)],
+    "attracting_not_unique": [(0.2, 0.3, 0.5), (0.6, 0.3, 0.1)],
+    "uniqueness_sufficiency_gap": [(0.2, 0.3, 0.5), (0.0, 0.0, 1.0)],
+    "unique_not_contractive_s2": [(0.2, 0.3, 0.5), (1.0, 0.0, 0.0)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_STARTS))
+def test_fixtures_match_reference(name):
+    V = load_fixture(name).build()
+    for x in FIXTURE_STARTS[name]:
+        assert_kernel_matches_reference(V, make_point(x))
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 2.0 / 3.0, 0.9, 1.0])
+def test_two_state_family_matches_reference(a):
+    assert_kernel_matches_reference(va_operator(a), make_point([0.9, 0.1]))
+
+
+@pytest.mark.parametrize("n, count", [(2, 4), (3, 4), (4, 2), (6, 1)])
+def test_seeded_operators_match_reference(n, count):
+    rng = np.random.default_rng(500 + n)
+    for V in random_structured_tensors(n, count, seed=80 + n):
+        assert_kernel_matches_reference(V, make_point(rng.dirichlet(np.ones(n))))
+    assert_kernel_matches_reference(V, vertex(n, 1))
+
+
+@pytest.mark.parametrize("dps", [15, 60])
+def test_other_precisions_match_reference(dps):
+    V = random_structured_tensors(3, 1, seed=90)[0]
+    assert_kernel_matches_reference(V, make_point([0.5, 0.3, 0.2]), dps=dps)
+    assert_kernel_matches_reference(va_operator(0.5), make_point([0.9, 0.1]), dps=dps)
