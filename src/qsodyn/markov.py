@@ -9,7 +9,6 @@ arithmetic (mpmath) and exposes both linear floats and log-domain views.
 from __future__ import annotations
 
 import io
-import itertools
 import threading
 from dataclasses import dataclass
 
@@ -32,12 +31,16 @@ def _unit_sum(values: np.ndarray) -> np.ndarray:
 
 
 class TransitionFamily:
-    """Memoized trajectory and one-step matrices for (operator, start).
+    """Memoized trajectory, one-step matrices and running products for
+    (operator, start).
 
     All arithmetic runs in the family's own mpmath context, so families at
-    different precisions never share state. Extension of the horizon is
-    append-only and guarded by a lock; reads of already-computed entries are
-    safe from any thread.
+    different precisions never share state. The running products
+    H^[k,k+1] ... H^[m-1,m] are computed once and kept, one list per start
+    time k asked about: one n x n matrix per (k, m) pair reached, so each
+    start holds at most as many matrices as the one-step list up to the
+    horizon. Every list is append-only and grows under the lock; reads of
+    already-computed entries are safe from any thread.
     """
 
     def __init__(self, operator: QsoOperator, start: SimplexPoint, dps: int = _DPS):
@@ -57,6 +60,7 @@ class TransitionFamily:
         # this precision that error would set a floor under every gap
         self._traj = [_unit_sum(to_mpf(start.as_array()))]
         self._mats: list = []  # _mats[k] = one-step matrix from time k
+        self._prods: dict = {}  # _prods[k][m - k - 1] = H^[k,k+1] ... H^[m-1,m]
 
     def extend(self, horizon: int) -> None:
         """Ensure trajectory up to x^(horizon) and matrices up to H^[horizon-1, horizon]."""
@@ -87,18 +91,21 @@ class TransitionFamily:
         self.extend(k + 1)
         return self._mats[k]
 
-    def _products(self, k: int):
-        """The running products H^[k,k+1] ... H^[m-1,m] for m = k+1, k+2, ..."""
-        acc = self._matrix(k)
-        yield acc
-        for t in itertools.count(k + 1):
-            acc = acc @ self._matrix(t)
-            yield acc
-
-    def _compose(self, k: int, m: int) -> np.ndarray:
+    def _product(self, k: int, m: int) -> np.ndarray:
+        """The stored running product H^[k,k+1] ... H^[m-1,m]; callers must
+        not change it in place."""
         if not 0 <= k < m:
             raise ValueError(f"need 0 <= k < m, got k={k}, m={m}")
-        return next(itertools.islice(self._products(k), m - k - 1, None))
+        # lists only grow, and each entry is complete before it is appended,
+        # so an index below a length read here needs no lock
+        chain = self._prods.get(k)
+        if chain is None or len(chain) < m - k:
+            self.extend(m)
+            with self._lock:
+                chain = self._prods.setdefault(k, [self._mats[k]])
+                while len(chain) < m - k:
+                    chain.append(chain[-1] @ self._mats[k + len(chain)])
+        return chain[m - k - 1]
 
     # -- views -------------------------------------------------------------
 
@@ -117,10 +124,10 @@ class TransitionFamily:
 
     def compose_transitions(self, k: int, m: int) -> np.ndarray:
         """Ordered product H^[k,k+1] ... H^[m-1,m]."""
-        return self._view(self._compose(k, m))
+        return self._view(self._product(k, m))
 
     def compose_transitions_log(self, k: int, m: int) -> np.ndarray:
-        return self._view(self._compose(k, m), log=True)
+        return self._view(self._product(k, m), log=True)
 
 
 def probabilities_close(
@@ -192,8 +199,7 @@ def two_point_measure(family: TransitionFamily, k: int, i: int, m: int, j: int) 
     if k >= m:
         raise ValueError("need k < m")
     _check_states(family, CylinderSet(k, (i, j)))
-    comp = family._compose(k, m)
-    return float(family._point(k)[i - 1] * comp[i - 1, j - 1])
+    return float(family._point(k)[i - 1] * family._product(k, m)[i - 1, j - 1])
 
 
 @dataclass(frozen=True)
@@ -205,8 +211,8 @@ class MixingSeries:
 
 
 def _gap_terms(family: TransitionFamily, A: CylinderSet, B: CylinderSet, m_min: int, m_max: int):
-    """(m, tau_m, bound_m) of mixing_gap for m = m_min..m_max, along one
-    running product from A's window end."""
+    """(m, tau_m, bound_m) of mixing_gap for m = m_min..m_max, along the
+    stored running products from A's window end."""
     l = A.end
     s = B.start
     if l >= s + m_min:
@@ -216,11 +222,8 @@ def _gap_terms(family: TransitionFamily, A: CylinderSet, B: CylinderSet, m_min: 
     _check_states(family, B)
     prefix = _cylinder_measure_mpf(family, A)
     i, j = A.states[-1] - 1, B.states[0] - 1
-    # the running product from l reaches s+m at m = l+1-s, l+2-s, ...
-    for m, comp in zip(range(l + 1 - s, m_max + 1), family._products(l)):
-        if m < m_min:
-            continue
-        diff = abs(comp[i, j] - family._point(s + m)[j])
+    for m in range(m_min, m_max + 1):
+        diff = abs(family._product(l, s + m)[i, j] - family._point(s + m)[j])
         suffix = _chain_factors(family, 1, shift_cylinder(B, m))
         tau = prefix * suffix * diff
         yield m, float(tau), float(diff)

@@ -41,19 +41,27 @@ def parse_spec(data: dict, source: str = "<memory>") -> OperatorSpec:
     metadata = data.get("metadata", {})
     if va is not None:
         a = va.get("a") if isinstance(va, dict) else None
-        if not isinstance(a, (int, float)):
+        if isinstance(a, bool) or not isinstance(a, (int, float)):
             raise SpecFileError(f"{source}: 'va' needs a numeric field 'a'")
         return OperatorSpec(n=2, va=float(a), metadata=metadata)
     n = data.get("n")
     if not isinstance(n, int) or n < 2:
         raise SpecFileError(f"{source}: 'n' must be an integer >= 2")
-    entries = {}
+    if not isinstance(coeffs, list):
+        raise SpecFileError(f"{source}: 'coefficients' must be a list of records")
+    entries, record_of = {}, {}
     for rec_no, rec in enumerate(coeffs):
         try:
             i, j, k, p = int(rec["i"]), int(rec["j"]), int(rec["k"]), float(rec["p"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecFileError(f"{source}: coefficient record {rec_no}: {exc}") from exc
-        entries[(i, j, k)] = p
+        if (i, j, k) in record_of:
+            raise SpecFileError(
+                f"{source}: coefficient records {record_of[i, j, k]} and {rec_no}"
+                f" both give p({i},{j},{k})"
+            )
+        record_of[i, j, k] = rec_no
+        entries[i, j, k] = p
     return OperatorSpec(n=n, coefficients=entries, metadata=metadata)
 
 

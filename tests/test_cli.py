@@ -52,6 +52,21 @@ class TestValidate:
         err = json.loads(result.stderr)
         assert err["error"] == "validation_error"
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"n": 3, "coefficients": 5},
+            {"va": {"a": True}},
+            {"n": 2, "coefficients": [{"i": 1, "j": 2, "k": 2, "p": 0.5}, {"i": 1, "j": 2, "k": 2, "p": 0.5}]},
+        ],
+        ids=["coefficients_not_a_list", "boolean_a", "duplicate_record"],
+    )
+    def test_malformed_spec_is_a_parse_error(self, runner, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        result = runner.invoke(main, ["validate", "--spec", str(path)])
+        assert result.exit_code == EXIT_PARSE, result.output
+        assert json.loads(result.stderr)["error"] == "parse_error"
 
     def test_verdict_matches_classify(self, runner):
         args = ["--spec", fixture_path("uniqueness_sufficiency_gap"), "--seed", "5"]

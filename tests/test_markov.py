@@ -1,5 +1,8 @@
 import itertools
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -213,47 +216,20 @@ class TestProbabilitiesClose:
         assert not probabilities_close(0.0, float("-inf"), 0.0, -1e6)
 
 
-def test_thread_safe_extension():
-    """Threads extending one family, and threads running families at three
-    precisions next to the likelihood-ratio series, each get exactly their
-    serial result: no thread changes another's working precision."""
-    import sys
-    import threading
-
-    from qsodyn.abscont import VaParams, rn_series
-
-    fam = TransitionFamily(va_operator(0.5), make_point([0.5, 0.5]))
-    errors = []
-
-    def worker():
-        try:
-            for k in range(30):
-                fam.transition_matrix(k)
-        except Exception as exc:  # pragma: no cover
-            errors.append(exc)
-
-    threads = [threading.Thread(target=worker) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
-
-    V = random_structured_tensors(3, 1, seed=74)[0]
-    x = make_point([0.5, 0.3, 0.2])
-    A, B = CylinderSet(0, (1,)), CylinderSet(1, (3, 2))
-    num, den = VaParams.of(0.5, 0.3), VaParams.of(0.5, 0.6)
-    jobs = [
-        lambda dps=dps: mixing_series(TransitionFamily(V, x, dps=dps), A, B, 30).terms
-        for dps in (15, 40, 60)
-    ] + [lambda: rn_series(num, den, 40).terms]
-    serial = [job() for job in jobs]
-    results = {}
+def run_threaded(jobs):
+    """Each job in its own thread, started together at a 10 us switch
+    interval; a job's exception is its result."""
+    barrier = threading.Barrier(len(jobs))
+    results = [None] * len(jobs)
 
     def run(idx, job):
-        results[idx] = job()
+        barrier.wait()
+        try:
+            results[idx] = job()
+        except Exception as exc:
+            results[idx] = exc
 
-    threads = [threading.Thread(target=run, args=(i, job)) for i, job in enumerate(jobs * 3)]
+    threads = [threading.Thread(target=run, args=(i, job)) for i, job in enumerate(jobs)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -264,4 +240,66 @@ def test_thread_safe_extension():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert [results.get(i) for i in range(len(threads))] == serial * 3
+    return results
+
+
+def float_bits(result):
+    """The bytes of a view's doubles; anything else, an exception included,
+    as itself."""
+    try:
+        return np.asarray(result, dtype=float).tobytes()
+    except (TypeError, ValueError):
+        return result
+
+
+def test_thread_safe_extension():
+    """Threads extending one family, threads running families at three
+    precisions next to the likelihood-ratio series, and threads reading
+    running products of one shared family each get exactly their serial
+    result: no thread changes another's working precision, and no product
+    is read before it is stored or stored twice."""
+    from qsodyn.abscont import VaParams, rn_series
+
+    fam = TransitionFamily(va_operator(0.5), make_point([0.5, 0.5]))
+    results = run_threaded([lambda: [fam.transition_matrix(k) for k in range(30)]] * 4)
+    assert not any(isinstance(r, Exception) for r in results)
+
+    V = random_structured_tensors(3, 1, seed=74)[0]
+    x = make_point([0.5, 0.3, 0.2])
+    A, B = CylinderSet(0, (1,)), CylinderSet(1, (3, 2))
+    num, den = VaParams.of(0.5, 0.3), VaParams.of(0.5, 0.6)
+    jobs = [
+        lambda dps=dps: mixing_series(TransitionFamily(V, x, dps=dps), A, B, 30).terms
+        for dps in (15, 40, 60)
+    ] + [lambda: rn_series(num, den, 40).terms]
+    serial = [job() for job in jobs]
+    assert run_threaded(jobs * 3) == serial * 3
+
+    def walk(k, delay):
+        """Every composition from k in turn, started late enough to run
+        into a chain that another thread is still extending."""
+
+        def job(f):
+            time.sleep(delay)
+            return [f.compose_transitions(k, m) for m in range(k + 1, 31)]
+
+        return job
+
+    calls = [
+        lambda f: f.compose_transitions(0, 30),
+        lambda f: f.compose_transitions(0, 9),
+        lambda f: f.compose_transitions_log(0, 24),
+        lambda f: f.compose_transitions(6, 30),
+        lambda f: f.compose_transitions(6, 11),
+        lambda f: two_point_measure(f, 0, 1, 27, 3),
+        lambda f: two_point_measure(f, 6, 2, 20, 1),
+        lambda f: mixing_series(f, CylinderSet(0, (1,)), CylinderSet(0, (3,)), 30).terms,
+        lambda f: mixing_series(f, CylinderSet(5, (2, 1)), CylinderSet(0, (1,)), 30).terms,
+        *(walk(0, delay) for delay in (0, 3e-4, 1e-3, 3e-3)),
+        *(walk(6, delay) for delay in (0, 1e-3)),
+    ]
+    serial = [float_bits(call(TransitionFamily(V, x))) for call in calls]
+    for _ in range(20):
+        shared = TransitionFamily(V, x)
+        results = run_threaded([lambda call=call: call(shared) for call in calls * 2])
+        assert [float_bits(r) for r in results] == serial * 2

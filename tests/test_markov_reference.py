@@ -112,3 +112,69 @@ def test_other_precisions_match_reference(dps):
     V = random_structured_tensors(3, 1, seed=90)[0]
     assert_kernel_matches_reference(V, make_point([0.5, 0.3, 0.2]), dps=dps)
     assert_kernel_matches_reference(va_operator(0.5), make_point([0.9, 0.1]), dps=dps)
+
+
+def order_queries(n):
+    """Queries that share running products, each with its reference value."""
+    A, B = CylinderSet(0, (1,)), CylinderSet(0, (n,))
+    window = (0, 7), (0, HORIZON), (12, 20), (12, HORIZON)
+    queries = {
+        "mixing": (
+            lambda f: mixing_series(f, A, B, HORIZON).terms,
+            lambda r: [(m, *r.mixing_gap(A, B, m)) for m in range(1, HORIZON + 1)],
+        ),
+        "two_point": (
+            lambda f: [two_point_measure(f, 0, 1, 20, n), two_point_measure(f, 12, n, 25, 1)],
+            lambda r: [r.two_point_measure(0, 1, 20, n), r.two_point_measure(12, n, 25, 1)],
+        ),
+    }
+    for k, m in window:
+        queries[f"compose_{k}_{m}"] = (
+            lambda f, k=k, m=m: [f.compose_transitions(k, m), f.compose_transitions_log(k, m)],
+            lambda r, k=k, m=m: [r.compose_transitions(k, m), r.compose_transitions(k, m, log=True)],
+        )
+    return queries
+
+
+QUERY_ORDERS = {
+    "mixing_first": ("mixing", "compose_0_7", "compose_0_30", "two_point", "compose_12_20", "compose_12_30"),
+    "short_first": ("compose_0_7", "compose_12_20", "two_point", "compose_0_30", "compose_12_30", "mixing"),
+    "long_first": ("compose_0_30", "compose_12_30", "mixing", "compose_0_7", "compose_12_20", "two_point"),
+    "late_start_first": ("compose_12_30", "compose_12_20", "two_point", "compose_0_30", "mixing", "compose_0_7"),
+}
+
+
+ORDER_CASES = {
+    "attracting_not_unique": (lambda: load_fixture("attracting_not_unique").build(), (0.2, 0.3, 0.5)),
+    "va_a23": (lambda: va_operator(2.0 / 3.0), (0.9, 0.1)),
+    "random_n4": (lambda: random_structured_tensors(4, 1, seed=91)[0], (0.1, 0.2, 0.3, 0.4)),
+}
+
+
+@pytest.mark.parametrize("order", sorted(QUERY_ORDERS))
+@pytest.mark.parametrize("case", sorted(ORDER_CASES))
+def test_query_order_does_not_change_bits(case, order):
+    """Products stored by one query and read by the next give the bits that
+    a fresh reference computes, whatever the order of the queries."""
+    build, x = ORDER_CASES[case]
+    V = build()
+    fam = TransitionFamily(V, make_point(x))
+    ref = reference_markov(V, make_point(x))
+    queries = order_queries(V.n)
+    for key in QUERY_ORDERS[order]:
+        got, want = queries[key]
+        assert_same_bits(got(fam), want(ref))
+
+
+def test_returned_composition_is_a_copy():
+    V, x = va_operator(0.5), make_point([0.9, 0.1])
+    fam = TransitionFamily(V, x)
+    ref = reference_markov(V, x)
+    for log in (False, True):
+        view = fam.compose_transitions_log if log else fam.compose_transitions
+        first = view(0, HORIZON)
+        first[:] = 0.5
+        assert_same_bits(view(0, HORIZON), ref.compose_transitions(0, HORIZON, log=log))
+    A, B = CylinderSet(0, (1,)), CylinderSet(0, (2,))
+    for m, tau, bound in mixing_series(fam, A, B, HORIZON).terms:
+        assert_same_bits((tau, bound), ref.mixing_gap(A, B, m))

@@ -56,6 +56,20 @@ class TestParsing:
         with pytest.raises(SpecFileError):
             parse_spec({"n": 2, "coefficients": [{"i": 1, "j": 1}]})
 
+    def test_coefficients_not_a_list(self):
+        with pytest.raises(SpecFileError, match="'coefficients' must be a list"):
+            parse_spec({"n": 3, "coefficients": 5})
+
+    def test_boolean_parameter_rejected(self):
+        with pytest.raises(SpecFileError, match="numeric field 'a'"):
+            parse_spec({"va": {"a": True}})
+
+    def test_duplicate_record_names_both(self):
+        record = {"i": 1, "j": 2, "k": 2, "p": 0.5}
+        records = [{"i": 1, "j": 1, "k": 2, "p": 1.0}, record, {"i": 2, "j": 2, "k": 2, "p": 1.0}, record]
+        with pytest.raises(SpecFileError, match=r"records 1 and 3 both give p\(1,2,2\)"):
+            parse_spec({"n": 2, "coefficients": records})
+
     def test_bad_n(self):
         with pytest.raises(SpecFileError):
             parse_spec({"n": 1, "coefficients": []})
