@@ -246,6 +246,31 @@ def rn_ratio_z(
     return RnRatio(float(top / bot), False)
 
 
+def _stay_rate(params: VaParams):
+    """a * x1 in extended precision: the stay probability at time 0."""
+    return _CTX.mpf(params.a) * _CTX.mpf(params.x1)
+
+
+def _expectation_term(num_rate, den_rate, m: int):
+    """conditional_expectation_term from the two stay rates a * x1."""
+    e = _pow2(m - 1)
+    p = num_rate**e  # numerator stay probability
+    q = den_rate**e
+    # escape-ratio term
+    if q == 1:
+        k_term = _CTX.zero if p == 1 else _CTX.inf
+    else:
+        escape = 1 - p
+        k_term = (1 - escape / (1 - q)) ** 2 * escape
+    # stay-ratio term
+    if q == 0:
+        khat = _CTX.zero if p == 0 else _CTX.inf
+    else:
+        khat = (1 - p / q) ** 2 * p
+    # a term past the double range reads inf
+    return float(k_term), float(khat)
+
+
 def conditional_expectation_term(num: VaParams, den: VaParams, m: int):
     """The two surviving series contributions at step m.
 
@@ -257,21 +282,7 @@ def conditional_expectation_term(num: VaParams, den: VaParams, m: int):
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    e = _pow2(m - 1)
-    p = (_CTX.mpf(num.a) * _CTX.mpf(num.x1)) ** e  # numerator stay probability
-    q = (_CTX.mpf(den.a) * _CTX.mpf(den.x1)) ** e
-    # escape-ratio term
-    if q == 1:
-        k_term = _CTX.zero if p == 1 else _CTX.inf
-    else:
-        k_term = (1 - (1 - p) / (1 - q)) ** 2 * (1 - p)
-    # stay-ratio term
-    if q == 0:
-        khat = _CTX.zero if p == 0 else _CTX.inf
-    else:
-        khat = (1 - p / q) ** 2 * p
-    # a term past the double range reads inf
-    return float(k_term), float(khat)
+    return _expectation_term(_stay_rate(num), _stay_rate(den), m)
 
 
 @dataclass(frozen=True)
@@ -327,8 +338,9 @@ def rn_series(num: VaParams, den: VaParams, m_max: int) -> RNSeriesReport:
     exceptional = num.a * num.x1 > den_stay > 0.0
     terms = []
     partial = 0.0
+    num_rate, den_rate = _stay_rate(num), _stay_rate(den)
     for m in range(1, m_max + 1):
-        k_term, khat = conditional_expectation_term(num, den, m)
+        k_term, khat = _expectation_term(num_rate, den_rate, m)
         contribution = k_term if exceptional else k_term + khat
         partial += contribution
         terms.append((m, k_term, khat, partial))

@@ -2,18 +2,30 @@
 time-dependent transition matrices, cylinder-set measures, and the mixing gap.
 
 Entries decay doubly exponentially along these chains, far past double
-underflow. The family therefore runs its recursion in extended-exponent
-arithmetic (mpmath) and exposes both linear floats and log-domain views.
+underflow. The family therefore runs its recursion on nonnegative
+(mantissa, exponent) pairs of Python ints, value m * 2**e, and rounds every
+product, sum and quotient half-even to the working precision. Each of these
+operations is correctly rounded, so it gives the one value that mpmath's
+``mpf_mul``, ``mpf_add`` and ``mpf_div`` give at the same precision; with the
+operations in the same order, every stored value is the one an mpmath
+computation would store. No signed values arise: coefficients lie in
+[0, 1] and the start point on the simplex, and the one difference, the
+mixing gap's |H - x|, is rounded as a magnitude, as ``mpf_sub`` rounds
+it. Float views round a pair
+to the nearest double as mpmath does, and log views take mpmath's raw
+``mpf_log`` of it. Every call gets the family's precision as an argument, so
+no mpmath context, global or private, is read or changed.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import threading
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
+from mpmath import libmp
 
 from .operator import QsoOperator
 from .simplex import SimplexPoint
@@ -22,76 +34,166 @@ UNDERFLOW_GUARD = 1e-300
 
 _DPS = 40
 
+# -- the kernel: nonnegative (mantissa, exponent) pairs at prec bits ----------
 
-def _unit_sum(values: np.ndarray) -> np.ndarray:
-    """The values scaled so that each row sums to 1 in the working precision
-    (all-zero rows stay)."""
-    total = values.sum(axis=-1, keepdims=True)
-    return values / np.where(total == 0, 1, total)
+_ZERO = (0, 0)
+_ONE = (1, 0)
+
+
+def _round(m: int, e: int, prec: int) -> tuple:
+    """m * 2**e rounded half-even to prec bits."""
+    n = m.bit_length() - prec
+    if n > 0:
+        t = m >> (n - 1)  # the kept bits and the first dropped one
+        # round up above half, and at exactly half when the kept part is odd
+        if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
+            m = (t >> 1) + 1
+        else:
+            m = t >> 1
+        e += n
+    return m, e
+
+
+def _mul(a: tuple, b: tuple, prec: int) -> tuple:
+    return _round(a[0] * b[0], a[1] + b[1], prec)
+
+
+def _add(a: tuple, b: tuple, prec: int, sub: bool = False) -> tuple:
+    """a + b, or |a - b| when sub, rounded once."""
+    (m, e), (k, f) = a, b
+    if not k:
+        return _round(m, e, prec)
+    if not m:
+        return _round(k, f, prec)
+    if e < f:
+        m, e, k, f = k, f, m, e
+    if e - f > 100 and e + m.bit_length() - f - k.bit_length() > prec + 4:
+        # the smaller term lies wholly below the rounding point: as in
+        # mpf_add, it only moves a sticky bit under the larger one
+        return _round((m << (prec + 4)) + (-1 if sub else 1), e - prec - 4, prec)
+    m <<= e - f
+    return _round(abs(m - k) if sub else m + k, f, prec)
+
+
+def _div(a: tuple, b: tuple, prec: int) -> tuple:
+    """a / b for b > 0: a quotient of at least prec + 4 bits and a sticky
+    bit for a nonzero remainder, as in mpf_div, then one rounding."""
+    (m, e), (k, f) = a, b
+    shift = max(prec - m.bit_length() + k.bit_length() + 5, 5)
+    q, r = divmod(m << shift, k)
+    return _round((q << 1) | (r > 0), e - f - shift - 1, prec)
+
+
+def _dot(xs, ys, prec: int) -> tuple:
+    """sum_l xs[l] * ys[l], accumulated left to right; a zero product
+    leaves the sum as it is, so it is skipped."""
+    acc = _ZERO
+    for a, b in zip(xs, ys):
+        if a[0] and b[0]:
+            acc = _add(acc, _mul(a, b, prec), prec)
+    return acc
+
+
+def _unit_sum(row: list, prec: int) -> list:
+    """The row scaled to sum 1 in the working precision (an all-zero row stays)."""
+    total = _ZERO
+    for v in row:
+        total = _add(total, v, prec)
+    return [_div(v, total, prec) for v in row] if total[0] else row
+
+
+def _matmul(A: list, B: list, prec: int) -> list:
+    cols = list(zip(*B))
+    return [[_dot(r, c, prec) for c in cols] for r in A]
+
+
+def _pair(v: float, prec: int) -> tuple:
+    """A nonnegative double rounded to prec bits, as mpmath converts it."""
+    _, m, e, _ = libmp.from_float(v, prec, libmp.round_nearest)
+    return m, e
+
+
+def _to_float(v: tuple) -> float:
+    """The double mpmath's to_float gives: 53 bits half-even, then ldexp
+    (which rounds a second time below the normal range)."""
+    return math.ldexp(*_round(*v, 53))
+
+
+def _log_float(v: tuple, prec: int) -> float:
+    """The natural log at prec bits as a double (-inf at zero), as
+    float(ctx.log(v)) gives in an mpmath context at that precision."""
+    rnd = libmp.round_nearest
+    return libmp.to_float(libmp.mpf_log(libmp.from_man_exp(*v), prec, rnd), rnd=rnd)
 
 
 class TransitionFamily:
     """Memoized trajectory, one-step matrices and running products for
     (operator, start).
 
-    All arithmetic runs in the family's own mpmath context, so families at
-    different precisions never share state. The running products
-    H^[k,k+1] ... H^[m-1,m] are computed once and kept, one list per start
-    time k asked about: one n x n matrix per (k, m) pair reached, so each
-    start holds at most as many matrices as the one-step list up to the
-    horizon. Every list is append-only and grows under the lock; reads of
-    already-computed entries are safe from any thread.
+    All arithmetic, log views included, runs at the precision of ``dps``
+    decimal digits, passed to each operation as a number of bits, so
+    families at different precisions never share state. The running
+    products H^[k,k+1] ... H^[m-1,m] are computed once and kept, one list
+    per start time k asked about: one n x n matrix per (k, m) pair reached,
+    so each start holds at most as many matrices as the one-step list up to
+    the horizon. Every list is append-only and grows under the lock; reads
+    of already-computed entries are safe from any thread.
     """
 
     def __init__(self, operator: QsoOperator, start: SimplexPoint, dps: int = _DPS):
         if start.n != operator.n:
             raise ValueError("start point dimension does not match operator")
+        if isinstance(dps, bool) or not isinstance(dps, int) or dps < 1:
+            raise ValueError(f"dps must be an integer >= 1, got {dps!r}")
         self.operator = operator
         self.start = start
         self.n = operator.n
-        ctx = mpmath.MPContext()
-        ctx.dps = dps
-        self._log = np.frompyfunc(ctx.log, 1, 1)
+        prec = self._prec = libmp.dps_to_prec(dps)
         self._lock = threading.Lock()
-        to_mpf = np.frompyfunc(ctx.mpf, 1, 1)
-        # P[i, j, l] = p[i, l, j], so that P @ x is the one-step matrix at x
-        self._P = to_mpf(operator.tensor.p.transpose(0, 2, 1))
+        # P[i][j][l] = p[i, l, j], so that row i of the one-step matrix at x
+        # is [dot(P[i][j], x) for j]
+        p = operator.tensor.p.transpose(0, 2, 1).tolist()
+        self._P = [[[_pair(v, prec) for v in vec] for vec in plane] for plane in p]
         # a double start point sums to 1 only within float rounding; at
         # this precision that error would set a floor under every gap
-        self._traj = [_unit_sum(to_mpf(start.as_array()))]
+        self._traj = [_unit_sum([_pair(v, prec) for v in start.coords], prec)]
         self._mats: list = []  # _mats[k] = one-step matrix from time k
         self._prods: dict = {}  # _prods[k][m - k - 1] = H^[k,k+1] ... H^[m-1,m]
 
     def extend(self, horizon: int) -> None:
         """Ensure trajectory up to x^(horizon) and matrices up to H^[horizon-1, horizon]."""
+        prec = self._prec
         with self._lock:
             while len(self._mats) < horizon:
                 x = self._traj[-1]
-                raw = self._P @ x
+                raw = [[_dot(vec, x, prec) for vec in plane] for plane in self._P]
                 # coefficient rows sum to 1 only within float rounding
-                self._mats.append(_unit_sum(raw))
+                self._mats.append([_unit_sum(row, prec) for row in raw])
                 # x^(k+1) = x^(k) H^[k,k+1]; the exact map preserves total
                 # mass, and renormalizing keeps sub-ulp round-off in the
                 # stored coefficients from doubling every step
-                self._traj.append(_unit_sum(x @ raw))
+                self._traj.append(_unit_sum([_dot(x, col, prec) for col in zip(*raw)], prec))
 
-    def _view(self, values, log: bool = False) -> np.ndarray:
-        """Doubles of extended values, or of their natural logs (-inf at zeros)."""
-        return np.asarray(self._log(values) if log else values, dtype=float)
+    def _view(self, values: list, log: bool = False) -> np.ndarray:
+        """Doubles of a vector or matrix of kernel values, or of their logs."""
+        f = (lambda v: _log_float(v, self._prec)) if log else _to_float
+        if isinstance(values[0], list):
+            return np.array([[f(v) for v in row] for row in values])
+        return np.array([f(v) for v in values])
 
-    def _point(self, k: int) -> np.ndarray:
+    def _point(self, k: int) -> list:
         if k < 0:
             raise ValueError("k must be >= 0")
         self.extend(k)
         return self._traj[k]
 
-    def _matrix(self, k: int) -> np.ndarray:
+    def _matrix(self, k: int) -> list:
         if k < 0:
             raise ValueError("k must be >= 0")
         self.extend(k + 1)
         return self._mats[k]
 
-    def _product(self, k: int, m: int) -> np.ndarray:
+    def _product(self, k: int, m: int) -> list:
         """The stored running product H^[k,k+1] ... H^[m-1,m]; callers must
         not change it in place."""
         if not 0 <= k < m:
@@ -104,7 +206,7 @@ class TransitionFamily:
             with self._lock:
                 chain = self._prods.setdefault(k, [self._mats[k]])
                 while len(chain) < m - k:
-                    chain.append(chain[-1] @ self._mats[k + len(chain)])
+                    chain.append(_matmul(chain[-1], self._mats[k + len(chain)], self._prec))
         return chain[m - k - 1]
 
     # -- views -------------------------------------------------------------
@@ -173,25 +275,25 @@ def _check_states(family: TransitionFamily, c: CylinderSet) -> None:
             raise ValueError(f"state {s} out of range 1..{family.n}")
 
 
-def _chain_factors(family: TransitionFamily, head, c: CylinderSet):
+def _chain_factors(family: TransitionFamily, head: tuple, c: CylinderSet) -> tuple:
     """head times the one-step factors H^[t,t+1]_{i_t i_(t+1)} along the window."""
     for t, (i, j) in enumerate(zip(c.states, c.states[1:]), c.start):
-        head *= family._matrix(t)[i - 1, j - 1]
+        head = _mul(head, family._matrix(t)[i - 1][j - 1], family._prec)
     return head
 
 
-def _cylinder_measure_mpf(family: TransitionFamily, c: CylinderSet):
+def _cylinder_measure_pair(family: TransitionFamily, c: CylinderSet) -> tuple:
     _check_states(family, c)
     return _chain_factors(family, family._point(c.start)[c.states[0] - 1], c)
 
 
 def cylinder_measure(family: TransitionFamily, c: CylinderSet) -> float:
     """Initial weight at the window start times the one-step chain factors."""
-    return float(_cylinder_measure_mpf(family, c))
+    return _to_float(_cylinder_measure_pair(family, c))
 
 
 def cylinder_measure_log(family: TransitionFamily, c: CylinderSet) -> float:
-    return float(family._view(_cylinder_measure_mpf(family, c), log=True))
+    return _log_float(_cylinder_measure_pair(family, c), family._prec)
 
 
 def two_point_measure(family: TransitionFamily, k: int, i: int, m: int, j: int) -> float:
@@ -199,7 +301,8 @@ def two_point_measure(family: TransitionFamily, k: int, i: int, m: int, j: int) 
     if k >= m:
         raise ValueError("need k < m")
     _check_states(family, CylinderSet(k, (i, j)))
-    return float(family._point(k)[i - 1] * family._product(k, m)[i - 1, j - 1])
+    product = family._product(k, m)[i - 1][j - 1]
+    return _to_float(_mul(family._point(k)[i - 1], product, family._prec))
 
 
 @dataclass(frozen=True)
@@ -220,13 +323,14 @@ def _gap_terms(family: TransitionFamily, A: CylinderSet, B: CylinderSet, m_min: 
             f"windows overlap: A ends at {l}, shifted B starts at {s + m_min}"
         )
     _check_states(family, B)
-    prefix = _cylinder_measure_mpf(family, A)
+    prefix = _cylinder_measure_pair(family, A)
     i, j = A.states[-1] - 1, B.states[0] - 1
+    prec = family._prec
     for m in range(m_min, m_max + 1):
-        diff = abs(family._product(l, s + m)[i, j] - family._point(s + m)[j])
-        suffix = _chain_factors(family, 1, shift_cylinder(B, m))
-        tau = prefix * suffix * diff
-        yield m, float(tau), float(diff)
+        diff = _add(family._product(l, s + m)[i][j], family._point(s + m)[j], prec, sub=True)
+        suffix = _chain_factors(family, _ONE, shift_cylinder(B, m))
+        tau = _mul(_mul(prefix, suffix, prec), diff, prec)
+        yield m, _to_float(tau), _to_float(diff)
 
 
 def mixing_gap(family: TransitionFamily, A: CylinderSet, B: CylinderSet, m: int):

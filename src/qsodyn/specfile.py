@@ -31,6 +31,17 @@ class OperatorSpec:
         )
 
 
+def _as_float(value, message: str) -> float:
+    """A JSON number as a double: never a boolean or a string, and within the
+    double range (JSON integers are unbounded)."""
+    if type(value) not in (int, float):
+        raise SpecFileError(message)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise SpecFileError(f"{message}: {exc}") from exc
+
+
 def parse_spec(data: dict, source: str = "<memory>") -> OperatorSpec:
     if not isinstance(data, dict):
         raise SpecFileError(f"{source}: top level must be an object")
@@ -41,9 +52,8 @@ def parse_spec(data: dict, source: str = "<memory>") -> OperatorSpec:
     metadata = data.get("metadata", {})
     if va is not None:
         a = va.get("a") if isinstance(va, dict) else None
-        if isinstance(a, bool) or not isinstance(a, (int, float)):
-            raise SpecFileError(f"{source}: 'va' needs a numeric field 'a'")
-        return OperatorSpec(n=2, va=float(a), metadata=metadata)
+        a = _as_float(a, f"{source}: 'va' needs a numeric field 'a'")
+        return OperatorSpec(n=2, va=a, metadata=metadata)
     n = data.get("n")
     if not isinstance(n, int) or n < 2:
         raise SpecFileError(f"{source}: 'n' must be an integer >= 2")
@@ -52,9 +62,14 @@ def parse_spec(data: dict, source: str = "<memory>") -> OperatorSpec:
     entries, record_of = {}, {}
     for rec_no, rec in enumerate(coeffs):
         try:
-            i, j, k, p = int(rec["i"]), int(rec["j"]), int(rec["k"]), float(rec["p"])
-        except (KeyError, TypeError, ValueError) as exc:
+            i, j, k, p = rec["i"], rec["j"], rec["k"], rec["p"]
+        except (KeyError, TypeError) as exc:
             raise SpecFileError(f"{source}: coefficient record {rec_no}: {exc}") from exc
+        # nothing is coerced: a JSON true, a string or a fractional index
+        # is an error, not a number
+        if not all(type(v) is int for v in (i, j, k)):
+            raise SpecFileError(f"{source}: coefficient record {rec_no}: i, j and k must be integers")
+        p = _as_float(p, f"{source}: coefficient record {rec_no}: p must be a number")
         if (i, j, k) in record_of:
             raise SpecFileError(
                 f"{source}: coefficient records {record_of[i, j, k]} and {rec_no}"

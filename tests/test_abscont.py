@@ -214,6 +214,20 @@ class TestRnSeries:
         with pytest.raises(ValueError):
             rn_series(VaParams.of(0.5, 0.3), VaParams.of(0.5, 0.6), 1)
 
+    @pytest.mark.parametrize(
+        "num, den",
+        [((0.5, 0.3), (0.5, 0.6)), ((0.5, 0.6), (0.5, 0.3)), ((0.3, 0.4), (0.7, 0.5)), ((0.5, 0.5), (0.5, 0.0)),
+         ((1.0, 1.0), (0.9, 0.2)), ((0.9, 0.2), (1.0, 1.0)), ((0.0, 0.5), (2.0 / 3.0, 0.9))],
+    )
+    def test_terms_equal_the_per_term_function(self, num, den):
+        """The series hoists each chain's stay rate a * x1 out of its loop;
+        every term keeps the bits of conditional_expectation_term."""
+        num, den = VaParams.of(*num), VaParams.of(*den)
+        r = rn_series(num, den, 40)
+        assert [(m, k, kh) for m, k, kh, _ in r.terms] == [
+            (m, *conditional_expectation_term(num, den, m)) for m in range(1, 41)
+        ]
+
     def test_csv_shape(self):
         r = rn_series(VaParams.of(0.5, 0.3), VaParams.of(0.5, 0.6), 5)
         lines = rn_series_csv(r).strip().splitlines()

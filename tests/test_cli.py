@@ -58,8 +58,9 @@ class TestValidate:
             {"n": 3, "coefficients": 5},
             {"va": {"a": True}},
             {"n": 2, "coefficients": [{"i": 1, "j": 2, "k": 2, "p": 0.5}, {"i": 1, "j": 2, "k": 2, "p": 0.5}]},
+            {"n": 2, "coefficients": [{"i": 1.7, "j": True, "k": "2", "p": True}]},
         ],
-        ids=["coefficients_not_a_list", "boolean_a", "duplicate_record"],
+        ids=["coefficients_not_a_list", "boolean_a", "duplicate_record", "coerced_record_fields"],
     )
     def test_malformed_spec_is_a_parse_error(self, runner, tmp_path, spec):
         path = tmp_path / "spec.json"

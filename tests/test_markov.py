@@ -62,6 +62,17 @@ class TestTransitionMatrices:
                 split = fam.compose_transitions(0, j) @ fam.compose_transitions(j, 15)
                 assert np.abs(full - split).max() <= 1e-13
 
+    @pytest.mark.parametrize("dps", [0, -5, 2.5, 40.0, "40", True, None])
+    def test_bad_precision_rejected(self, dps):
+        """dps = 0 once ran at 3 bits, where a row of va_operator(0.5)
+        summed to 1.0039 in its float view."""
+        with pytest.raises(ValueError, match="dps"):
+            TransitionFamily(va_operator(0.5), make_point([0.5, 0.5]), dps=dps)
+
+    def test_one_digit_precision_accepted(self):
+        fam = TransitionFamily(va_operator(0.5), make_point([0.5, 0.5]), dps=1)
+        assert fam.transition_matrix(3).shape == (2, 2)
+
     def test_invalid_window(self, half_family):
         with pytest.raises(ValueError):
             half_family.compose_transitions(3, 3)

@@ -64,6 +64,44 @@ class TestParsing:
         with pytest.raises(SpecFileError, match="numeric field 'a'"):
             parse_spec({"va": {"a": True}})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("i", 1.7), ("i", 1.0), ("j", True), ("k", "2"), ("k", None)],
+        ids=["fractional_i", "float_i", "boolean_j", "string_k", "null_k"],
+    )
+    def test_index_must_be_a_json_integer(self, field, value):
+        record = {"i": 1, "j": 1, "k": 2, "p": 1.0, field: value}
+        with pytest.raises(SpecFileError, match="i, j and k must be integers"):
+            parse_spec({"n": 2, "coefficients": [record]})
+
+    @pytest.mark.parametrize("value", [True, "1.0", None, [1.0]], ids=["boolean", "string", "null", "list"])
+    def test_coefficient_must_be_a_json_number(self, value):
+        record = {"i": 1, "j": 1, "k": 2, "p": value}
+        with pytest.raises(SpecFileError, match="p must be a number"):
+            parse_spec({"n": 2, "coefficients": [record]})
+
+    def test_integer_past_the_double_range_is_rejected(self):
+        """float() of it raised OverflowError out of parse_spec."""
+        record = {"i": 1, "j": 1, "k": 2, "p": 10**400}
+        with pytest.raises(SpecFileError, match="record 0: p .*too large"):
+            parse_spec({"n": 2, "coefficients": [record]})
+        with pytest.raises(SpecFileError, match="numeric field 'a'.*too large"):
+            parse_spec({"va": {"a": 10**400}})
+
+    def test_coerced_record_is_rejected(self):
+        """Once read as p(1,1,2) = 1.0 through int() and float()."""
+        with pytest.raises(SpecFileError, match="record 0"):
+            parse_spec({"n": 2, "coefficients": [{"i": 1.7, "j": True, "k": "2", "p": True}]})
+
+    def test_integer_coefficient_is_a_number(self):
+        records = [{"i": 1, "j": 1, "k": 2, "p": 1}, {"i": 1, "j": 2, "k": 2, "p": 1}, {"i": 2, "j": 2, "k": 2, "p": 1}]
+        spec = parse_spec({"n": 2, "coefficients": records})
+        assert spec.coefficients[1, 1, 2] == 1.0 and type(spec.coefficients[1, 1, 2]) is float
+
+    def test_record_not_an_object(self):
+        with pytest.raises(SpecFileError, match="record 0"):
+            parse_spec({"n": 2, "coefficients": [[1, 1, 2, 1.0]]})
+
     def test_duplicate_record_names_both(self):
         record = {"i": 1, "j": 2, "k": 2, "p": 0.5}
         records = [{"i": 1, "j": 1, "k": 2, "p": 1.0}, record, {"i": 2, "j": 2, "k": 2, "p": 1.0}, record]
