@@ -10,10 +10,10 @@ import numpy as np
 
 from .operator import (
     EPS_COEF,
-    ROW_BLOCK,
     HeredityTensor,
     QsoOperator,
     TensorError,
+    block_rows,
     evaluate_array,
     make_operator,
     vertex_eigenvalues,
@@ -133,8 +133,9 @@ def verify_bbistochastic_numeric(
     if samples > 0:
         X = np.vstack([X, sample_array(n, samples, seed)])
     # block by block, so that the prefix-sum arrays stay small
-    for s in range(0, len(X), ROW_BLOCK):
-        B = X[s : s + ROW_BLOCK]
+    block = block_rows(n)
+    for s in range(0, len(X), block):
+        B = X[s : s + block]
         cx = np.cumsum(B, axis=1)[:, :-1]
         cy = np.cumsum(evaluate_array(V, B), axis=1)[:, :-1]
         bad = cy > cx + eps

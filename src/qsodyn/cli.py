@@ -26,7 +26,7 @@ from .classify import (
     verify_bbistochastic_numeric,
 )
 from .markov import CylinderSet, TransitionFamily, cylinder_measure, mixing_series, mixing_series_csv
-from .operator import TensorError, find_fixed_points, trajectory
+from .operator import TensorError, evaluate, find_fixed_points, trajectory
 from .simplex import SimplexError, make_point, partial_sum
 from .specfile import SpecFileError, load_spec, spec_hash
 
@@ -182,7 +182,13 @@ def iterate(spec_path, symmetrize, x_text, steps, tol, max_iter, out):
     _require(tol > 0, f"--tol must be positive, got {tol}")
     _require(steps is None or steps >= 0, f"--steps must be >= 0, got {steps}")
     _require(max_iter >= 0, f"--max-iter must be >= 0, got {max_iter}")
-    tr = trajectory(V, x, tol=tol, max_iter=steps if steps is not None else max_iter, record_path=True)
+    if steps is None:
+        path = trajectory(V, x, tol=tol, max_iter=max_iter, record_path=True).path
+    else:
+        # exactly `steps` applications, whatever the step size
+        path = [x]
+        for _ in range(steps):
+            path.append(evaluate(V, path[-1]))
     n = V.n
     header = (
         ["step"]
@@ -192,7 +198,7 @@ def iterate(spec_path, symmetrize, x_text, steps, tol, max_iter, out):
     )
     lines = [",".join(header)]
     prev = None
-    for step, p in enumerate(tr.path):
+    for step, p in enumerate(path):
         row = [str(step)]
         row += [f"{v:.17g}" for v in p.coords]
         row += [f"{partial_sum(p, k):.17g}" for k in range(1, n)]

@@ -21,9 +21,9 @@ EPS_COEF = 1e-12
 TRAJECTORY_TOL = 1e-12
 TRAJECTORY_MAX_ITER = 10_000
 DEDUP_RADIUS = 1e-6
-# rows per block in evaluate_array and the Newton polish: bounds the
-# (rows, n, n) intermediates, about 130 KB at n = 8
-ROW_BLOCK = 256
+# entries of one block's (rows, n, n) intermediates in evaluate_array, the
+# Newton polish and the order verifier: 128 KB, 256 rows at n = 8
+BLOCK_ENTRIES = 16_384
 
 
 class TensorError(ValueError):
@@ -122,28 +122,31 @@ def evaluate(V: QsoOperator, x: SimplexPoint) -> SimplexPoint:
     """V(x)_k = sum_{i,j} p[i,j,k] x_i x_j."""
     if x.n != V.n:
         raise DimensionMismatch(f"operator on {V.n} states, point has {x.n}")
-    return make_point(_image(V, x.as_array()), eps=1e-9)
+    xa = x.as_array()
+    return make_point(np.einsum("ijk,i,j->k", V.tensor.p, xa, xa), eps=1e-9)
 
 
-def _image(V: QsoOperator, xa: np.ndarray) -> np.ndarray:
-    """V(x) for one coordinate array, without renormalization."""
-    return np.einsum("ijk,i,j->k", V.tensor.p, xa, xa)
+def block_rows(n: int) -> int:
+    """Rows per block whose (rows, n, n) intermediates hold at most
+    BLOCK_ENTRIES entries: 256 at n = 8, 4096 at n = 2."""
+    return max(1, BLOCK_ENTRIES // (n * n))
 
 
 def evaluate_array(V: QsoOperator, X: np.ndarray) -> np.ndarray:
     """Batch evaluation on rows of X; no per-point normalization.
 
     V(x)_k = sum_j (sum_i x_i p[i,j,k]) x_j, block by block through one
-    reused (ROW_BLOCK, n, n) buffer. Each row's result depends on that row
-    alone, not on the other rows of X.
+    reused (block_rows(n), n, n) buffer. Each row's result depends on that
+    row alone, not on the other rows of X or where the blocks fall.
     """
     X = np.asarray(X, dtype=float)
     out = np.empty_like(X)
-    inner = np.empty((min(len(X), ROW_BLOCK), V.n, V.n))
-    for s in range(0, len(X), ROW_BLOCK):
-        B = X[s : s + ROW_BLOCK]
+    block = block_rows(V.n)
+    inner = np.empty((min(len(X), block), V.n, V.n))
+    for s in range(0, len(X), block):
+        B = X[s : s + block]
         W = np.einsum("pi,ijk->pjk", B, V.tensor.p, out=inner[: len(B)])
-        np.einsum("pjk,pj->pk", W, B, out=out[s : s + ROW_BLOCK])
+        np.einsum("pjk,pj->pk", W, B, out=out[s : s + block])
     return out
 
 
@@ -203,19 +206,25 @@ def trajectory(
     max_iter: int = TRAJECTORY_MAX_ITER,
     record_path: bool = False,
 ) -> TrajectoryResult:
-    """Iterate until the consecutive step shrinks below tol in l1 norm."""
+    """Iterate until the consecutive step shrinks below tol in l1 norm.
+
+    Each step is :func:`evaluate` and :func:`l1_distance` on the coordinate
+    array, so the path and limit are those of repeated evaluate calls.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     if max_iter > 0 and x.n != V.n:
         raise DimensionMismatch(f"operator on {V.n} states, point has {x.n}")
     path = [x] if record_path else None
     step = float("inf")
     used = 0
+    p = V.tensor.p
     xa = x.as_array()
     for it in range(1, max_iter + 1):
-        # evaluate() and l1_distance() on the coordinate array
-        nxt = renormalize_rows(_image(V, xa), eps=1e-9)
-        step = float(np.abs(xa - nxt).sum())
+        nxt = renormalize_rows(np.einsum("ijk,i,j->k", p, xa, xa), eps=1e-9)
+        step = float(np.add.reduce(np.abs(xa - nxt)))
         xa = nxt
         used = it
         if record_path:
@@ -282,16 +291,22 @@ def _pre_iterate(V: QsoOperator, X: np.ndarray):
     it has taken 500 steps. Returns the rows and each row's last l1 step."""
     X = X.copy()
     last = np.full(len(X), np.inf)
-    live = np.arange(len(X))
+    live = np.arange(len(X))  # the rows of X still iterating; rows holds their values
+    rows = X
     for _ in range(PRE_ITER_MAX):
-        prev = X[live]
-        Y = renormalize_rows(evaluate_array(V, prev), eps=1e-9)
-        step = np.abs(Y - prev).sum(axis=1)
-        X[live] = Y
-        last[live] = step
-        live = live[~(step <= PRE_ITER_TOL)]
-        if live.size == 0:
-            break
+        nxt = renormalize_rows(evaluate_array(V, rows), eps=1e-9)
+        step = np.add.reduce(np.abs(nxt - rows), axis=1)
+        rows = nxt
+        stop = step <= PRE_ITER_TOL
+        if stop.any():
+            X[live[stop]] = rows[stop]
+            last[live[stop]] = step[stop]
+            go = ~stop
+            live, rows, step = live[go], rows[go], step[go]
+            if live.size == 0:
+                break
+    X[live] = rows
+    last[live] = step
     return X, last
 
 
@@ -394,7 +409,8 @@ def find_fixed_points(
 
     limits, last_step = _pre_iterate(V, seeds)
     # rows are independent; blocks bound the memory of the stacked Jacobians
-    polished = [_newton_polish(V, limits[s : s + ROW_BLOCK], tol) for s in range(0, len(limits), ROW_BLOCK)]
+    block = block_rows(n)
+    polished = [_newton_polish(V, limits[s : s + block], tol) for s in range(0, len(limits), block)]
     cands = np.concatenate([rows for rows, _ in polished])
     newton_steps = sum(steps for _, steps in polished)
     residuals = np.abs(evaluate_array(V, cands) - cands).sum(axis=1)

@@ -68,8 +68,9 @@ def make_point(coords: Sequence[float], eps: float = EPS_SIMPLEX) -> SimplexPoin
 def renormalize_rows(X: np.ndarray, eps: float = EPS_SIMPLEX) -> np.ndarray:
     """The checks and the clip-and-renormalize of :func:`make_point`, applied
     to every row of X (a single point is a 1-D X)."""
+    low = X.min()
     # NaN fails this comparison; +inf fails the sum check below
-    if not X.min() >= -eps:
+    if not low >= -eps:
         idx = np.unravel_index(np.argmin(X >= -eps), X.shape)
         v = X[idx]
         reason = f"below -{eps}" if v < -eps else "not a number"
@@ -80,8 +81,12 @@ def renormalize_rows(X: np.ndarray, eps: float = EPS_SIMPLEX) -> np.ndarray:
     if (dev.max() if X.ndim > 1 else dev) > eps:
         total = float(np.ravel(totals)[np.argmax(dev)])
         raise SimplexError(f"coordinates sum to {total}, deviation exceeds {eps}")
-    X = X.clip(0.0)
-    return X / X.sum(axis=-1, keepdims=True)
+    # unless an entry is negative or -0.0 (which clip maps to +0.0), the clip
+    # would change nothing and the totals are already the sums to divide by
+    if low < 0.0 or (low == 0.0 and np.signbit(X).any()):
+        X = X.clip(0.0)
+        return X / X.sum(axis=-1, keepdims=True)
+    return X / (totals[:, None] if X.ndim > 1 else totals)
 
 
 def vertex(n: int, i: int) -> SimplexPoint:

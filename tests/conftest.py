@@ -7,8 +7,27 @@ import mpmath
 import numpy as np
 import pytest
 
-from qsodyn.operator import FixedPointSet, HeredityTensor, make_operator, trajectory
-from qsodyn.simplex import grid_simplex, l1_distance, make_point, vertex
+from qsodyn.classify import NumericOrderVerdict, _default_resolution
+from qsodyn.operator import (
+    FixedPointSet,
+    HeredityTensor,
+    TrajectoryResult,
+    _lift,
+    _reduced_jacobians,
+    _solve_rows,
+    make_operator,
+    trajectory,
+)
+from qsodyn.simplex import (
+    SimplexError,
+    SimplexPoint,
+    grid_array,
+    grid_simplex,
+    l1_distance,
+    make_point,
+    sample_array,
+    vertex,
+)
 from qsodyn.specfile import parse_spec
 
 
@@ -152,6 +171,188 @@ def reference_fixed_points(V, tol=1e-9, dedup_radius=1e-6, extra_seeds=()):
             found.append((cand, res))
     found.sort(key=lambda pr: pr[0].coords)
     return FixedPointSet([p for p, _ in found], [r for _, r in found], dedup_radius, diagnostics)
+
+
+# The operator layer as it was before each step cost little more than its
+# einsum: renormalize_rows always clipped and summed again, blocks were a
+# fixed 256 rows, and the pre-iteration gathered its live rows every step.
+# The tests in test_operator_reference.py require the library to equal these
+# to the bit.
+
+REFERENCE_ROW_BLOCK = 256
+
+
+def reference_renormalize_rows(X, eps=1e-12):
+    if not X.min() >= -eps:
+        idx = np.unravel_index(np.argmin(X >= -eps), X.shape)
+        v = X[idx]
+        reason = f"below -{eps}" if v < -eps else "not a number"
+        raise SimplexError(f"coordinate {idx[-1] + 1} is {v}, {reason}")
+    totals = X.sum(axis=-1)
+    dev = abs(totals - 1.0)
+    if (dev.max() if X.ndim > 1 else dev) > eps:
+        total = float(np.ravel(totals)[np.argmax(dev)])
+        raise SimplexError(f"coordinates sum to {total}, deviation exceeds {eps}")
+    X = X.clip(0.0)
+    return X / X.sum(axis=-1, keepdims=True)
+
+
+def reference_evaluate_array(V, X):
+    X = np.asarray(X, dtype=float)
+    out = np.empty_like(X)
+    inner = np.empty((min(len(X), REFERENCE_ROW_BLOCK), V.n, V.n))
+    for s in range(0, len(X), REFERENCE_ROW_BLOCK):
+        B = X[s : s + REFERENCE_ROW_BLOCK]
+        W = np.einsum("pi,ijk->pjk", B, V.tensor.p, out=inner[: len(B)])
+        np.einsum("pjk,pj->pk", W, B, out=out[s : s + REFERENCE_ROW_BLOCK])
+    return out
+
+
+def reference_trajectory(V, x, tol=1e-12, max_iter=10_000, record_path=False):
+    path = [x] if record_path else None
+    step = float("inf")
+    used = 0
+    xa = x.as_array()
+    for it in range(1, max_iter + 1):
+        nxt = reference_renormalize_rows(_reference_image(V, xa), eps=1e-9)
+        step = float(np.abs(xa - nxt).sum())
+        xa = nxt
+        used = it
+        if record_path:
+            path.append(SimplexPoint(tuple(xa.tolist())))
+        if step <= tol:
+            break
+    return TrajectoryResult(
+        limit=x if used == 0 else SimplexPoint(tuple(xa.tolist())),
+        iterations_used=used,
+        final_step_l1=step,
+        converged=step <= tol,
+        path=path,
+    )
+
+
+def reference_pre_iterate(V, X):
+    X = X.copy()
+    last = np.full(len(X), np.inf)
+    live = np.arange(len(X))
+    for _ in range(500):
+        prev = X[live]
+        Y = reference_renormalize_rows(reference_evaluate_array(V, prev), eps=1e-9)
+        step = np.abs(Y - prev).sum(axis=1)
+        X[live] = Y
+        last[live] = step
+        live = live[~(step <= 1e-10)]
+        if live.size == 0:
+            break
+    return X, last
+
+
+def _reference_batch_residual(V, U):
+    return reference_evaluate_array(V, _lift(U))[:, :-1] - U
+
+
+def reference_batched_newton(V, X, tol):
+    target = min(tol / 10, 1e-15)
+    n = V.n
+    U = X[:, :-1].copy()
+    accepted_steps = 0
+    live = np.arange(len(U))
+    for _ in range(60):
+        u = U[live]
+        f = _reference_batch_residual(V, u)
+        norm = np.abs(f).sum(axis=1)
+        keep = norm > target
+        live, u, f, norm = live[keep], u[keep], f[keep], norm[keep]
+        if live.size == 0:
+            break
+        Xa = _lift(u).clip(0.0)
+        Xa = reference_renormalize_rows(Xa / Xa.sum(axis=1, keepdims=True))
+        step = _solve_rows(_reduced_jacobians(V, Xa) - np.eye(n - 1), -f)
+        pending = np.arange(len(live))
+        moved = np.zeros(len(live), dtype=bool)
+        scale = 1.0
+        for _ in range(40):
+            cand = u[pending] + scale * step[pending]
+            ok = (cand >= -1e-9).all(axis=1) & (cand.sum(axis=1) <= 1.0 + 1e-9)
+            cand = cand[ok].clip(0.0)
+            cand /= np.maximum(cand.sum(axis=1, keepdims=True), 1.0)
+            better = np.abs(_reference_batch_residual(V, cand)).sum(axis=1) < norm[pending[ok]]
+            ok[ok] = better
+            U[live[pending[ok]]] = cand[better]
+            moved[pending[ok]] = True
+            pending = pending[~ok]
+            if pending.size == 0:
+                break
+            scale *= 0.5
+        accepted_steps += int(moved.sum())
+        live = live[moved]
+    Xa = _lift(U).clip(0.0)
+    return reference_renormalize_rows(Xa / Xa.sum(axis=1, keepdims=True)), accepted_steps
+
+
+def reference_batched_fixed_points(V, tol=1e-9, dedup_radius=1e-6):
+    """The batched multistart search with 256-row Newton blocks."""
+    n = V.n
+    seeds = np.concatenate([np.eye(n), reference_renormalize_rows(np.full((1, n), 1.0 / n)), grid_array(n, 6)])
+    seeds = seeds[np.lexsort(seeds.T[::-1])]
+    limits, last_step = reference_pre_iterate(V, seeds)
+    polished = [
+        reference_batched_newton(V, limits[s : s + REFERENCE_ROW_BLOCK], tol)
+        for s in range(0, len(limits), REFERENCE_ROW_BLOCK)
+    ]
+    cands = np.concatenate([rows for rows, _ in polished])
+    residuals = np.abs(reference_evaluate_array(V, cands) - cands).sum(axis=1)
+    accepted = ~(residuals > tol)
+    found = []
+    merged = 0
+    for cand, res in zip(cands[accepted], residuals[accepted].tolist()):
+        for idx, (x, r) in enumerate(found):
+            if np.abs(x - cand).sum() <= dedup_radius:
+                if res < r:
+                    found[idx] = (cand, res)
+                merged += 1
+                break
+        else:
+            found.append((cand, res))
+    found.sort(key=lambda xr: xr[0].tolist())
+    return FixedPointSet(
+        points=[SimplexPoint(tuple(x.tolist())) for x, _ in found],
+        residuals=[r for _, r in found],
+        dedup_radius=dedup_radius,
+        diagnostics={
+            "seeds_tried": len(seeds),
+            "seeds_converged": int((last_step <= 1e-10).sum()),
+            "rejected_by_residual": int((~accepted).sum()),
+            "merged": merged,
+            "newton_steps": sum(steps for _, steps in polished),
+        },
+    )
+
+
+def reference_verify(V, resolution=None, samples=10_000, seed=0, eps=1e-12):
+    """The sampled order verifier in 256-row blocks."""
+    n = V.n
+    res = _default_resolution(n) if resolution is None else resolution
+    X = grid_array(n, res)
+    if samples > 0:
+        X = np.vstack([X, sample_array(n, samples, seed)])
+    for s in range(0, len(X), REFERENCE_ROW_BLOCK):
+        B = X[s : s + REFERENCE_ROW_BLOCK]
+        cx = np.cumsum(B, axis=1)[:, :-1]
+        cy = np.cumsum(reference_evaluate_array(V, B), axis=1)[:, :-1]
+        bad = cy > cx + eps
+        if bad.any():
+            r = int(np.nonzero(bad.any(axis=1))[0][0])
+            k = int(np.nonzero(bad[r])[0][0])
+            return NumericOrderVerdict(
+                violated=True,
+                witness_point=SimplexPoint(tuple(B[r].tolist())),
+                violating_k=k + 1,
+                gap=float(cx[r, k] - cy[r, k]),
+                resolution=res,
+                sample_count=samples,
+            )
+    return NumericOrderVerdict(False, resolution=res, sample_count=samples)
 
 
 def _ref_float(v):

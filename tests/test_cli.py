@@ -115,6 +115,19 @@ class TestIterate:
         last = lines[-1].split(",")
         assert float(last[1]) <= 1e-10
 
+    @pytest.mark.parametrize("steps", [0, 1, 50])
+    def test_fixed_step_count(self, runner, steps):
+        """--steps N prints rows 0..N even after the step size has fallen
+        below --tol, and the rows the tolerance run prints are its first."""
+        args = ["iterate", "--spec", fixture_path("va_a05"), "--x", "0.1,0.9"]
+        fixed = runner.invoke(main, [*args, "--steps", str(steps)])
+        assert fixed.exit_code == 0
+        rows = fixed.output.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [str(k) for k in range(steps + 1)]
+        stopped = runner.invoke(main, args).output.splitlines()[1:]
+        assert len(stopped) < 51
+        assert rows[: len(stopped)] == stopped[: len(rows)]
+
     def test_dimension_mismatch(self, runner):
         result = runner.invoke(
             main, ["iterate", "--spec", fixture_path("va_a05"), "--x", "0.2,0.3,0.5"]

@@ -6,6 +6,7 @@ from qsodyn.generate import random_structured_tensors
 from qsodyn.operator import (
     HeredityTensor,
     TensorError,
+    block_rows,
     evaluate,
     evaluate_array,
     evaluate_canonical,
@@ -113,6 +114,19 @@ def test_batch_rows_independent():
         assert np.abs(Y - np.einsum("ijk,pi,pj->pk", V.tensor.p, X, X)).max() <= 1e-15
 
 
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_batch_rows_independent_of_block_boundaries(n):
+    """With one row fewer than a block, exactly a block, and one row more,
+    every row's batch image equals its single-row image to the bit."""
+    V = random_structured_tensors(n, 1, seed=n)[0]
+    block = block_rows(n)
+    for count in (block - 1, block, block + 1):
+        X = sample_array(n, count, seed=count)
+        Y = evaluate_array(V, X)
+        single = np.concatenate([evaluate_array(V, X[r : r + 1]) for r in range(count)])
+        assert Y.tobytes() == single.tobytes()
+
+
 class TestCanonicalEvaluation:
     def test_matches_direct_on_structured_tensors(self):
         pts = sample_simplex(3, 50, seed=21)
@@ -156,6 +170,14 @@ class TestIteration:
         tr = trajectory(three_vertex_operator, vertex(3, 2))
         assert tr.converged
         assert tr.limit == vertex(3, 2)
+
+    def test_negative_iteration_count_rejected(self):
+        V = va_operator(0.5)
+        x = make_point([0.4, 0.6])
+        with pytest.raises(ValueError, match="max_iter"):
+            trajectory(V, x, max_iter=-3)
+        with pytest.raises(ValueError, match="m must be"):
+            iterate(V, x, -3)
 
     def test_limit_is_fixed_point(self):
         for V in random_structured_tensors(3, 10, seed=30):
