@@ -97,7 +97,9 @@ def check_necessary_bbistochastic(V: QsoOperator, eps: float = EPS_COEF) -> Nece
 class NumericOrderVerdict:
     """Search result for a point where V(x) fails to sit below x in b-order.
 
-    Absence of a witness is evidence from the stated search effort, not proof.
+    A witness is found only by the sampled search. Its absence is proof when
+    the coefficient bound of :func:`verify_bbistochastic_numeric` holds, and
+    otherwise evidence from the stated search effort.
     """
 
     violated: bool
@@ -116,6 +118,64 @@ def _default_resolution(n: int) -> int:
     return 6
 
 
+def _order_bound_holds(V: QsoOperator, eps: float) -> bool:
+    """Whether the coefficients prove that the sampled scan finds no witness.
+
+    On the simplex, U_k(x) = x^T S_k x and U_k(V(x)) = x^T A_k x, where U_k
+    is the k-th prefix sum, S_k[i,j] = ([i<=k] + [j<=k]) / 2 and
+    A_k[i,j] = sum_{m<=k} p[i,j,m]. The products x_i x_j are nonnegative and
+    sum to 1, so no point has U_k(V(x)) - U_k(x) above
+    e = max over k < n, i, j of (A_k - S_k)[i,j]. The entries of A_k - S_k
+    lie in [-1, 1 + 1e-12], since make_operator lets a pair's outcome mass
+    miss 1 by 1e-12, and e >= 0, since (A_k - S_k)[n,n] = A_k[n,n] >= 0.
+
+    The scan compares doubles, so the bound holds when e plus a rounding slack
+    is at most eps. With u = 2^-53, the roundings for a prefix k <= n - 1 of
+    one scanned row x come to at most (8n - 4)u + u*eps, to first order:
+
+    - row sums: grid_array and sample_array divide each row by its computed
+      sum, so the row's exact sum s is within nu of 1, and
+      U_k(V(x)) - U_k(x) = x^T (A_k - S_k) x + U_k(x)(s - 1) <= e s^2 + s nu,
+      at most e + 3nu;
+    - computing e: the cumsum over outcomes rounds k - 1 <= n - 2 times on
+      entries of A_k at most 1 + 1e-12, and the subtraction of S_k once: nu;
+    - ``evaluate_array``: each term p[i,j,m] x_i x_j passes n roundings in
+      each einsum, then k - 1 in the cumsum of the image, on a prefix sum at
+      most 1: (3n - 2)u;
+    - the cumsum of the row: k - 1 roundings on U_k(x) <= 1: (n - 2)u;
+    - the threshold fl(cx + eps): u(1 + eps).
+
+    So the slack is taken as 8n*u*(1 + eps): the 4u and the eps*8nu beyond
+    that sum cover the second-order terms and the rounding of this very
+    comparison. Since e >= 0, the bound holds only when eps is at least the
+    slack, and never for eps <= 0. It relies on the scanned rows coming from
+    grid_array and sample_array, normalized as above.
+    """
+    n = V.n
+    A = np.cumsum(V.tensor.p, axis=2)[:, :, :-1]  # A[i, j, k] for k = 0..n-2
+    leading = (np.arange(n)[:, None] <= np.arange(n - 1)).astype(float)  # [i <= k]
+    S = 0.5 * (leading[:, None, :] + leading[None, :, :])
+    e = float((A - S).max())
+    return e + 8 * n * 2.0**-53 * (1.0 + eps) <= eps
+
+
+def _first_witness(V: QsoOperator, X: np.ndarray, eps: float) -> Optional[tuple]:
+    """(point, k, gap) at the first row of X, in row order, where a prefix sum
+    of V(x) exceeds that of x by more than eps; None if there is none."""
+    # block by block, so that the prefix-sum arrays stay small
+    block = block_rows(V.n)
+    for s in range(0, len(X), block):
+        B = X[s : s + block]
+        cx = np.cumsum(B, axis=1)[:, :-1]
+        cy = np.cumsum(evaluate_array(V, B), axis=1)[:, :-1]
+        bad = cy > cx + eps
+        if bad.any():
+            r = int(np.nonzero(bad.any(axis=1))[0][0])
+            k = int(np.nonzero(bad[r])[0][0])
+            return SimplexPoint(tuple(B[r].tolist())), k + 1, float(cx[r, k] - cy[r, k])
+    return None
+
+
 def verify_bbistochastic_numeric(
     V: QsoOperator,
     resolution: Optional[int] = None,
@@ -125,32 +185,31 @@ def verify_bbistochastic_numeric(
 ) -> NumericOrderVerdict:
     """Evaluate b_leq(V(x), x) over a grid plus random samples, vectorized.
 
-    Returns the first witness in grid order, then sample order.
+    Returns the first witness in grid order, then sample order. The samples
+    are drawn only when the grid has no witness. Before either, a bound on
+    the coefficients is tried: every prefix-sum excess U_k(V(x)) - U_k(x) on
+    the simplex is at most e = max over k, i, j of (A_k - S_k)[i,j], where
+    A_k[i,j] = sum_{m<=k} p[i,j,m] and S_k[i,j] = ([i<=k] + [j<=k]) / 2.
+    When e plus the scan's rounding slack 8n * 2^-53 * (1 + eps) is at most
+    eps, no scanned point can be a witness, and the verdict the scan would
+    return is returned without scanning.
     """
+    if resolution is not None and resolution < 1:
+        raise ValueError(f"resolution must be >= 1, got {resolution}")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     n = V.n
     res = _default_resolution(n) if resolution is None else resolution
-    X = grid_array(n, res)
-    if samples > 0:
-        X = np.vstack([X, sample_array(n, samples, seed)])
-    # block by block, so that the prefix-sum arrays stay small
-    block = block_rows(n)
-    for s in range(0, len(X), block):
-        B = X[s : s + block]
-        cx = np.cumsum(B, axis=1)[:, :-1]
-        cy = np.cumsum(evaluate_array(V, B), axis=1)[:, :-1]
-        bad = cy > cx + eps
-        if bad.any():
-            r = int(np.nonzero(bad.any(axis=1))[0][0])
-            k = int(np.nonzero(bad[r])[0][0])
-            return NumericOrderVerdict(
-                violated=True,
-                witness_point=SimplexPoint(tuple(B[r].tolist())),
-                violating_k=k + 1,
-                gap=float(cx[r, k] - cy[r, k]),
-                resolution=res,
-                sample_count=samples,
-            )
-    return NumericOrderVerdict(False, resolution=res, sample_count=samples)
+    if _order_bound_holds(V, eps):
+        return NumericOrderVerdict(False, resolution=res, sample_count=samples)
+    hit = _first_witness(V, grid_array(n, res), eps)
+    if hit is None and samples > 0:
+        hit = _first_witness(V, sample_array(n, samples, seed), eps)
+    if hit is None:
+        return NumericOrderVerdict(False, resolution=res, sample_count=samples)
+    return NumericOrderVerdict(True, *hit, resolution=res, sample_count=samples)
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,7 @@ out_opt = click.option("--out", type=click.Path(), default=None)
 def validate(spec_path, symmetrize, seed, out):
     """Tensor validation plus structural and numeric order checks."""
     spec, V = _load_operator(spec_path, symmetrize)
+    _require(seed >= 0, f"--seed must be >= 0, got {seed}")
     result = {
         "n": V.n,
         "tensor_valid": True,
@@ -159,6 +160,7 @@ def validate(spec_path, symmetrize, seed, out):
 def classify(spec_path, symmetrize, seed, out):
     """Full certificate report for the operator."""
     spec, V = _load_operator(spec_path, symmetrize)
+    _require(seed >= 0, f"--seed must be >= 0, got {seed}")
     report = classify_operator(V, seed=seed)
     _emit(
         _envelope(spec_path, {"symmetrize": symmetrize, "seed": seed}, report.to_dict()),

@@ -2,9 +2,11 @@
 
 The generated tensors put all outcome mass for a pair (i, j) on outcomes
 k >= min(i, j) and keep the cumulative mass below outcome j under 1/2 for
-off-diagonal pairs. That is a sufficient recipe for the order-decreasing
-property, so numeric verification passes at a high rate; callers still
-filter through the verifier.
+off-diagonal pairs. Then no entry of A_k - S_k exceeds 0, where
+A_k[i,j] = sum_{m<=k} p[i,j,m] and S_k[i,j] = ([i<=k] + [j<=k]) / 2: this
+is the coefficient bound of the order verifier, which therefore proves the
+order-decreasing property for these tensors without sampling (up to
+rounding, at any tolerance above its slack).
 """
 
 from __future__ import annotations

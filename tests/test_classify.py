@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import load_fixture, random_general_operator, reference_grid, reference_samples
+from conftest import (
+    load_fixture,
+    random_general_operator,
+    reference_grid,
+    reference_samples,
+    reference_verify,
+)
+from qsodyn import classify
 from qsodyn.abscont import va_operator
 from qsodyn.classify import (
     DEFAULT_SAMPLES,
     NumericOrderVerdict,
+    _order_bound_holds,
     check_convex_combination,
     check_necessary_bbistochastic,
     check_uniqueness_conditions,
@@ -18,7 +27,7 @@ from qsodyn.classify import (
     verify_bbistochastic_numeric,
 )
 from qsodyn.generate import random_structured_tensors
-from qsodyn.operator import TensorError, evaluate_array, make_operator, tensor_from_entries
+from qsodyn.operator import HeredityTensor, TensorError, evaluate_array, make_operator, tensor_from_entries
 from qsodyn.simplex import EPS_ORDER, SimplexPoint
 
 
@@ -95,6 +104,17 @@ class TestNumericVerification:
         assert v.resolution == 15
         assert v.sample_count == 100
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"resolution": 0}, {"resolution": -3}, {"samples": -5}, {"seed": -1}]
+    )
+    def test_bad_arguments_rejected(self, kwargs):
+        # va_a05's coefficients prove the order, so a check made after the
+        # coefficient bound would come too late
+        V = load_fixture("va_a05").build()
+        assert _order_bound_holds(V, EPS_ORDER)
+        with pytest.raises(ValueError):
+            verify_bbistochastic_numeric(V, **kwargs)
+
 
 def reference_verdict(V, seed=0, samples=DEFAULT_SAMPLES):
     """The verifier rebuilt from pointwise-constructed grid and sample points,
@@ -133,6 +153,113 @@ class TestVerifierMatchesReference:
         assert [repr(v) for v in verdicts] == [repr(reference_verdict(V, samples=2000)) for V in ops]
         assert any(v.violated for v in verdicts[15:])
         assert not all(v.violated for v in verdicts)
+
+
+FIXTURES = [
+    "attracting_not_unique",
+    "uniqueness_sufficiency_gap",
+    "unique_not_contractive_s2",
+    "va_a0",
+    "va_a05",
+    "va_a23",
+]
+
+
+def _bound_cases():
+    cases = [(name, load_fixture(name).build()) for name in FIXTURES]
+    cases += [(f"slow-n{n}-seed{s}", random_structured_tensors(n, 1, seed=s)[0]) for n, s in [(5, 14), (8, 11)]]
+    for n in range(2, 9):
+        rng = np.random.default_rng(600 + n)
+        for margin in (0.02, 0.0):
+            V = random_structured_tensors(n, 1, seed=700 + n, uniqueness_margin=margin)[0]
+            cases.append((f"structured-n{n}-margin{margin}", V))
+        cases.append((f"general-n{n}", random_general_operator(n, rng)))
+    return cases
+
+
+BOUND_CASES = _bound_cases()
+ORDER_TOLERANCES = [0.0, 1e-15, 1e-12, 1e-9]
+
+
+def moved_across_the_cap(n, seed, pair, delta):
+    """A structured operator whose off-diagonal pair (l, j), l < j, puts mass
+    1/2 + delta on the outcomes before j: the excess over S_k is delta."""
+    p = random_structured_tensors(n, 1, seed=seed, uniqueness_margin=0.0)[0].tensor.p.copy()
+    l, j = pair
+    early = p[l, j, :j].sum()
+    p[l, j, :j] *= (0.5 + delta) / early
+    p[l, j, j:] *= (0.5 - delta) / (1.0 - early)
+    p[j, l] = p[l, j]
+    return make_operator(HeredityTensor(n, p))
+
+
+class TestOrderBound:
+    """The coefficient bound that returns the scan's verdict without a scan.
+
+    ``reference_verify`` scans every operator in full; the verifier must
+    return its verdict to the bit, and wherever the bound holds the
+    reference must have found no witness.
+    """
+
+    @pytest.mark.parametrize("V", [V for _, V in BOUND_CASES], ids=[name for name, _ in BOUND_CASES])
+    def test_verdicts_match_the_full_scan(self, V):
+        for eps in ORDER_TOLERANCES:
+            want = reference_verify(V, eps=eps)
+            if _order_bound_holds(V, eps):
+                assert not want.violated
+            assert repr(verify_bbistochastic_numeric(V, eps=eps)) == repr(want)
+
+    def test_bound_holds_on_structured_operators(self):
+        structured = [V for name, V in BOUND_CASES if not name.startswith("general")]
+        assert all(_order_bound_holds(V, EPS_ORDER) for V in structured)
+        # never at eps <= 0, and not when eps is below the rounding slack
+        for V in structured[:3]:
+            for eps in (-1.0, -1e-12, 0.0, 1e-15):
+                assert not _order_bound_holds(V, eps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        seed=st.integers(0, 10_000),
+        data=st.data(),
+        delta=st.sampled_from([s * d for s in (1, -1) for d in (1e-14, 1e-13, 1e-12, 1e-11)]),
+        eps=st.sampled_from(ORDER_TOLERANCES),
+    )
+    def test_mass_moved_across_the_half_cap(self, n, seed, data, delta, eps):
+        l = data.draw(st.integers(0, n - 2))
+        j = data.draw(st.integers(l + 1, n - 1))
+        V = moved_across_the_cap(n, seed, (l, j), delta)
+        want = reference_verify(V, samples=2000, seed=seed, eps=eps)
+        holds = _order_bound_holds(V, eps)
+        if holds:
+            assert not want.violated
+        if delta > eps:
+            assert not holds
+        got = verify_bbistochastic_numeric(V, samples=2000, seed=seed, eps=eps)
+        assert repr(got) == repr(want)
+
+    def test_grid_witness_without_drawing_samples(self, monkeypatch):
+        t = tensor_from_entries(2, {(1, 1, 1): 1.0, (1, 2, 1): 1.0, (2, 2, 2): 1.0})
+        V = make_operator(t)
+        want = reference_verify(V)
+        assert want.violated
+
+        def no_samples(*args):
+            raise AssertionError("samples drawn although the grid has a witness")
+
+        monkeypatch.setattr(classify, "sample_array", no_samples)
+        assert repr(verify_bbistochastic_numeric(V)) == repr(want)
+
+    def test_bound_needs_neither_grid_nor_samples(self, monkeypatch):
+        V = load_fixture("va_a23").build()
+        want = reference_verify(V, seed=7)
+
+        def no_points(*args):
+            raise AssertionError("points built although the coefficients prove the order")
+
+        monkeypatch.setattr(classify, "grid_array", no_points)
+        monkeypatch.setattr(classify, "sample_array", no_points)
+        assert repr(verify_bbistochastic_numeric(V, seed=7)) == repr(want)
 
 
 class TestUniquenessConditions:

@@ -102,6 +102,10 @@ class TestClassify:
         second = runner.invoke(main, args)
         assert first.output == second.output
 
+    @pytest.mark.parametrize("command", ["validate", "classify"])
+    def test_negative_seed(self, runner, command):
+        assert_validation_error(runner, [command, "--spec", fixture_path("va_a05"), "--seed", "-1"])
+
 
 class TestIterate:
     def test_csv_columns(self, runner):

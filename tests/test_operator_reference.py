@@ -134,7 +134,10 @@ def near_simplex_arrays(draw):
         r, c = divmod(draw(st.integers(0, X.size - 1)), n)
         special = draw(SPECIALS)
         if math.isfinite(special):
-            rows[r, (c + 1) % n] += rows[r, c] - special  # the row keeps its sum
+            # an earlier draw may have made these entries inf and -inf, whose
+            # sum is a NaN entry like the others, not a warning
+            with np.errstate(invalid="ignore"):
+                rows[r, (c + 1) % n] += rows[r, c] - special  # the row keeps its sum
         rows[r, c] = special
     return X * draw(st.sampled_from([1.0, 1.0 + 1e-13, 1.0 + 5e-10, 1.01]))
 
