@@ -31,7 +31,6 @@ from .operator import (
     tensor_from_entries,
     make_operator,
     evaluate,
-    evaluate_canonical,
     iterate,
     trajectory,
     reduced_jacobian,

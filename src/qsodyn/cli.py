@@ -217,7 +217,8 @@ def iterate(spec_path, symmetrize, x_text, steps, tol, max_iter, out):
 @click.option("--tol", type=float, default=1e-9, show_default=True)
 @out_opt
 def fixed_points(spec_path, symmetrize, tol, out):
-    """Multistart fixed-point search, JSON output."""
+    """Fixed points, JSON output: {e_n} where the coefficients satisfy the
+    uniqueness theorem, otherwise the multistart search."""
     spec, V = _load_operator(spec_path, symmetrize)
     _require(tol > 0, f"--tol must be positive, got {tol}")
     fps = find_fixed_points(V, tol=tol)

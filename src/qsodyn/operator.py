@@ -1,5 +1,6 @@
 """Heredity tensors, quadratic stochastic operators, iteration, Jacobians,
-and multistart fixed-point search."""
+and fixed points: the paper's uniqueness theorem checked on the
+coefficients, and a multistart search where it does not apply."""
 
 from __future__ import annotations
 
@@ -86,11 +87,13 @@ def make_operator(
 ) -> QsoOperator:
     """Validate (and optionally symmetrize) a heredity tensor.
 
-    Checks: entries in [0, 1], symmetry in the first two indices, and unit
-    mass over the third index for every pair.
+    Checks: at least two states, entries in [0, 1], symmetry in the first
+    two indices, and unit mass over the third index for every pair.
     """
-    p = tensor.p.copy()
     n = tensor.n
+    if n < 2:
+        raise TensorError(f"n must be >= 2, got {n}")
+    p = tensor.p.copy()
     if symmetrize:
         p = 0.5 * (p + p.transpose(1, 0, 2))
     bad = ~((p >= -eps) & (p <= 1 + eps))  # NaN fails both comparisons
@@ -148,37 +151,6 @@ def evaluate_array(V: QsoOperator, X: np.ndarray) -> np.ndarray:
         W = np.einsum("pi,ijk->pjk", B, V.tensor.p, out=inner[: len(B)])
         np.einsum("pjk,pj->pk", W, B, out=out[s : s + block])
     return out
-
-
-def evaluate_canonical(V: QsoOperator, x: SimplexPoint) -> SimplexPoint:
-    """Reduced evaluation valid when the upper coefficient blocks vanish.
-
-    Uses only coefficients p[l, j, k] with l <= k, plus the leading x_n^2
-    term in the last coordinate.
-    """
-    from .classify import check_necessary_bbistochastic
-
-    nec = check_necessary_bbistochastic(V)
-    if not (nec.by_name("upper_block_zero").passed and nec.by_name("absorbing_last").passed):
-        raise TensorError("tensor lacks the zero upper-block structure")
-    if x.n != V.n:
-        raise DimensionMismatch(f"operator on {V.n} states, point has {x.n}")
-    n = V.n
-    p = V.tensor.p
-    xa = x.as_array()
-    y = np.zeros(n)
-    for k in range(n - 1):
-        acc = 0.0
-        for l in range(k + 1):
-            acc += p[l, l, k] * xa[l] ** 2
-            acc += 2.0 * xa[l] * np.dot(p[l, l + 1 :, k], xa[l + 1 :])
-        y[k] = acc
-    acc = xa[-1] ** 2
-    for l in range(n - 1):
-        acc += p[l, l, n - 1] * xa[l] ** 2
-        acc += 2.0 * xa[l] * np.dot(p[l, l + 1 :, n - 1], xa[l + 1 :])
-    y[n - 1] = acc
-    return make_point(y, eps=1e-9)
 
 
 def iterate(V: QsoOperator, x: SimplexPoint, m: int) -> SimplexPoint:
@@ -266,10 +238,15 @@ def vertex_eigenvalues(V: QsoOperator) -> list:
 class FixedPointSet:
     """Deduplicated fixed points with their residuals ||V(x) - x||_1.
 
-    ``diagnostics`` holds deterministic counters of the search: seeds tried,
-    seeds whose pre-iteration step fell to 1e-10 within 500 steps, polished
-    seeds rejected by the residual test, accepted seeds merged into an
-    earlier point, and accepted damped Newton steps over all seeds.
+    ``diagnostics["method"]`` is ``"coefficient_theorem"`` where the paper's
+    uniqueness theorem proves the set is {e_n} (p[n,n,n] = 1 and, for every
+    k < n, p[i,j,k] = 0 for i, j > k, p[k,k,k] < 1 and p[k,j,k] < 1/2 for
+    j > k; see :func:`_unique_fixed_point_theorem`), and ``"multistart"``
+    where it fails: only then does the search run. The other keys count, for
+    the search (0 when it did not run), seeds tried, seeds whose
+    pre-iteration step fell to 1e-10 within 500 steps, polished seeds
+    rejected by the residual test, accepted seeds merged into an earlier
+    point, and accepted damped Newton steps over all seeds.
     """
 
     points: list  # list[SimplexPoint]
@@ -283,6 +260,7 @@ PRE_ITER_MAX = 500
 NEWTON_MAX_STEPS = 60
 NEWTON_HALVINGS = 40
 NEWTON_SLACK = 1e-9  # how far a Newton step may leave the simplex before it is halved
+SEARCH_COUNTERS = ("seeds_tried", "seeds_converged", "rejected_by_residual", "merged", "newton_steps")
 
 
 def _pre_iterate(V: QsoOperator, X: np.ndarray):
@@ -383,7 +361,56 @@ def _newton_polish(V: QsoOperator, X: np.ndarray, tol: float):
     return renormalize_rows(Xa / Xa.sum(axis=1, keepdims=True)), accepted_steps
 
 
+def _unique_fixed_point_theorem(p: np.ndarray) -> bool:
+    """Whether the stored coefficients prove Fix(V) = {e_n}: p[n,n,n] = 1
+    and, for every k < n, p[k+1:, k+1:, k] = 0 (``upper_block_zero``),
+    p[k,k,k] < 1, and p[k,j,k] < 1/2 and p[j,k,k] < 1/2 for every j > k
+    (make_operator allows an asymmetry up to EPS_COEF). Each test compares
+    a stored double with 0, 1/2 or 1 exactly, with no tolerance: an entry
+    within EPS_COEF of zero but not zero, or a NaN, fails the check.
+
+    Proof: V(e_n) = e_n, as p[n,n,k] = 0 for k < n. Let x be fixed and k < n
+    its first nonzero coordinate. Only the pairs (k,k), (k,j), (j,k) with
+    j > k feed V(x)_k, so V(x)_k = p[k,k,k] x_k^2 + x_k sum_{j>k} (p[k,j,k]
+    + p[j,k,k]) x_j < x_k^2 + x_k (1 - x_k) = x_k, a contradiction; if
+    x = e_k, V(x)_k = p[k,k,k] < 1.
+    """
+    return bool(p[-1, -1, -1] == 1.0) and all(
+        (p[k + 1 :, k + 1 :, k] == 0.0).all()
+        and p[k, k, k] < 1.0
+        and (p[k, k + 1 :, k] < 0.5).all()
+        and (p[k + 1 :, k, k] < 0.5).all()
+        for k in range(len(p) - 1)
+    )
+
+
 def find_fixed_points(
+    V: QsoOperator,
+    tol: float = 1e-9,
+    dedup_radius: float = DEDUP_RADIUS,
+    extra_seeds: Sequence[SimplexPoint] = (),
+) -> FixedPointSet:
+    """The fixed points of V: {e_n} where :func:`_unique_fixed_point_theorem`
+    proves it, with its residual from evaluate_array (0.0), and otherwise
+    the points the multistart search :func:`_multistart` finds."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    n = V.n
+    for s in extra_seeds:
+        if s.n != n:
+            raise DimensionMismatch(f"operator on {n} states, seed has {s.n}")
+    if not _unique_fixed_point_theorem(V.tensor.p):
+        return _multistart(V, tol, dedup_radius, extra_seeds)
+    e_n = np.eye(n)[-1:]
+    return FixedPointSet(
+        points=[SimplexPoint(tuple(e_n[0].tolist()))],
+        residuals=np.abs(evaluate_array(V, e_n) - e_n).sum(axis=1).tolist(),
+        dedup_radius=dedup_radius,
+        diagnostics=dict.fromkeys(SEARCH_COUNTERS, 0) | {"method": "coefficient_theorem"},
+    )
+
+
+def _multistart(
     V: QsoOperator,
     tol: float = 1e-9,
     dedup_radius: float = DEDUP_RADIUS,
@@ -391,12 +418,7 @@ def find_fixed_points(
 ) -> FixedPointSet:
     """Multistart search: vertices, barycenter, a coarse grid, and extra seeds,
     all pre-iterated and then polished by damped Newton as one array."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     n = V.n
-    for s in extra_seeds:
-        if s.n != n:
-            raise DimensionMismatch(f"operator on {n} states, seed has {s.n}")
     seeds = np.concatenate(
         [
             np.eye(n),
@@ -438,5 +460,6 @@ def find_fixed_points(
             "rejected_by_residual": int((~accepted).sum()),
             "merged": merged,
             "newton_steps": newton_steps,
+            "method": "multistart",
         },
     )

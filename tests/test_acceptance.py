@@ -34,6 +34,8 @@ from qsodyn.generate import random_structured_tensor, random_structured_tensors
 from qsodyn.markov import CylinderSet, TransitionFamily, cylinder_measure, mixing_gap, probabilities_close
 from qsodyn.operator import (
     HeredityTensor,
+    _multistart,
+    _unique_fixed_point_theorem,
     evaluate,
     evaluate_array,
     find_fixed_points,
@@ -82,11 +84,15 @@ def test_criterion_02_uniqueness_bounds_imply_unique_fixed_point():
             assert check_uniqueness_conditions(V).met
             if verify_bbistochastic_numeric(V, samples=2000, seed=checked).violated:
                 continue
-            fps = find_fixed_points(V, tol=1e-9)
+            # the search itself, not find_fixed_points, which would answer
+            # from the theorem that this criterion checks
+            fps = _multistart(V, tol=1e-9)
             assert rounded(fps.points) == {terminal_vertex(n).coords}, V.tensor.p
+            assert _unique_fixed_point_theorem(V.tensor.p), V.tensor.p
             checked += 1
     assert checked >= 500
-    report(2, f"{checked} verified random tensors each have the single fixed point (0,...,0,1)")
+    report(2, f"{checked} verified random tensors each have the single fixed point (0,...,0,1), "
+              "found by the search and proven by the coefficient theorem")
 
 
 def test_criterion_03_uniqueness_bounds_are_sufficient_only():

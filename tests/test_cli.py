@@ -170,6 +170,7 @@ class TestFixedPoints:
             "rejected_by_residual": 0,
             "merged": 29,
             "newton_steps": 26,
+            "method": "multistart",
         }
 
     def test_negative_tol(self, runner):

@@ -1,7 +1,10 @@
-"""The batched multistart search against the per-seed reference in conftest.
+"""The batched multistart search against the per-seed reference in conftest,
+and the uniqueness theorem that lets find_fixed_points skip the search.
 
 The reference runs each seed on its own through ``trajectory`` and a scalar
-damped Newton step, as the search did before it was batched.
+damped Newton step, as the search did before it was batched. The search is
+called as ``_multistart``, so it is compared on every operator, the ones the
+theorem settles included.
 """
 
 from math import comb
@@ -16,12 +19,15 @@ from conftest import (
     reference_fixed_points,
     reference_seeds,
 )
+from qsodyn.abscont import va_operator
 from qsodyn.generate import random_structured_tensors
 from qsodyn.operator import (
     DEDUP_RADIUS,
     HeredityTensor,
     QsoOperator,
+    _multistart,
     _pre_iterate,
+    _unique_fixed_point_theorem,
     find_fixed_points,
     make_operator,
     trajectory,
@@ -34,8 +40,19 @@ FIXTURES = ["attracting_not_unique", "uniqueness_sufficiency_gap", "unique_not_c
 OPERATORS_PER_N = {2: (50, 50), 3: (29, 29), 4: (10, 10), 5: (5, 5), 6: (3, 3), 7: (1, 3), 8: (0, 2)}
 
 
+def assert_theorem_gives_the_search_result(V, searched, tol=1e-9, extra_seeds=()):
+    """Where the theorem holds, find_fixed_points returns the searched
+    points and residuals to the bit, without searching."""
+    if _unique_fixed_point_theorem(V.tensor.p):
+        got = find_fixed_points(V, tol=tol, extra_seeds=extra_seeds)
+        assert got.diagnostics["method"] == "coefficient_theorem"
+        assert repr((got.points, got.residuals)) == repr((searched.points, searched.residuals))
+
+
 def assert_matches_reference(V, tol=1e-9, extra_seeds=()):
-    got = find_fixed_points(V, tol=tol, extra_seeds=extra_seeds)
+    got = _multistart(V, tol=tol, extra_seeds=extra_seeds)
+    assert_theorem_gives_the_search_result(V, got, tol, extra_seeds)
+    assert got.diagnostics.pop("method") == "multistart"
     ref = reference_fixed_points(V, tol=tol, extra_seeds=extra_seeds)
     assert len(got.points) == len(ref.points)
     for p, q in zip(got.points, ref.points):
@@ -145,3 +162,91 @@ def test_extra_seed_dimension_checked():
     V = load_fixture("attracting_not_unique").build()
     with pytest.raises(DimensionMismatch):
         find_fixed_points(V, extra_seeds=[make_point([0.5, 0.5])])
+
+
+def structured_p():
+    """A structured n = 3 draw, on which the theorem holds."""
+    return random_structured_tensors(3, 1, seed=5)[0].tensor.p.copy()
+
+
+def half_weight_p(weight=0.5, mirror=0.5):
+    """p[1,2,1] = weight and p[2,1,1] = mirror, the rest of the pair's mass
+    scaled onto the later outcomes."""
+    p = structured_p()
+    p[0, 1, 1:] *= (1.0 - weight) / p[0, 1, 1:].sum()
+    p[1, 0] = p[0, 1]
+    p[0, 1, 0], p[1, 0, 0] = weight, mirror
+    return p
+
+
+def upper_entry_p():
+    p = structured_p()
+    p[1, 2, 0] = p[2, 1, 0] = 1e-13  # within EPS_COEF: make_operator accepts it
+    return p
+
+
+def terminal_ulp_p():
+    p = structured_p()
+    p[2, 2, 2] = np.nextafter(1.0, 0.0)
+    return p
+
+
+def built(p):
+    return lambda: make_operator(HeredityTensor(len(p), p))
+
+
+E3 = [(0.0, 0.0, 1.0)]
+# name: (operator, the clause of the theorem it fails, its fixed points)
+BOUNDARY = {
+    "attracting_not_unique": (
+        lambda: load_fixture("attracting_not_unique").build(),
+        lambda p: not p[0, 0, 0] < 1.0,
+        [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)],
+    ),
+    "half_weight": (built(half_weight_p()), lambda p: not p[0, 1, 0] < 0.5, E3),
+    # one half of the pair at 1/2, the other one ulp below (make_operator
+    # allows the asymmetry): each half is tested on its own
+    "half_weight_row_only": (
+        built(half_weight_p(mirror=np.nextafter(0.5, 0.0))),
+        lambda p: not p[0, 1, 0] < 0.5 and p[1, 0, 0] < 0.5,
+        E3,
+    ),
+    "half_weight_mirror_only": (
+        built(half_weight_p(weight=np.nextafter(0.5, 0.0))),
+        lambda p: p[0, 1, 0] < 0.5 and not p[1, 0, 0] < 0.5,
+        E3,
+    ),
+    "va_a1": (lambda: va_operator(1.0), lambda p: not p[0, 0, 0] < 1.0, [(1.0, 0.0), (0.0, 1.0)]),
+    "upper_block_1e-13": (built(upper_entry_p()), lambda p: not (p[1:, 1:, 0] == 0.0).all(), E3),
+    "terminal_ulp": (built(terminal_ulp_p()), lambda p: not p[2, 2, 2] == 1.0, E3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY))
+def test_theorem_boundary_falls_back_to_the_search(name):
+    """Each operator fails one clause, so find_fixed_points searches, and
+    the search still reports the whole set."""
+    build, fails, expected = BOUNDARY[name]
+    V = build()
+    assert fails(V.tensor.p)
+    assert not _unique_fixed_point_theorem(V.tensor.p)
+    fps = find_fixed_points(V)
+    assert fps.diagnostics["method"] == "multistart"
+    assert fps.diagnostics["seeds_tried"] > 0
+    assert len(fps.points) == len(expected)
+    for x in expected:
+        assert min(l1_distance(make_point(x), q) for q in fps.points) <= DEDUP_RADIUS
+    assert all(r <= 1e-9 for r in fps.residuals)
+
+
+@pytest.mark.parametrize(
+    "p", [structured_p(), half_weight_p(*[np.nextafter(0.5, 0.0)] * 2)], ids=["draw", "ulp_below_half"]
+)
+def test_theorem_is_exact_one_ulp_inside(p):
+    """The check holds on the undisturbed draw and one ulp below 1/2, and
+    the answer is the search's."""
+    V = make_operator(HeredityTensor(3, p))
+    fps = find_fixed_points(V)
+    assert fps.diagnostics["method"] == "coefficient_theorem"
+    searched = _multistart(V)
+    assert repr((fps.points, fps.residuals)) == repr((searched.points, searched.residuals))

@@ -9,7 +9,6 @@ from qsodyn.operator import (
     block_rows,
     evaluate,
     evaluate_array,
-    evaluate_canonical,
     find_fixed_points,
     iterate,
     make_operator,
@@ -62,6 +61,14 @@ class TestMakeOperator:
     def test_mirroring(self):
         V = va_operator(0.3)
         assert V.tensor.entry(2, 1, 2) == 1.0
+
+    def test_one_state_rejected(self):
+        """A 1-state tensor is rejected with tensor_from_entries' message."""
+        with pytest.raises(TensorError) as parsed:
+            tensor_from_entries(1, {(1, 1, 1): 1.0})
+        with pytest.raises(TensorError) as built:
+            make_operator(HeredityTensor(1, np.ones((1, 1, 1))))
+        assert str(built.value) == str(parsed.value) == "n must be >= 2, got 1"
 
 
 class TestEvaluate:
@@ -125,32 +132,6 @@ def test_batch_rows_independent_of_block_boundaries(n):
         Y = evaluate_array(V, X)
         single = np.concatenate([evaluate_array(V, X[r : r + 1]) for r in range(count)])
         assert Y.tobytes() == single.tobytes()
-
-
-class TestCanonicalEvaluation:
-    def test_matches_direct_on_structured_tensors(self):
-        pts = sample_simplex(3, 50, seed=21)
-        for V in random_structured_tensors(3, 20, seed=20):
-            for x in pts:
-                d = l1_distance(evaluate(V, x), evaluate_canonical(V, x))
-                assert d <= 1e-12
-
-    def test_hand_value(self):
-        V = va_operator(0.5)
-        y = evaluate_canonical(V, make_point([0.5, 0.5]))
-        assert y[0] == pytest.approx(0.125, abs=1e-15)
-        assert y[1] == pytest.approx(0.875, abs=1e-15)
-
-    def test_terminal_vertex(self):
-        V = random_structured_tensors(4, 1, seed=22)[0]
-        assert evaluate_canonical(V, terminal_vertex(4)).coords == (0.0, 0.0, 0.0, 1.0)
-
-    def test_rejects_unstructured(self):
-        t = tensor_from_entries(
-            2, {(1, 1, 1): 0.5, (1, 1, 2): 0.5, (1, 2, 2): 1.0, (2, 2, 1): 0.2, (2, 2, 2): 0.8}
-        )
-        with pytest.raises(TensorError):
-            evaluate_canonical(make_operator(t), make_point([0.5, 0.5]))
 
 
 class TestIteration:

@@ -26,7 +26,14 @@ from conftest import (
 )
 from qsodyn.classify import verify_bbistochastic_numeric
 from qsodyn.generate import random_structured_tensors
-from qsodyn.operator import _pre_iterate, evaluate_array, find_fixed_points, trajectory
+from qsodyn.operator import (
+    _multistart,
+    _pre_iterate,
+    _unique_fixed_point_theorem,
+    evaluate_array,
+    find_fixed_points,
+    trajectory,
+)
 from qsodyn.simplex import SimplexError, grid_array, make_point, renormalize_rows, sample_array, sample_simplex, vertex
 
 FIXTURES = [
@@ -84,7 +91,35 @@ def test_pre_iteration_matches_reference(V):
 
 @operators
 def test_fixed_points_match_reference(V):
-    assert repr(find_fixed_points(V)) == repr(reference_batched_fixed_points(V))
+    got = _multistart(V)
+    assert got.diagnostics.pop("method") == "multistart"
+    assert repr(got) == repr(reference_batched_fixed_points(V))
+
+
+# the operators whose coefficients prove Fix(V) = {e_n}: every structured
+# draw, and the fixtures other than the three-vertex and sufficiency-gap ones
+SETTLED = ("structured-", "slow-", "va_", "unique_not_contractive_s2")
+
+
+@pytest.mark.parametrize("name, V", OPERATORS, ids=[name for name, _ in OPERATORS])
+def test_theorem_returns_the_search_result(name, V):
+    """Where the theorem holds, find_fixed_points returns what the search
+    finds, points and residuals to the bit; elsewhere it runs the search."""
+    assert _unique_fixed_point_theorem(V.tensor.p) == name.startswith(SETTLED)
+    got, searched = find_fixed_points(V), _multistart(V)
+    assert repr((got.points, got.residuals)) == repr((searched.points, searched.residuals))
+    if name.startswith(SETTLED):
+        assert got.diagnostics == {
+            "seeds_tried": 0,
+            "seeds_converged": 0,
+            "rejected_by_residual": 0,
+            "merged": 0,
+            "newton_steps": 0,
+            "method": "coefficient_theorem",
+        }
+        assert got.residuals == [0.0] and got.points[0].coords == (0.0,) * (V.n - 1) + (1.0,)
+    else:
+        assert got.diagnostics == searched.diagnostics
 
 
 @operators
