@@ -12,11 +12,7 @@ from .simplex import (
     make_point,
     partial_sum,
     b_leq,
-    majorizes,
-    rearrange_desc,
     l1_distance,
-    support,
-    in_relative_interior,
     sample_simplex,
     grid_simplex,
     terminal_vertex,
@@ -41,12 +37,10 @@ from .classify import (
     check_necessary_bbistochastic,
     verify_bbistochastic_numeric,
     check_uniqueness_conditions,
-    check_convex_combination,
     classify_vertex_stability,
     strict_contraction_general,
     strict_contraction_1d,
     strict_contraction_2d,
-    linear_form_nonpositive,
     classify_operator,
 )
 from .markov import (
@@ -55,7 +49,6 @@ from .markov import (
     MixingSeries,
     shift_cylinder,
     cylinder_measure,
-    two_point_measure,
     mixing_gap,
     mixing_series,
 )
@@ -66,7 +59,6 @@ from .abscont import (
     va_operator,
     va_transition_closed_form,
     va_cylinder_closed_form,
-    rn_ratio_z,
     conditional_expectation_term,
     rn_series,
 )

@@ -12,12 +12,11 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import mpmath
 import numpy as np
 
-from .operator import HeredityTensor, QsoOperator, make_operator, tensor_from_entries
+from .operator import QsoOperator, make_operator, tensor_from_entries
 from .simplex import SimplexPoint, make_point
 
 # every closed form is evaluated in this private context, never in mpmath's
@@ -219,31 +218,6 @@ def cylinder_discrepancy_log(
         if v.discrepancy > tol:
             out.append((c, v.constructive, v.printed, v.discrepancy))
     return out
-
-
-@dataclass(frozen=True)
-class RnRatio:
-    value: float
-    singular_witness: bool  # positive mass over zero mass
-
-
-def rn_ratio_z(
-    num: VaParams, den: VaParams, c: CylinderClass, m: Optional[int] = None
-) -> RnRatio:
-    """Ratio of constructive measures on the class with window end m.
-
-    0/0 counts as 1; positive/0 is flagged as a singular witness with an
-    infinite value.
-    """
-    if m is not None and c.kind != "two_one":
-        c = CylinderClass(c.kind, l=c.l, m=m, k=min(c.k, m - 1) if c.kind == "ones_then_twos" else 0)
-    top = _constructive_mpf(num, c)
-    bot = _constructive_mpf(den, c)
-    if bot == 0:
-        if top == 0:
-            return RnRatio(1.0, False)
-        return RnRatio(float("inf"), True)
-    return RnRatio(float(top / bot), False)
 
 
 def _stay_rate(params: VaParams):

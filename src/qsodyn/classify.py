@@ -4,18 +4,15 @@ vertex stability, and strict-contraction criteria."""
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .operator import (
     EPS_COEF,
-    HeredityTensor,
     QsoOperator,
-    TensorError,
     block_rows,
     evaluate_array,
-    make_operator,
     vertex_eigenvalues,
 )
 from .simplex import EPS_ORDER, SimplexPoint, grid_array, sample_array
@@ -76,7 +73,7 @@ def check_necessary_bbistochastic(V: QsoOperator, eps: float = EPS_COEF) -> Nece
             break
     conds.append(ConditionReport("upper_block_zero", witness is None, witness))
 
-    ok = abs(p[-1, -1, -1] - 1.0) <= eps
+    ok = bool(abs(p[-1, -1, -1] - 1.0) <= eps)
     conds.append(
         ConditionReport("absorbing_last", ok, None if ok else (n, n, n, float(p[-1, -1, -1])))
     )
@@ -233,23 +230,6 @@ def check_uniqueness_conditions(V: QsoOperator, eps: float = EPS_COEF) -> Unique
     return UniquenessReport(met=not violations, violations=violations)
 
 
-def check_convex_combination(V1: QsoOperator, V2: QsoOperator, lam: float) -> QsoOperator:
-    """Coefficient-wise blend lam*V1 + (1-lam)*V2 of two operators that both
-    meet the uniqueness bounds; the blend is checked to meet them too."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    if V1.n != V2.n:
-        raise ValueError("operators must share a dimension")
-    for V in (V1, V2):
-        if not check_uniqueness_conditions(V).met:
-            raise ValueError("both operators must satisfy the uniqueness bounds")
-    blended = lam * V1.tensor.p + (1.0 - lam) * V2.tensor.p
-    out = make_operator(HeredityTensor(V1.n, blended))
-    if not check_uniqueness_conditions(out).met:
-        raise TensorError(f"blend at lambda={lam} violates the uniqueness bounds")
-    return out
-
-
 def classify_vertex_stability(V: QsoOperator, eps: float = EPS_EIGEN) -> str:
     """Spectral verdict at (0,...,0,1): attracting, non_hyperbolic, or mixed."""
     eigs = vertex_eigenvalues(V)
@@ -339,14 +319,6 @@ def strict_contraction_2d(V: QsoOperator, eps: float = EPS_CONTRACTION) -> Contr
     )
 
 
-def linear_form_nonpositive(A: Sequence[float], C: float, strict: bool = False) -> bool:
-    """A_1 x_1 + ... + A_n x_n + C <= 0 (resp. < 0) on the solid simplex
-    iff C <= 0 and every A_k + C <= 0 (strict variants alike)."""
-    if strict:
-        return C < 0 and all(a + C < 0 for a in A)
-    return C <= 0 and all(a + C <= 0 for a in A)
-
-
 def order_checks_to_dict(necessary: NecessaryReport, verdict: NumericOrderVerdict) -> dict:
     """Report fields shared by ``validate`` and ``classify``."""
     witness = verdict.witness_point
@@ -378,25 +350,15 @@ class ClassificationReport:
             "n": self.n,
             **order_checks_to_dict(self.necessary, self.numeric_b_verdict),
             "uniqueness_conditions_met": self.uniqueness.met,
-            "uniqueness_violations": [list(v) for v in self.uniqueness.violations],
+            "uniqueness_violations": self.uniqueness.violations,
             "vertex_stability": self.vertex_stability,
             "vertex_eigenvalues": self.vertex_eigenvalues,
-            "contraction": {
-                "modulus": self.contraction.modulus,
-                "is_strict": self.contraction.is_strict,
-                "boundary": self.contraction.boundary,
-                "argmax_triple": list(self.contraction.argmax_triple),
-            },
+            "contraction": asdict(self.contraction),
         }
         if self.contraction_1d is not None:
             d["contraction_1d"] = self.contraction_1d
         if self.contraction_2d is not None:
-            d["contraction_2d"] = {
-                "max_quantity": self.contraction_2d.max_quantity,
-                "which": self.contraction_2d.which,
-                "is_strict": self.contraction_2d.is_strict,
-                "quantities": self.contraction_2d.quantities,
-            }
+            d["contraction_2d"] = asdict(self.contraction_2d)
         return d
 
 

@@ -88,18 +88,8 @@ def _envelope(spec_path: Optional[str], config: dict, result) -> dict:
     }
 
 
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _emit(payload: dict, out: Optional[str], name: str):
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
         path = Path(out)
         path.mkdir(parents=True, exist_ok=True)

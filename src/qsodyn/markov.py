@@ -30,8 +30,6 @@ from mpmath import libmp
 from .operator import QsoOperator
 from .simplex import SimplexPoint
 
-UNDERFLOW_GUARD = 1e-300
-
 _DPS = 40
 
 # -- the kernel: nonnegative (mantissa, exponent) pairs at prec bits ----------
@@ -232,18 +230,6 @@ class TransitionFamily:
         return self._view(self._product(k, m), log=True)
 
 
-def probabilities_close(
-    p: float, p_log: float, q: float, q_log: float, tol: float = 1e-12
-) -> bool:
-    """Linear comparison above the underflow guard, log-domain (relative) below."""
-    if p >= UNDERFLOW_GUARD and q >= UNDERFLOW_GUARD:
-        return abs(p - q) <= tol
-    if p_log == float("-inf") or q_log == float("-inf"):
-        return p_log == q_log
-    scale = max(abs(p_log), abs(q_log), 1.0)
-    return abs(p_log - q_log) <= tol * scale
-
-
 @dataclass(frozen=True)
 class CylinderSet:
     """Trajectories pinned to given states (1-based) on [start, start+len-1]."""
@@ -294,15 +280,6 @@ def cylinder_measure(family: TransitionFamily, c: CylinderSet) -> float:
 
 def cylinder_measure_log(family: TransitionFamily, c: CylinderSet) -> float:
     return _log_float(_cylinder_measure_pair(family, c), family._prec)
-
-
-def two_point_measure(family: TransitionFamily, k: int, i: int, m: int, j: int) -> float:
-    """Mass of trajectories with state i at time k and j at time m > k."""
-    if k >= m:
-        raise ValueError("need k < m")
-    _check_states(family, CylinderSet(k, (i, j)))
-    product = family._product(k, m)[i - 1][j - 1]
-    return _to_float(_mul(family._point(k)[i - 1], product, family._prec))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Simplex geometry: points, prefix-sum order, majorization, sampling.
+"""Simplex geometry: points, prefix-sum order, sampling.
 
 All indices in public interfaces are 1-based; arrays are 0-based internally.
 """
@@ -124,31 +124,9 @@ def b_leq(x: SimplexPoint, y: SimplexPoint, eps: float = EPS_ORDER) -> OrderVerd
     return OrderVerdict(True)
 
 
-def rearrange_desc(x: SimplexPoint) -> SimplexPoint:
-    """Coordinates sorted non-increasing; ties keep their original order."""
-    arr = x.as_array()
-    order = np.argsort(-arr, kind="stable")
-    return SimplexPoint(tuple(float(arr[i]) for i in order))
-
-
-def majorizes(x: SimplexPoint, y: SimplexPoint, eps: float = EPS_ORDER) -> OrderVerdict:
-    """Classical majorization x ≺ y: b_leq after sorting both non-increasing."""
-    _check_same_dim(x, y)
-    return b_leq(rearrange_desc(x), rearrange_desc(y), eps=eps)
-
-
 def l1_distance(x: SimplexPoint, y: SimplexPoint) -> float:
     _check_same_dim(x, y)
     return float(np.abs(x.as_array() - y.as_array()).sum())
-
-
-def support(x: SimplexPoint, eps: float = EPS_SIMPLEX) -> set:
-    """1-based indices of nonzero coordinates."""
-    return {i + 1 for i, v in enumerate(x.coords) if v > eps}
-
-
-def in_relative_interior(x: SimplexPoint, eps: float = EPS_SIMPLEX) -> bool:
-    return all(v > eps for v in x.coords)
 
 
 def _as_points(X: np.ndarray) -> list:

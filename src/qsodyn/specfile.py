@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .abscont import va_operator
-from .operator import QsoOperator, TensorError, make_operator, tensor_from_entries
+from .operator import QsoOperator, make_operator, tensor_from_entries
 
 
 class SpecFileError(ValueError):

@@ -473,11 +473,6 @@ class ReferenceMarkov:
     def cylinder_measure(self, c, log=False):
         return self._view(self._cylinder(c.start, c.states), log)
 
-    def two_point_measure(self, k, i, m, j):
-        comp = self._compose(k, m)
-        with mpmath.workdps(self.dps):
-            return _ref_float(self.traj[k][i - 1] * comp[i - 1][j - 1])
-
     def mixing_gap(self, A, B, m):
         """tau_m and its bound: the composed product from A's end to the
         shifted B's start, then B's chain factors after it."""

@@ -17,9 +17,7 @@ from qsodyn.markov import (
     mixing_gap,
     mixing_series,
     mixing_series_csv,
-    probabilities_close,
     shift_cylinder,
-    two_point_measure,
 )
 from qsodyn.simplex import make_point, sample_simplex
 
@@ -134,30 +132,6 @@ class TestCylinderMeasures:
         assert cylinder_measure_log(half_family, c) == pytest.approx(math.log(lin))
 
 
-class TestTwoPointMeasure:
-    def test_consistency_with_marginal(self, half_family):
-        for i in (1, 2):
-            total = sum(two_point_measure(half_family, 1, i, 5, j) for j in (1, 2))
-            assert total == pytest.approx(half_family.trajectory_point(1)[i - 1], abs=1e-14)
-
-    def test_absorbing_zero(self, half_family):
-        assert two_point_measure(half_family, 0, 2, 4, 1) == 0.0
-
-    def test_single_step_matches_cylinder(self, half_family):
-        assert two_point_measure(half_family, 2, 1, 3, 2) == pytest.approx(
-            cylinder_measure(half_family, CylinderSet(2, (1, 2)))
-        )
-
-    def test_window_order_enforced(self, half_family):
-        with pytest.raises(ValueError):
-            two_point_measure(half_family, 3, 1, 3, 1)
-
-    @pytest.mark.parametrize("i,j", [(0, 1), (1, 0), (3, 1), (1, 3)])
-    def test_state_out_of_range(self, half_family, i, j):
-        with pytest.raises(ValueError):
-            two_point_measure(half_family, 0, i, 3, j)
-
-
 class TestShift:
     def test_shift_moves_window(self):
         c = CylinderSet(0, (1, 2))
@@ -211,20 +185,6 @@ class TestMixing:
         lines = mixing_series_csv(series).strip().splitlines()
         assert lines[0] == "m,tau_m,bound_m"
         assert len(lines) == 5
-
-
-class TestProbabilitiesClose:
-    def test_linear_domain(self):
-        assert probabilities_close(0.5, math.log(0.5), 0.5 + 1e-13, math.log(0.5 + 1e-13))
-        assert not probabilities_close(0.5, math.log(0.5), 0.6, math.log(0.6))
-
-    def test_log_domain(self):
-        assert probabilities_close(0.0, -1e6, 0.0, -1e6 * (1 + 1e-13))
-        assert not probabilities_close(0.0, -1e6, 0.0, -2e6)
-
-    def test_exact_zero(self):
-        assert probabilities_close(0.0, float("-inf"), 0.0, float("-inf"))
-        assert not probabilities_close(0.0, float("-inf"), 0.0, -1e6)
 
 
 def run_threaded(jobs):
@@ -302,8 +262,8 @@ def test_thread_safe_extension():
         lambda f: f.compose_transitions_log(0, 24),
         lambda f: f.compose_transitions(6, 30),
         lambda f: f.compose_transitions(6, 11),
-        lambda f: two_point_measure(f, 0, 1, 27, 3),
-        lambda f: two_point_measure(f, 6, 2, 20, 1),
+        lambda f: f.compose_transitions(0, 27),
+        lambda f: f.compose_transitions(6, 20),
         lambda f: mixing_series(f, CylinderSet(0, (1,)), CylinderSet(0, (3,)), 30).terms,
         lambda f: mixing_series(f, CylinderSet(5, (2, 1)), CylinderSet(0, (1,)), 30).terms,
         *(walk(0, delay) for delay in (0, 3e-4, 1e-3, 3e-3)),

@@ -19,7 +19,6 @@ from qsodyn.markov import (
     cylinder_measure_log,
     mixing_gap,
     mixing_series,
-    two_point_measure,
 )
 from qsodyn.simplex import make_point, vertex
 
@@ -60,14 +59,13 @@ def assert_kernel_matches_reference(V, x, dps=40):
     for k in range(HORIZON):
         assert_same_bits(fam.transition_matrix(k), ref.transition_matrix(k))
         assert_same_bits(fam.transition_matrix_log(k), ref.transition_matrix(k, log=True))
-    for k, m in ((0, 1), (0, 7), (0, HORIZON), (3, 17), (12, HORIZON), (HORIZON - 1, HORIZON)):
+    for k, m in ((0, 1), (0, 7), (0, HORIZON), (1, 9), (3, 17), (4, HORIZON),
+                 (12, HORIZON), (HORIZON - 1, HORIZON)):
         assert_same_bits(fam.compose_transitions(k, m), ref.compose_transitions(k, m))
         assert_same_bits(fam.compose_transitions_log(k, m), ref.compose_transitions(k, m, log=True))
     for c in cylinders(n):
         assert_same_bits(cylinder_measure(fam, c), ref.cylinder_measure(c))
         assert_same_bits(cylinder_measure_log(fam, c), ref.cylinder_measure(c, log=True))
-    for k, i, m, j in ((0, 1, 1, n), (1, n, 9, 1), (4, 1, HORIZON, 1)):
-        assert_same_bits(two_point_measure(fam, k, i, m, j), ref.two_point_measure(k, i, m, j))
     for A, B in mixing_pairs(n):
         series = mixing_series(fam, A, B, HORIZON)
         m_min = max(1, A.end - B.start + 1)
@@ -123,9 +121,9 @@ def order_queries(n):
             lambda f: mixing_series(f, A, B, HORIZON).terms,
             lambda r: [(m, *r.mixing_gap(A, B, m)) for m in range(1, HORIZON + 1)],
         ),
-        "two_point": (
-            lambda f: [two_point_measure(f, 0, 1, 20, n), two_point_measure(f, 12, n, 25, 1)],
-            lambda r: [r.two_point_measure(0, 1, 20, n), r.two_point_measure(12, n, 25, 1)],
+        "compose_mid": (
+            lambda f: [f.compose_transitions(0, 20), f.compose_transitions(12, 25)],
+            lambda r: [r.compose_transitions(0, 20), r.compose_transitions(12, 25)],
         ),
     }
     for k, m in window:
@@ -137,10 +135,10 @@ def order_queries(n):
 
 
 QUERY_ORDERS = {
-    "mixing_first": ("mixing", "compose_0_7", "compose_0_30", "two_point", "compose_12_20", "compose_12_30"),
-    "short_first": ("compose_0_7", "compose_12_20", "two_point", "compose_0_30", "compose_12_30", "mixing"),
-    "long_first": ("compose_0_30", "compose_12_30", "mixing", "compose_0_7", "compose_12_20", "two_point"),
-    "late_start_first": ("compose_12_30", "compose_12_20", "two_point", "compose_0_30", "mixing", "compose_0_7"),
+    "mixing_first": ("mixing", "compose_0_7", "compose_0_30", "compose_mid", "compose_12_20", "compose_12_30"),
+    "short_first": ("compose_0_7", "compose_12_20", "compose_mid", "compose_0_30", "compose_12_30", "mixing"),
+    "long_first": ("compose_0_30", "compose_12_30", "mixing", "compose_0_7", "compose_12_20", "compose_mid"),
+    "late_start_first": ("compose_12_30", "compose_12_20", "compose_mid", "compose_0_30", "mixing", "compose_0_7"),
 }
 
 

@@ -10,14 +10,10 @@ from qsodyn.simplex import (
     SimplexError,
     b_leq,
     grid_simplex,
-    in_relative_interior,
     l1_distance,
-    majorizes,
     make_point,
     partial_sum,
-    rearrange_desc,
     sample_simplex,
-    support,
     terminal_vertex,
     vertex,
 )
@@ -110,47 +106,8 @@ class TestBOrder:
             assert b_leq(x, z)
 
 
-class TestMajorization:
-    def test_uniform_below_vertex(self):
-        assert majorizes(make_point([0.5, 0.5]), make_point([1.0, 0.0]))
-
-    def test_vertex_not_below_uniform(self):
-        assert not majorizes(make_point([1.0, 0.0]), make_point([0.5, 0.5]))
-
-    def test_reflexive(self):
-        x = make_point([0.3, 0.3, 0.4])
-        assert majorizes(x, x)
-
-    def test_sort_invariant(self):
-        x = make_point([0.1, 0.6, 0.3])
-        y = make_point([0.6, 0.3, 0.1])
-        assert majorizes(x, y)
-        assert majorizes(y, x)
-
-
-class TestRearrange:
-    def test_sorted(self):
-        assert rearrange_desc(make_point([0.2, 0.5, 0.3])).coords == (0.5, 0.3, 0.2)
-
-    @settings(max_examples=50, deadline=None)
-    @given(simplex_points(5))
-    def test_permutation_and_order(self, x):
-        y = rearrange_desc(x)
-        assert sorted(y.coords) == sorted(x.coords)
-        assert all(a >= b for a, b in zip(y.coords, y.coords[1:]))
-
-
 def test_l1_distance():
     assert l1_distance(make_point([1.0, 0.0]), make_point([0.0, 1.0])) == 2.0
-
-
-def test_support():
-    assert support(make_point([0.3, 0.0, 0.7])) == {1, 3}
-
-
-def test_relative_interior():
-    assert not in_relative_interior(terminal_vertex(3))
-    assert in_relative_interior(make_point([0.2, 0.3, 0.5]))
 
 
 class TestSampling:
