@@ -27,7 +27,6 @@ from .operator import (
     tensor_from_entries,
     make_operator,
     evaluate,
-    iterate,
     trajectory,
     reduced_jacobian,
     vertex_eigenvalues,

@@ -205,17 +205,16 @@ def va_cylinder_closed_form(params: VaParams, c: CylinderClass) -> CylinderValue
     )
 
 
-def cylinder_discrepancy_log(
-    params: VaParams, windows: list, tol: float = 1e-15
-) -> list:
-    """Classes whose tabulated value differs from the constructive one.
+def cylinder_discrepancy_log(params: VaParams, windows: list) -> list:
+    """Classes whose tabulated value differs from the constructive one by
+    more than 1e-15.
 
     Returns (class, constructive, printed, |difference|) for each mismatch.
     """
     out = []
     for c in windows:
         v = va_cylinder_closed_form(params, c)
-        if v.discrepancy > tol:
+        if v.discrepancy > 1e-15:
             out.append((c, v.constructive, v.printed, v.discrepancy))
     return out
 

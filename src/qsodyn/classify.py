@@ -44,8 +44,9 @@ class NecessaryReport:
         return next(c for c in self.conditions if c.name == name)
 
 
-def check_necessary_bbistochastic(V: QsoOperator, eps: float = EPS_COEF) -> NecessaryReport:
-    """Coefficient-level necessary conditions, each with a first witness.
+def check_necessary_bbistochastic(V: QsoOperator) -> NecessaryReport:
+    """Coefficient-level necessary conditions, each with a first witness,
+    each to within EPS_COEF.
 
     cumulative_mass:  sum_{m<=k} sum_{ij} p[i,j,m] <= k*n for every k
     upper_block_zero: p[i,j,k] = 0 whenever both i, j > k
@@ -60,20 +61,20 @@ def check_necessary_bbistochastic(V: QsoOperator, eps: float = EPS_COEF) -> Nece
     witness = None
     for k in range(1, n + 1):
         running += float(p[:, :, k - 1].sum())
-        if running > k * n + eps and witness is None:
+        if running > k * n + EPS_COEF and witness is None:
             witness = (k, running)
     conds.append(ConditionReport("cumulative_mass", witness is None, witness))
 
     witness = None
     for k in range(n - 1):
         block = p[k + 1 :, k + 1 :, k]
-        if np.abs(block).max() > eps:
+        if np.abs(block).max() > EPS_COEF:
             i, j = np.unravel_index(np.argmax(np.abs(block)), block.shape)
             witness = (int(i) + k + 2, int(j) + k + 2, k + 1)
             break
     conds.append(ConditionReport("upper_block_zero", witness is None, witness))
 
-    ok = bool(abs(p[-1, -1, -1] - 1.0) <= eps)
+    ok = bool(abs(p[-1, -1, -1] - 1.0) <= EPS_COEF)
     conds.append(
         ConditionReport("absorbing_last", ok, None if ok else (n, n, n, float(p[-1, -1, -1])))
     )
@@ -81,7 +82,7 @@ def check_necessary_bbistochastic(V: QsoOperator, eps: float = EPS_COEF) -> Nece
     witness = None
     for l in range(n - 1):
         for j in range(l + 1, n):
-            if p[l, j, l] > 0.5 + eps:
+            if p[l, j, l] > 0.5 + EPS_COEF:
                 witness = (l + 1, j + 1, float(p[l, j, l]))
                 break
         if witness:
@@ -215,27 +216,29 @@ class UniquenessReport:
     violations: list  # list[(k, j)] 1-based; (k, k) marks a diagonal failure
 
 
-def check_uniqueness_conditions(V: QsoOperator, eps: float = EPS_COEF) -> UniquenessReport:
+def check_uniqueness_conditions(V: QsoOperator) -> UniquenessReport:
     """Strict coefficient bounds sufficient for a unique fixed point:
-    p[k,k,k] < 1 and p[k,j,k] < 1/2 for every k < n and j > k."""
+    p[k,k,k] < 1 and p[k,j,k] < 1/2 for every k < n and j > k, each with a
+    margin of EPS_COEF."""
     p = V.tensor.p
     n = V.n
     violations = []
     for k in range(n - 1):
-        if p[k, k, k] >= 1.0 - eps:
+        if p[k, k, k] >= 1.0 - EPS_COEF:
             violations.append((k + 1, k + 1))
         for j in range(k + 1, n):
-            if p[k, j, k] >= 0.5 - eps:
+            if p[k, j, k] >= 0.5 - EPS_COEF:
                 violations.append((k + 1, j + 1))
     return UniquenessReport(met=not violations, violations=violations)
 
 
-def classify_vertex_stability(V: QsoOperator, eps: float = EPS_EIGEN) -> str:
-    """Spectral verdict at (0,...,0,1): attracting, non_hyperbolic, or mixed."""
+def classify_vertex_stability(V: QsoOperator) -> str:
+    """Spectral verdict at (0,...,0,1): attracting, non_hyperbolic, or mixed,
+    with eigenvalues within EPS_EIGEN of 1 counted as 1."""
     eigs = vertex_eigenvalues(V)
-    if any(abs(e - 1.0) <= eps for e in eigs):
+    if any(abs(e - 1.0) <= EPS_EIGEN for e in eigs):
         return "non_hyperbolic"
-    if all(e < 1.0 - eps for e in eigs):
+    if all(e < 1.0 - EPS_EIGEN for e in eigs):
         return "attracting"
     return "mixed"
 
@@ -248,8 +251,9 @@ class ContractionResult:
     argmax_triple: tuple  # (i1, i2, k), 1-based
 
 
-def strict_contraction_general(V: QsoOperator, eps: float = EPS_CONTRACTION) -> ContractionResult:
-    """Contraction modulus: max over i1, i2, k of sum_j |p[i1,k,j] - p[i2,k,j]|."""
+def strict_contraction_general(V: QsoOperator) -> ContractionResult:
+    """Contraction modulus: max over i1, i2, k of sum_j |p[i1,k,j] - p[i2,k,j]|,
+    strict below 1 - EPS_CONTRACTION and on the boundary within it of 1."""
     p = V.tensor.p
     n = V.n
     modulus = 0.0
@@ -263,19 +267,20 @@ def strict_contraction_general(V: QsoOperator, eps: float = EPS_CONTRACTION) -> 
                 arg = (i1 + 1, i2 + 1, k + 1)
     return ContractionResult(
         modulus=modulus,
-        is_strict=modulus < 1.0 - eps,
-        boundary=abs(modulus - 1.0) <= eps,
+        is_strict=modulus < 1.0 - EPS_CONTRACTION,
+        boundary=abs(modulus - 1.0) <= EPS_CONTRACTION,
         argmax_triple=arg,
     )
 
 
-def strict_contraction_1d(V: QsoOperator, eps: float = EPS_CONTRACTION) -> bool:
-    """Two-state criterion: max{p[1,2,1], |p[1,1,1] - p[1,2,1]|} < 1/2."""
+def strict_contraction_1d(V: QsoOperator) -> bool:
+    """Two-state criterion: max{p[1,2,1], |p[1,1,1] - p[1,2,1]|} < 1/2,
+    with a margin of EPS_CONTRACTION / 2."""
     if V.n != 2:
         raise ValueError(f"criterion needs n = 2, got n = {V.n}")
     a = V.tensor.entry(1, 1, 1)
     b = V.tensor.entry(1, 2, 1)
-    return max(b, abs(a - b)) < 0.5 - eps / 2
+    return max(b, abs(a - b)) < 0.5 - EPS_CONTRACTION / 2
 
 
 _2D_NAMES = "abcdefghi"
@@ -289,8 +294,9 @@ class Contraction2D:
     quantities: dict
 
 
-def strict_contraction_2d(V: QsoOperator, eps: float = EPS_CONTRACTION) -> Contraction2D:
-    """Three-state criterion: nine closed-form quantities, strict iff max < 1."""
+def strict_contraction_2d(V: QsoOperator) -> Contraction2D:
+    """Three-state criterion: nine closed-form quantities, strict iff
+    max < 1 - EPS_CONTRACTION."""
     if V.n != 3:
         raise ValueError(f"criterion needs n = 3, got n = {V.n}")
     t = V.tensor
@@ -314,7 +320,7 @@ def strict_contraction_2d(V: QsoOperator, eps: float = EPS_CONTRACTION) -> Contr
     return Contraction2D(
         max_quantity=q[which],
         which=which,
-        is_strict=q[which] < 1.0 - eps,
+        is_strict=q[which] < 1.0 - EPS_CONTRACTION,
         quantities=q,
     )
 
@@ -362,18 +368,11 @@ class ClassificationReport:
         return d
 
 
-def classify_operator(
-    V: QsoOperator,
-    resolution: Optional[int] = None,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-) -> ClassificationReport:
+def classify_operator(V: QsoOperator, seed: int = 0) -> ClassificationReport:
     return ClassificationReport(
         n=V.n,
         necessary=check_necessary_bbistochastic(V),
-        numeric_b_verdict=verify_bbistochastic_numeric(
-            V, resolution=resolution, samples=samples, seed=seed
-        ),
+        numeric_b_verdict=verify_bbistochastic_numeric(V, seed=seed),
         uniqueness=check_uniqueness_conditions(V),
         vertex_stability=classify_vertex_stability(V),
         vertex_eigenvalues=vertex_eigenvalues(V),

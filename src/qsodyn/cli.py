@@ -55,7 +55,7 @@ def _load_operator(spec_path: str, symmetrize: bool):
     except SpecFileError as exc:
         _die(EXIT_PARSE, "parse_error", str(exc), path=spec_path)
     try:
-        return spec, spec.build(symmetrize=symmetrize)
+        return spec.build(symmetrize=symmetrize)
     except (TensorError, SimplexError, ValueError) as exc:
         _die(EXIT_VALIDATION, "validation_error", str(exc), path=spec_path)
 
@@ -88,23 +88,18 @@ def _envelope(spec_path: Optional[str], config: dict, result) -> dict:
     }
 
 
-def _emit(payload: dict, out: Optional[str], name: str):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _write(text: str, out: Optional[str], filename: str):
+    """text to stdout, or to the file filename under the directory out."""
     if out:
         path = Path(out)
         path.mkdir(parents=True, exist_ok=True)
-        (path / f"{name}.json").write_text(text + "\n")
-    else:
-        click.echo(text)
-
-
-def _emit_csv(text: str, out: Optional[str], name: str):
-    if out:
-        path = Path(out)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / f"{name}.csv").write_text(text)
+        (path / filename).write_text(text)
     else:
         click.echo(text, nl=False)
+
+
+def _emit(payload: dict, out: Optional[str], name: str):
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out, f"{name}.json")
 
 
 @click.group()
@@ -126,7 +121,7 @@ out_opt = click.option("--out", type=click.Path(), default=None)
 @out_opt
 def validate(spec_path, symmetrize, seed, out):
     """Tensor validation plus structural and numeric order checks."""
-    spec, V = _load_operator(spec_path, symmetrize)
+    V = _load_operator(spec_path, symmetrize)
     _require(seed >= 0, f"--seed must be >= 0, got {seed}")
     result = {
         "n": V.n,
@@ -149,7 +144,7 @@ def validate(spec_path, symmetrize, seed, out):
 @out_opt
 def classify(spec_path, symmetrize, seed, out):
     """Full certificate report for the operator."""
-    spec, V = _load_operator(spec_path, symmetrize)
+    V = _load_operator(spec_path, symmetrize)
     _require(seed >= 0, f"--seed must be >= 0, got {seed}")
     report = classify_operator(V, seed=seed)
     _emit(
@@ -169,7 +164,7 @@ def classify(spec_path, symmetrize, seed, out):
 @out_opt
 def iterate(spec_path, symmetrize, x_text, steps, tol, max_iter, out):
     """Trajectory CSV: step, coordinates, prefix sums, step size."""
-    spec, V = _load_operator(spec_path, symmetrize)
+    V = _load_operator(spec_path, symmetrize)
     x = _parse_point(x_text, V.n)
     _require(tol > 0, f"--tol must be positive, got {tol}")
     _require(steps is None or steps >= 0, f"--steps must be >= 0, got {steps}")
@@ -198,7 +193,7 @@ def iterate(spec_path, symmetrize, x_text, steps, tol, max_iter, out):
         row.append(f"{delta:.17g}")
         prev = p
         lines.append(",".join(row))
-    _emit_csv("\n".join(lines) + "\n", out, "iterate")
+    _write("\n".join(lines) + "\n", out, "iterate.csv")
 
 
 @main.command("fixed-points")
@@ -209,7 +204,7 @@ def iterate(spec_path, symmetrize, x_text, steps, tol, max_iter, out):
 def fixed_points(spec_path, symmetrize, tol, out):
     """Fixed points, JSON output: {e_n} where the coefficients satisfy the
     uniqueness theorem, otherwise the multistart search."""
-    spec, V = _load_operator(spec_path, symmetrize)
+    V = _load_operator(spec_path, symmetrize)
     _require(tol > 0, f"--tol must be positive, got {tol}")
     fps = find_fixed_points(V, tol=tol)
     result = {
@@ -231,7 +226,7 @@ def fixed_points(spec_path, symmetrize, tol, out):
 @out_opt
 def markov(spec_path, symmetrize, x_text, horizon, out):
     """Transition matrices up to the horizon plus basic cylinder measures."""
-    spec, V = _load_operator(spec_path, symmetrize)
+    V = _load_operator(spec_path, symmetrize)
     x = _parse_point(x_text, V.n)
     _require(horizon >= 0, f"--horizon must be >= 0, got {horizon}")
     fam = TransitionFamily(V, x)
@@ -259,7 +254,7 @@ def markov(spec_path, symmetrize, x_text, horizon, out):
 @out_opt
 def mixing(spec_path, symmetrize, x_text, a_text, b_text, m_max, out):
     """Correlation-gap series CSV: m, tau_m, bound_m."""
-    spec, V = _load_operator(spec_path, symmetrize)
+    V = _load_operator(spec_path, symmetrize)
     x = _parse_point(x_text, V.n)
     _require(m_max >= 1, f"--m-max must be >= 1, got {m_max}")
     A = _parse_cylinder(a_text)
@@ -269,7 +264,7 @@ def mixing(spec_path, symmetrize, x_text, a_text, b_text, m_max, out):
         series = mixing_series(fam, A, B, m_max)
     except ValueError as exc:
         _die(EXIT_VALIDATION, "validation_error", str(exc))
-    _emit_csv(mixing_series_csv(series), out, "mixing")
+    _write(mixing_series_csv(series), out, "mixing.csv")
 
 
 @main.command()
@@ -292,7 +287,7 @@ def abscont(a, a2, x_text, y_text, m_max, fmt, out):
     except ValueError as exc:
         _die(EXIT_VALIDATION, "validation_error", str(exc))
     if fmt == "csv":
-        _emit_csv(rn_series_csv(report), out, "abscont")
+        _write(rn_series_csv(report), out, "abscont.csv")
         return
     disc = cylinder_discrepancy_log(
         num,

@@ -128,9 +128,8 @@ class TransitionFamily:
     """Memoized trajectory, one-step matrices and running products for
     (operator, start).
 
-    All arithmetic, log views included, runs at the precision of ``dps``
-    decimal digits, passed to each operation as a number of bits, so
-    families at different precisions never share state. The running
+    All arithmetic, log views included, runs at _DPS = 40 decimal digits,
+    passed to each operation as a number of bits. The running
     products H^[k,k+1] ... H^[m-1,m] are computed once and kept, one list
     per start time k asked about: one n x n matrix per (k, m) pair reached,
     so each start holds at most as many matrices as the one-step list up to
@@ -138,15 +137,13 @@ class TransitionFamily:
     of already-computed entries are safe from any thread.
     """
 
-    def __init__(self, operator: QsoOperator, start: SimplexPoint, dps: int = _DPS):
+    def __init__(self, operator: QsoOperator, start: SimplexPoint):
         if start.n != operator.n:
             raise ValueError("start point dimension does not match operator")
-        if isinstance(dps, bool) or not isinstance(dps, int) or dps < 1:
-            raise ValueError(f"dps must be an integer >= 1, got {dps!r}")
         self.operator = operator
         self.start = start
         self.n = operator.n
-        prec = self._prec = libmp.dps_to_prec(dps)
+        prec = self._prec = libmp.dps_to_prec(_DPS)
         self._lock = threading.Lock()
         # P[i][j][l] = p[i, l, j], so that row i of the one-step matrix at x
         # is [dot(P[i][j], x) for j]
@@ -321,20 +318,15 @@ def mixing_gap(family: TransitionFamily, A: CylinderSet, B: CylinderSet, m: int)
     return tau, bound
 
 
-def mixing_series(
-    family: TransitionFamily,
-    A: CylinderSet,
-    B: CylinderSet,
-    m_max: int,
-    mixing_threshold: float = 1e-10,
-) -> MixingSeries:
-    """tau_m and its bound for every admissible shift up to m_max."""
+def mixing_series(family: TransitionFamily, A: CylinderSet, B: CylinderSet, m_max: int) -> MixingSeries:
+    """tau_m and its bound for every admissible shift up to m_max; numerically
+    mixing when the last three tau_m are below 1e-10."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     m_min = max(1, A.end - B.start + 1)
     terms = list(_gap_terms(family, A, B, m_min, m_max))
     tail = [t for _, t, _ in terms[-3:]]
-    mixing = len(tail) == 3 and all(t < mixing_threshold for t in tail)
+    mixing = len(tail) == 3 and all(t < 1e-10 for t in tail)
     return MixingSeries(A=A, B=B, terms=terms, numerically_mixing=mixing)
 
 

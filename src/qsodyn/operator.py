@@ -5,7 +5,7 @@ coefficients, and a multistart search where it does not apply."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -82,13 +82,12 @@ class QsoOperator:
         return evaluate(self, x)
 
 
-def make_operator(
-    tensor: HeredityTensor, symmetrize: bool = False, eps: float = EPS_COEF
-) -> QsoOperator:
+def make_operator(tensor: HeredityTensor, symmetrize: bool = False) -> QsoOperator:
     """Validate (and optionally symmetrize) a heredity tensor.
 
-    Checks: at least two states, entries in [0, 1], symmetry in the first
-    two indices, and unit mass over the third index for every pair.
+    Checks, each to within EPS_COEF: at least two states, entries in [0, 1],
+    symmetry in the first two indices, and unit mass over the third index
+    for every pair.
     """
     n = tensor.n
     if n < 2:
@@ -96,7 +95,7 @@ def make_operator(
     p = tensor.p.copy()
     if symmetrize:
         p = 0.5 * (p + p.transpose(1, 0, 2))
-    bad = ~((p >= -eps) & (p <= 1 + eps))  # NaN fails both comparisons
+    bad = ~((p >= -EPS_COEF) & (p <= 1 + EPS_COEF))  # NaN fails both comparisons
     if bad.any():
         i, j, k = np.unravel_index(np.argmax(bad), bad.shape)
         raise TensorError(
@@ -104,7 +103,7 @@ def make_operator(
             "outside [0, 1]"
         )
     asym = np.abs(p - p.transpose(1, 0, 2))
-    if asym.max() > eps:
+    if asym.max() > EPS_COEF:
         i, j, k = np.unravel_index(np.argmax(asym), asym.shape)
         raise TensorError(
             f"asymmetric pair ({i + 1},{j + 1}) at outcome {k + 1}: "
@@ -112,7 +111,7 @@ def make_operator(
         )
     sums = p.sum(axis=2)
     dev = np.abs(sums - 1.0)
-    if dev.max() > eps:
+    if dev.max() > EPS_COEF:
         i, j = np.unravel_index(np.argmax(dev), dev.shape)
         raise TensorError(
             f"outcome mass for pair ({i + 1},{j + 1}) sums to {sums[i, j]}"
@@ -151,15 +150,6 @@ def evaluate_array(V: QsoOperator, X: np.ndarray) -> np.ndarray:
         W = np.einsum("pi,ijk->pjk", B, V.tensor.p, out=inner[: len(B)])
         np.einsum("pjk,pj->pk", W, B, out=out[s : s + block])
     return out
-
-
-def iterate(V: QsoOperator, x: SimplexPoint, m: int) -> SimplexPoint:
-    """m-fold application of V; m = 0 is the identity."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    for _ in range(m):
-        x = evaluate(V, x)
-    return x
 
 
 @dataclass(frozen=True)
@@ -384,49 +374,29 @@ def _unique_fixed_point_theorem(p: np.ndarray) -> bool:
     )
 
 
-def find_fixed_points(
-    V: QsoOperator,
-    tol: float = 1e-9,
-    dedup_radius: float = DEDUP_RADIUS,
-    extra_seeds: Sequence[SimplexPoint] = (),
-) -> FixedPointSet:
+def find_fixed_points(V: QsoOperator, tol: float = 1e-9) -> FixedPointSet:
     """The fixed points of V: {e_n} where :func:`_unique_fixed_point_theorem`
     proves it, with its residual from evaluate_array (0.0), and otherwise
     the points the multistart search :func:`_multistart` finds."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = V.n
-    for s in extra_seeds:
-        if s.n != n:
-            raise DimensionMismatch(f"operator on {n} states, seed has {s.n}")
     if not _unique_fixed_point_theorem(V.tensor.p):
-        return _multistart(V, tol, dedup_radius, extra_seeds)
-    e_n = np.eye(n)[-1:]
+        return _multistart(V, tol)
+    e_n = np.eye(V.n)[-1:]
     return FixedPointSet(
         points=[SimplexPoint(tuple(e_n[0].tolist()))],
         residuals=np.abs(evaluate_array(V, e_n) - e_n).sum(axis=1).tolist(),
-        dedup_radius=dedup_radius,
+        dedup_radius=DEDUP_RADIUS,
         diagnostics=dict.fromkeys(SEARCH_COUNTERS, 0) | {"method": "coefficient_theorem"},
     )
 
 
-def _multistart(
-    V: QsoOperator,
-    tol: float = 1e-9,
-    dedup_radius: float = DEDUP_RADIUS,
-    extra_seeds: Sequence[SimplexPoint] = (),
-) -> FixedPointSet:
-    """Multistart search: vertices, barycenter, a coarse grid, and extra seeds,
-    all pre-iterated and then polished by damped Newton as one array."""
+def _multistart(V: QsoOperator, tol: float = 1e-9) -> FixedPointSet:
+    """Multistart search from the C(n+5, 6) + n + 1 seeds: the vertices, the
+    barycenter and the resolution-6 grid, all pre-iterated and then polished
+    by damped Newton as one array. Points within DEDUP_RADIUS in l1 merge."""
     n = V.n
-    seeds = np.concatenate(
-        [
-            np.eye(n),
-            renormalize_rows(np.full((1, n), 1.0 / n)),
-            grid_array(n, 6),
-            np.array([s.coords for s in extra_seeds], dtype=float).reshape(-1, n),
-        ]
-    )
+    seeds = np.concatenate([np.eye(n), renormalize_rows(np.full((1, n), 1.0 / n)), grid_array(n, 6)])
     seeds = seeds[np.lexsort(seeds.T[::-1])]  # stable, like sorting the coordinate tuples
 
     limits, last_step = _pre_iterate(V, seeds)
@@ -442,7 +412,7 @@ def _multistart(
     merged = 0
     for cand, res in zip(cands[accepted], residuals[accepted].tolist()):
         for idx, (x, r) in enumerate(found):
-            if np.abs(x - cand).sum() <= dedup_radius:
+            if np.abs(x - cand).sum() <= DEDUP_RADIUS:
                 if res < r:
                     found[idx] = (cand, res)
                 merged += 1
@@ -453,7 +423,7 @@ def _multistart(
     return FixedPointSet(
         points=[SimplexPoint(tuple(x.tolist())) for x, _ in found],
         residuals=[r for _, r in found],
-        dedup_radius=dedup_radius,
+        dedup_radius=DEDUP_RADIUS,
         diagnostics={
             "seeds_tried": len(seeds),
             "seeds_converged": int((last_step <= PRE_ITER_TOL).sum()),

@@ -1,11 +1,12 @@
 """Operator spec files: sparse JSON coefficient lists, or a one-parameter
-family selector, with round-trip-exact serialization."""
+family selector. Keys other than ``n``, ``coefficients`` and ``va``, such as
+a ``metadata`` block, are ignored."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .abscont import va_operator
@@ -21,7 +22,6 @@ class OperatorSpec:
     n: int
     coefficients: Optional[dict] = None  # {(i, j, k): p} with i <= j
     va: Optional[float] = None
-    metadata: dict = field(default_factory=dict)
 
     def build(self, symmetrize: bool = False) -> QsoOperator:
         if self.va is not None:
@@ -49,11 +49,10 @@ def parse_spec(data: dict, source: str = "<memory>") -> OperatorSpec:
     coeffs = data.get("coefficients")
     if (va is None) == (coeffs is None):
         raise SpecFileError(f"{source}: exactly one of 'va' or 'coefficients' required")
-    metadata = data.get("metadata", {})
     if va is not None:
         a = va.get("a") if isinstance(va, dict) else None
         a = _as_float(a, f"{source}: 'va' needs a numeric field 'a'")
-        return OperatorSpec(n=2, va=a, metadata=metadata)
+        return OperatorSpec(n=2, va=a)
     n = data.get("n")
     if not isinstance(n, int) or n < 2:
         raise SpecFileError(f"{source}: 'n' must be an integer >= 2")
@@ -77,7 +76,7 @@ def parse_spec(data: dict, source: str = "<memory>") -> OperatorSpec:
             )
         record_of[i, j, k] = rec_no
         entries[i, j, k] = p
-    return OperatorSpec(n=n, coefficients=entries, metadata=metadata)
+    return OperatorSpec(n=n, coefficients=entries)
 
 
 def load_spec(path: str) -> OperatorSpec:
@@ -89,34 +88,6 @@ def load_spec(path: str) -> OperatorSpec:
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     return parse_spec(data, source=path)
-
-
-def serialize_spec(spec: OperatorSpec) -> str:
-    """Canonical JSON: sparse i <= j records, sorted, 17-significant-digit floats."""
-    if spec.va is not None:
-        body = {"va": {"a": float(f"{spec.va:.17g}")}}
-    else:
-        records = []
-        for (i, j, k), p in sorted(spec.coefficients.items()):
-            if i > j or p == 0.0:
-                continue
-            records.append({"i": i, "j": j, "k": k, "p": float(f"{p:.17g}")})
-        body = {"n": spec.n, "coefficients": records}
-    if spec.metadata:
-        body["metadata"] = spec.metadata
-    return json.dumps(body, indent=2, sort_keys=True)
-
-
-def spec_from_operator(V: QsoOperator, metadata: Optional[dict] = None) -> OperatorSpec:
-    entries = {}
-    n = V.n
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            for k in range(1, n + 1):
-                p = V.tensor.entry(i, j, k)
-                if p != 0.0:
-                    entries[(i, j, k)] = p
-    return OperatorSpec(n=n, coefficients=entries, metadata=metadata or {})
 
 
 def spec_hash(path: str) -> str:

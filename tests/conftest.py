@@ -137,21 +137,20 @@ def reference_newton_polish(V, x, tol, max_steps=60):
     return make_point(xa / xa.sum()), accepted_steps
 
 
-def reference_seeds(n, extra_seeds=()):
+def reference_seeds(n):
     seeds = [vertex(n, i) for i in range(1, n + 1)]
     seeds.append(make_point([1.0 / n] * n))
     seeds.extend(grid_simplex(n, 6))
-    seeds.extend(extra_seeds)
     seeds.sort(key=lambda p: p.coords)
     return seeds
 
 
-def reference_fixed_points(V, tol=1e-9, dedup_radius=1e-6, extra_seeds=()):
+def reference_fixed_points(V, tol=1e-9, dedup_radius=1e-6):
     """The multistart search one seed at a time: trajectory, then Newton,
     with the same diagnostics counters as find_fixed_points."""
     diagnostics = dict(seeds_tried=0, seeds_converged=0, rejected_by_residual=0, merged=0, newton_steps=0)
     found = []
-    for seed in reference_seeds(V.n, extra_seeds):
+    for seed in reference_seeds(V.n):
         diagnostics["seeds_tried"] += 1
         tr = trajectory(V, seed, tol=1e-10, max_iter=500)
         diagnostics["seeds_converged"] += tr.converged

@@ -10,7 +10,6 @@ import math
 import sys
 
 import numpy as np
-import pytest
 from click.testing import CliRunner
 
 from conftest import fixture_path, load_fixture

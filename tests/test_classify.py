@@ -384,7 +384,7 @@ class TestContraction:
 
 class TestAggregateReport:
     def test_report_shape(self, three_vertex_operator):
-        rep = classify_operator(three_vertex_operator, samples=500)
+        rep = classify_operator(three_vertex_operator)
         d = rep.to_dict()
         assert d["n"] == 3
         assert d["vertex_stability"] == "attracting"
@@ -394,6 +394,6 @@ class TestAggregateReport:
         assert rep.necessary.by_name("cumulative_mass").passed
 
     def test_1d_branch(self):
-        rep = classify_operator(va_operator(0.4), samples=500)
+        rep = classify_operator(va_operator(0.4))
         assert rep.contraction_1d is True
         assert rep.contraction_2d is None

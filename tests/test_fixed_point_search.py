@@ -32,7 +32,7 @@ from qsodyn.operator import (
     make_operator,
     trajectory,
 )
-from qsodyn.simplex import DimensionMismatch, SimplexError, l1_distance, make_point, sample_simplex, vertex
+from qsodyn.simplex import SimplexError, l1_distance, make_point
 
 FIXTURES = ["attracting_not_unique", "uniqueness_sufficiency_gap", "unique_not_contractive_s2"]
 # (structured, general) operators compared with the reference at each n: 200 in all,
@@ -40,20 +40,20 @@ FIXTURES = ["attracting_not_unique", "uniqueness_sufficiency_gap", "unique_not_c
 OPERATORS_PER_N = {2: (50, 50), 3: (29, 29), 4: (10, 10), 5: (5, 5), 6: (3, 3), 7: (1, 3), 8: (0, 2)}
 
 
-def assert_theorem_gives_the_search_result(V, searched, tol=1e-9, extra_seeds=()):
+def assert_theorem_gives_the_search_result(V, searched, tol=1e-9):
     """Where the theorem holds, find_fixed_points returns the searched
     points and residuals to the bit, without searching."""
     if _unique_fixed_point_theorem(V.tensor.p):
-        got = find_fixed_points(V, tol=tol, extra_seeds=extra_seeds)
+        got = find_fixed_points(V, tol=tol)
         assert got.diagnostics["method"] == "coefficient_theorem"
         assert repr((got.points, got.residuals)) == repr((searched.points, searched.residuals))
 
 
-def assert_matches_reference(V, tol=1e-9, extra_seeds=()):
-    got = _multistart(V, tol=tol, extra_seeds=extra_seeds)
-    assert_theorem_gives_the_search_result(V, got, tol, extra_seeds)
+def assert_matches_reference(V, tol=1e-9):
+    got = _multistart(V, tol=tol)
+    assert_theorem_gives_the_search_result(V, got, tol)
     assert got.diagnostics.pop("method") == "multistart"
-    ref = reference_fixed_points(V, tol=tol, extra_seeds=extra_seeds)
+    ref = reference_fixed_points(V, tol=tol)
     assert len(got.points) == len(ref.points)
     for p, q in zip(got.points, ref.points):
         assert l1_distance(p, q) <= DEDUP_RADIUS
@@ -66,10 +66,9 @@ def assert_matches_reference(V, tol=1e-9, extra_seeds=()):
     assert got.diagnostics == ref.diagnostics
 
 
-@pytest.mark.parametrize("extra", [(), sample_simplex(3, 5, seed=3) + [vertex(3, 2)]], ids=["grid", "extra"])
 @pytest.mark.parametrize("name", FIXTURES)
-def test_fixtures_match_reference(name, extra):
-    assert_matches_reference(load_fixture(name).build(), extra_seeds=extra)
+def test_fixtures_match_reference(name):
+    assert_matches_reference(load_fixture(name).build())
 
 
 @pytest.mark.parametrize("n, seed", [(5, 14), (8, 11)])
@@ -128,12 +127,9 @@ def test_pre_iteration_slow_draw_matches_trajectory():
 @pytest.mark.parametrize("n", range(2, 9))
 def test_every_seed_is_tried(n):
     V = random_general_operator(n, np.random.default_rng(n))
-    extra = sample_simplex(n, 3, seed=n)
-    for seeds in ((), extra):
-        d = find_fixed_points(V, extra_seeds=seeds).diagnostics
-        assert d["seeds_tried"] == comb(n + 5, 6) + n + 1 + len(seeds)
-    fps = find_fixed_points(V, extra_seeds=extra)
+    fps = find_fixed_points(V)
     d = fps.diagnostics
+    assert d["seeds_tried"] == comb(n + 5, 6) + n + 1
     assert d["merged"] + d["rejected_by_residual"] + len(fps.points) == d["seeds_tried"]
     assert 0 <= d["seeds_converged"] <= d["seeds_tried"]
 
@@ -156,12 +152,6 @@ class TestLeavingTheSimplex:
         V = QsoOperator(HeredityTensor(3, p))
         with pytest.raises(SimplexError, match="below"):
             find_fixed_points(V)
-
-
-def test_extra_seed_dimension_checked():
-    V = load_fixture("attracting_not_unique").build()
-    with pytest.raises(DimensionMismatch):
-        find_fixed_points(V, extra_seeds=[make_point([0.5, 0.5])])
 
 
 def structured_p():

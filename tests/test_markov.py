@@ -19,7 +19,7 @@ from qsodyn.markov import (
     mixing_series_csv,
     shift_cylinder,
 )
-from qsodyn.simplex import make_point, sample_simplex
+from qsodyn.simplex import make_point
 
 
 @pytest.fixture
@@ -59,17 +59,6 @@ class TestTransitionMatrices:
             for j in (1, 7, 14):
                 split = fam.compose_transitions(0, j) @ fam.compose_transitions(j, 15)
                 assert np.abs(full - split).max() <= 1e-13
-
-    @pytest.mark.parametrize("dps", [0, -5, 2.5, 40.0, "40", True, None])
-    def test_bad_precision_rejected(self, dps):
-        """dps = 0 once ran at 3 bits, where a row of va_operator(0.5)
-        summed to 1.0039 in its float view."""
-        with pytest.raises(ValueError, match="dps"):
-            TransitionFamily(va_operator(0.5), make_point([0.5, 0.5]), dps=dps)
-
-    def test_one_digit_precision_accepted(self):
-        fam = TransitionFamily(va_operator(0.5), make_point([0.5, 0.5]), dps=1)
-        assert fam.transition_matrix(3).shape == (2, 2)
 
     def test_invalid_window(self, half_family):
         with pytest.raises(ValueError):
@@ -224,11 +213,11 @@ def float_bits(result):
 
 
 def test_thread_safe_extension():
-    """Threads extending one family, threads running families at three
-    precisions next to the likelihood-ratio series, and threads reading
-    running products of one shared family each get exactly their serial
-    result: no thread changes another's working precision, and no product
-    is read before it is stored or stored twice."""
+    """Threads extending one family, threads running three families next
+    to the likelihood-ratio series, and threads reading running products of
+    one shared family each get exactly their serial result: no thread
+    changes another's state, and no product is read before it is stored or
+    stored twice."""
     from qsodyn.abscont import VaParams, rn_series
 
     fam = TransitionFamily(va_operator(0.5), make_point([0.5, 0.5]))
@@ -240,8 +229,8 @@ def test_thread_safe_extension():
     A, B = CylinderSet(0, (1,)), CylinderSet(1, (3, 2))
     num, den = VaParams.of(0.5, 0.3), VaParams.of(0.5, 0.6)
     jobs = [
-        lambda dps=dps: mixing_series(TransitionFamily(V, x, dps=dps), A, B, 30).terms
-        for dps in (15, 40, 60)
+        lambda start=start: mixing_series(TransitionFamily(V, make_point(start)), A, B, 30).terms
+        for start in ([0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4])
     ] + [lambda: rn_series(num, den, 40).terms]
     serial = [job() for job in jobs]
     assert run_threaded(jobs * 3) == serial * 3

@@ -10,7 +10,6 @@ from qsodyn.operator import (
     evaluate,
     evaluate_array,
     find_fixed_points,
-    iterate,
     make_operator,
     reduced_jacobian,
     tensor_from_entries,
@@ -135,11 +134,6 @@ def test_batch_rows_independent_of_block_boundaries(n):
 
 
 class TestIteration:
-    def test_identity_at_zero(self):
-        V = va_operator(0.5)
-        x = make_point([0.4, 0.6])
-        assert iterate(V, x, 0) == x
-
     def test_fast_collapse(self):
         V = va_operator(2.0 / 3.0)
         tr = trajectory(V, make_point([0.99, 0.01]), tol=1e-12)
@@ -157,8 +151,6 @@ class TestIteration:
         x = make_point([0.4, 0.6])
         with pytest.raises(ValueError, match="max_iter"):
             trajectory(V, x, max_iter=-3)
-        with pytest.raises(ValueError, match="m must be"):
-            iterate(V, x, -3)
 
     def test_limit_is_fixed_point(self):
         for V in random_structured_tensors(3, 10, seed=30):

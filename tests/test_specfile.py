@@ -1,29 +1,14 @@
-import json
-
 import numpy as np
 import pytest
 
-from conftest import fixture_path, load_fixture
+from conftest import fixture_path
 from qsodyn.abscont import va_operator
 from qsodyn.specfile import (
-    OperatorSpec,
     SpecFileError,
     load_spec,
     parse_spec,
-    serialize_spec,
-    spec_from_operator,
     spec_hash,
 )
-
-FIXTURES = [
-    "va_a0",
-    "va_a05",
-    "va_a23",
-    "attracting_not_unique",
-    "uniqueness_sufficiency_gap",
-    "unique_not_contractive_s2",
-]
-
 
 class TestParsing:
     def test_va_form(self):
@@ -115,26 +100,6 @@ class TestParsing:
     def test_missing_file(self):
         with pytest.raises(SpecFileError):
             load_spec("/nonexistent/spec.json")
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize("name", FIXTURES)
-    def test_fixture_round_trip(self, name):
-        spec = load_fixture(name)
-        V1 = spec.build()
-        text = serialize_spec(spec_from_operator(V1) if spec.va is None else spec)
-        V2 = parse_spec(json.loads(text)).build()
-        assert np.array_equal(V1.tensor.p, V2.tensor.p)
-
-    def test_operator_extraction(self):
-        spec = spec_from_operator(va_operator(0.25))
-        V = spec.build()
-        assert np.allclose(V.tensor.p, va_operator(0.25).tensor.p)
-
-    def test_serialization_deterministic(self):
-        spec = load_fixture("attracting_not_unique")
-        s = spec_from_operator(spec.build())
-        assert serialize_spec(s) == serialize_spec(s)
 
 
 def test_spec_hash_stable():
