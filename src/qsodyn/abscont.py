@@ -9,7 +9,6 @@ H_11 at time k = (a*x1)^(2^k), with state 2 absorbing.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -118,8 +117,6 @@ class CylinderClass:
 
     @classmethod
     def ones_then_twos(cls, l: int, m: int, k: int) -> "CylinderClass":
-        if not l <= k <= m - 1:
-            raise ValueError(f"need l <= k <= m-1, got l={l}, k={k}, m={m}")
         return cls("ones_then_twos", l=l, m=m, k=k)
 
     @classmethod
@@ -129,7 +126,15 @@ class CylinderClass:
     def __post_init__(self):
         if self.kind not in {"all_ones", "all_twos", "ones_then_twos", "two_one"}:
             raise ValueError(f"unknown cylinder kind {self.kind!r}")
-        if self.kind != "two_one" and self.m < self.l:
+        if self.kind == "two_one":
+            if self.k < 0:
+                raise ValueError(f"need k >= 0, got k={self.k}")
+        elif self.l < 0:
+            raise ValueError(f"window start must be >= 0, got l={self.l}")
+        elif self.kind == "ones_then_twos":
+            if not self.l <= self.k <= self.m - 1:
+                raise ValueError(f"need l <= k <= m-1, got l={self.l}, k={self.k}, m={self.m}")
+        elif self.m < self.l:
             raise ValueError("window end must be >= window start")
 
 
@@ -266,18 +271,6 @@ class RNSeriesReport:
     classification: str  # equivalent_evidence / singular_evidence / undecided
     exceptional_set_note: str
 
-    def to_dict(self) -> dict:
-        return {
-            "numerator": {"a": self.numerator.a, "x1": self.numerator.x1},
-            "denominator": {"a": self.denominator.a, "x1": self.denominator.x1},
-            "terms": [
-                {"m": m, "K_term": k, "Khat_term": kh, "partial_sum": s}
-                for m, k, kh, s in self.terms
-            ],
-            "classification": self.classification,
-            "exceptional_set_note": self.exceptional_set_note,
-        }
-
 
 def _classify_terms(totals: list) -> str:
     last = totals[-1]
@@ -337,11 +330,3 @@ def rn_series(num: VaParams, den: VaParams, m_max: int) -> RNSeriesReport:
         classification=classification,
         exceptional_set_note=note,
     )
-
-
-def rn_series_csv(report: RNSeriesReport) -> str:
-    buf = io.StringIO()
-    buf.write("m,K_term,Khat_term,partial_sum\n")
-    for m, k, kh, s in report.terms:
-        buf.write(f"{m},{k:.17g},{kh:.17g},{s:.17g}\n")
-    return buf.getvalue()

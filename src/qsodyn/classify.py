@@ -3,7 +3,7 @@ vertex stability, and strict-contraction criteria."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -325,18 +325,6 @@ def strict_contraction_2d(V: QsoOperator) -> Contraction2D:
     )
 
 
-def order_checks_to_dict(necessary: NecessaryReport, verdict: NumericOrderVerdict) -> dict:
-    """Report fields shared by ``validate`` and ``classify``."""
-    witness = verdict.witness_point
-    return {
-        "necessary_conditions": [asdict(c) for c in necessary.conditions],
-        "numeric_b_verdict": {
-            **asdict(verdict),
-            "witness_point": list(witness.coords) if witness else None,
-        },
-    }
-
-
 @dataclass(frozen=True)
 class ClassificationReport:
     """Aggregate of every certificate applicable to the operator's dimension."""
@@ -350,22 +338,6 @@ class ClassificationReport:
     contraction: ContractionResult
     contraction_1d: Optional[bool] = None
     contraction_2d: Optional[Contraction2D] = None
-
-    def to_dict(self) -> dict:
-        d = {
-            "n": self.n,
-            **order_checks_to_dict(self.necessary, self.numeric_b_verdict),
-            "uniqueness_conditions_met": self.uniqueness.met,
-            "uniqueness_violations": self.uniqueness.violations,
-            "vertex_stability": self.vertex_stability,
-            "vertex_eigenvalues": self.vertex_eigenvalues,
-            "contraction": asdict(self.contraction),
-        }
-        if self.contraction_1d is not None:
-            d["contraction_1d"] = self.contraction_1d
-        if self.contraction_2d is not None:
-            d["contraction_2d"] = asdict(self.contraction_2d)
-        return d
 
 
 def classify_operator(V: QsoOperator, seed: int = 0) -> ClassificationReport:

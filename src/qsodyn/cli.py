@@ -1,10 +1,12 @@
 """Command-line front end: spec ingestion, command dispatch, deterministic
-report emission (JSON/CSV)."""
+report emission (JSON/CSV). Every report is built here; the library modules
+return dataclasses and know no key name or CSV header."""
 
 from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -12,20 +14,9 @@ import click
 import numpy as np
 
 from . import __version__
-from .abscont import (
-    CylinderClass,
-    VaParams,
-    cylinder_discrepancy_log,
-    rn_series,
-    rn_series_csv,
-)
-from .classify import (
-    check_necessary_bbistochastic,
-    classify_operator,
-    order_checks_to_dict,
-    verify_bbistochastic_numeric,
-)
-from .markov import CylinderSet, TransitionFamily, cylinder_measure, mixing_series, mixing_series_csv
+from .abscont import CylinderClass, VaParams, cylinder_discrepancy_log, rn_series
+from .classify import check_necessary_bbistochastic, classify_operator, verify_bbistochastic_numeric
+from .markov import CylinderSet, TransitionFamily, cylinder_measure, mixing_series
 from .operator import TensorError, evaluate, find_fixed_points, trajectory
 from .simplex import SimplexError, make_point, partial_sum
 from .specfile import SpecFileError, load_spec, spec_hash
@@ -102,6 +93,25 @@ def _emit(payload: dict, out: Optional[str], name: str):
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out, f"{name}.json")
 
 
+def _emit_csv(header: list, rows, out: Optional[str], name: str):
+    """One header line, then one line per row with every number as %.17g
+    (integers print as themselves)."""
+    lines = [",".join(header)] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+    _write("\n".join(lines) + "\n", out, f"{name}.csv")
+
+
+def _order_checks(necessary, verdict) -> dict:
+    """Report fields shared by ``validate`` and ``classify``."""
+    witness = verdict.witness_point
+    return {
+        "necessary_conditions": [asdict(c) for c in necessary.conditions],
+        "numeric_b_verdict": {
+            **asdict(verdict),
+            "witness_point": list(witness.coords) if witness else None,
+        },
+    }
+
+
 @click.group()
 @click.version_option(__version__)
 def main():
@@ -126,7 +136,7 @@ def validate(spec_path, symmetrize, seed, out):
     result = {
         "n": V.n,
         "tensor_valid": True,
-        **order_checks_to_dict(
+        **_order_checks(
             check_necessary_bbistochastic(V), verify_bbistochastic_numeric(V, seed=seed)
         ),
     }
@@ -147,8 +157,21 @@ def classify(spec_path, symmetrize, seed, out):
     V = _load_operator(spec_path, symmetrize)
     _require(seed >= 0, f"--seed must be >= 0, got {seed}")
     report = classify_operator(V, seed=seed)
+    result = {
+        "n": report.n,
+        **_order_checks(report.necessary, report.numeric_b_verdict),
+        "uniqueness_conditions_met": report.uniqueness.met,
+        "uniqueness_violations": report.uniqueness.violations,
+        "vertex_stability": report.vertex_stability,
+        "vertex_eigenvalues": report.vertex_eigenvalues,
+        "contraction": asdict(report.contraction),
+    }
+    if report.contraction_1d is not None:
+        result["contraction_1d"] = report.contraction_1d
+    if report.contraction_2d is not None:
+        result["contraction_2d"] = asdict(report.contraction_2d)
     _emit(
-        _envelope(spec_path, {"symmetrize": symmetrize, "seed": seed}, report.to_dict()),
+        _envelope(spec_path, {"symmetrize": symmetrize, "seed": seed}, result),
         out,
         "classify",
     )
@@ -183,17 +206,13 @@ def iterate(spec_path, symmetrize, x_text, steps, tol, max_iter, out):
         + [f"U_{k}" for k in range(1, n)]
         + ["step_l1"]
     )
-    lines = [",".join(header)]
+    rows = []
     prev = None
     for step, p in enumerate(path):
-        row = [str(step)]
-        row += [f"{v:.17g}" for v in p.coords]
-        row += [f"{partial_sum(p, k):.17g}" for k in range(1, n)]
         delta = 0.0 if prev is None else float(np.abs(p.as_array() - prev.as_array()).sum())
-        row.append(f"{delta:.17g}")
+        rows.append([step, *p.coords, *(partial_sum(p, k) for k in range(1, n)), delta])
         prev = p
-        lines.append(",".join(row))
-    _write("\n".join(lines) + "\n", out, "iterate.csv")
+    _emit_csv(header, rows, out, "iterate")
 
 
 @main.command("fixed-points")
@@ -264,7 +283,7 @@ def mixing(spec_path, symmetrize, x_text, a_text, b_text, m_max, out):
         series = mixing_series(fam, A, B, m_max)
     except ValueError as exc:
         _die(EXIT_VALIDATION, "validation_error", str(exc))
-    _write(mixing_series_csv(series), out, "mixing.csv")
+    _emit_csv(["m", "tau_m", "bound_m"], series.terms, out, "mixing")
 
 
 @main.command()
@@ -287,7 +306,7 @@ def abscont(a, a2, x_text, y_text, m_max, fmt, out):
     except ValueError as exc:
         _die(EXIT_VALIDATION, "validation_error", str(exc))
     if fmt == "csv":
-        _write(rn_series_csv(report), out, "abscont.csv")
+        _emit_csv(["m", "K_term", "Khat_term", "partial_sum"], report.terms, out, "abscont")
         return
     disc = cylinder_discrepancy_log(
         num,
@@ -301,19 +320,28 @@ def abscont(a, a2, x_text, y_text, m_max, fmt, out):
             CylinderClass.two_one(3),
         ],
     )
-    result = report.to_dict()
-    result["closed_form_discrepancies"] = [
-        {
-            "kind": c.kind,
-            "l": c.l,
-            "m": c.m,
-            "k": c.k,
-            "constructive": cons,
-            "printed": printed,
-            "abs_difference": d,
-        }
-        for c, cons, printed, d in disc
-    ]
+    result = {
+        "numerator": {"a": report.numerator.a, "x1": report.numerator.x1},
+        "denominator": {"a": report.denominator.a, "x1": report.denominator.x1},
+        "terms": [
+            {"m": m, "K_term": k, "Khat_term": kh, "partial_sum": s}
+            for m, k, kh, s in report.terms
+        ],
+        "classification": report.classification,
+        "exceptional_set_note": report.exceptional_set_note,
+        "closed_form_discrepancies": [
+            {
+                "kind": c.kind,
+                "l": c.l,
+                "m": c.m,
+                "k": c.k,
+                "constructive": cons,
+                "printed": printed,
+                "abs_difference": d,
+            }
+            for c, cons, printed, d in disc
+        ],
+    }
     config = {"a": a, "a2": a2, "x": list(x.coords), "y": list(y.coords), "m_max": m_max}
     _emit(_envelope(None, config, result), out, "abscont")
 

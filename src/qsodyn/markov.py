@@ -19,7 +19,6 @@ no mpmath context, global or private, is read or changed.
 
 from __future__ import annotations
 
-import io
 import math
 import threading
 from dataclasses import dataclass
@@ -328,11 +327,3 @@ def mixing_series(family: TransitionFamily, A: CylinderSet, B: CylinderSet, m_ma
     tail = [t for _, t, _ in terms[-3:]]
     mixing = len(tail) == 3 and all(t < 1e-10 for t in tail)
     return MixingSeries(A=A, B=B, terms=terms, numerically_mixing=mixing)
-
-
-def mixing_series_csv(series: MixingSeries) -> str:
-    buf = io.StringIO()
-    buf.write("m,tau_m,bound_m\n")
-    for m, tau, bound in series.terms:
-        buf.write(f"{m},{tau:.17g},{bound:.17g}\n")
-    return buf.getvalue()

@@ -85,13 +85,15 @@ class QsoOperator:
 def make_operator(tensor: HeredityTensor, symmetrize: bool = False) -> QsoOperator:
     """Validate (and optionally symmetrize) a heredity tensor.
 
-    Checks, each to within EPS_COEF: at least two states, entries in [0, 1],
-    symmetry in the first two indices, and unit mass over the third index
-    for every pair.
+    Checks: at least two states and an (n, n, n) array; then, each to within
+    EPS_COEF, entries in [0, 1], symmetry in the first two indices, and unit
+    mass over the third index for every pair.
     """
     n = tensor.n
     if n < 2:
         raise TensorError(f"n must be >= 2, got {n}")
+    if np.shape(tensor.p) != (n, n, n):
+        raise TensorError(f"tensor shape must be {(n, n, n)}, got {np.shape(tensor.p)}")
     p = tensor.p.copy()
     if symmetrize:
         p = 0.5 * (p + p.transpose(1, 0, 2))

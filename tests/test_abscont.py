@@ -9,7 +9,6 @@ from qsodyn.abscont import (
     conditional_expectation_term,
     cylinder_discrepancy_log,
     rn_series,
-    rn_series_csv,
     va_cylinder_closed_form,
     va_operator,
     va_transition_closed_form,
@@ -101,6 +100,23 @@ class TestCylinderClosedForms:
             CylinderClass.ones_then_twos(2, 3, 5)
         with pytest.raises(ValueError):
             CylinderClass.all_ones(4, 2)
+
+    @pytest.mark.parametrize(
+        "kind,l,m,k,message",
+        [
+            ("ones_then_twos", 0, 5, 9, "need l <= k <= m-1, got l=0, k=9, m=5"),
+            ("ones_then_twos", 3, 5, 1, "need l <= k <= m-1, got l=3, k=1, m=5"),
+            ("all_ones", -2, 3, 0, "window start must be >= 0, got l=-2"),
+            ("two_one", 0, 0, -1, "need k >= 0, got k=-1"),
+        ],
+        ids=["k_past_window", "k_before_window", "negative_start", "two_one_negative_k"],
+    )
+    def test_constructor_checks_the_window(self, kind, l, m, k, message):
+        """The dataclass constructor, not only the classmethods, rejects a
+        window that does not exist."""
+        with pytest.raises(ValueError) as err:
+            CylinderClass(kind, l=l, m=m, k=k)
+        assert str(err.value) == message
 
     def test_discrepancy_localized(self):
         params = VaParams.of(0.6, 0.7)
@@ -195,15 +211,3 @@ class TestRnSeries:
         assert [(m, k, kh) for m, k, kh, _ in r.terms] == [
             (m, *conditional_expectation_term(num, den, m)) for m in range(1, 41)
         ]
-
-    def test_csv_shape(self):
-        r = rn_series(VaParams.of(0.5, 0.3), VaParams.of(0.5, 0.6), 5)
-        lines = rn_series_csv(r).strip().splitlines()
-        assert lines[0] == "m,K_term,Khat_term,partial_sum"
-        assert len(lines) == 6
-
-    def test_report_dict(self):
-        r = rn_series(VaParams.of(0.5, 0.3), VaParams.of(0.5, 0.6), 4)
-        d = r.to_dict()
-        assert d["numerator"] == {"a": 0.5, "x1": 0.3}
-        assert len(d["terms"]) == 4

@@ -385,12 +385,12 @@ class TestContraction:
 class TestAggregateReport:
     def test_report_shape(self, three_vertex_operator):
         rep = classify_operator(three_vertex_operator)
-        d = rep.to_dict()
-        assert d["n"] == 3
-        assert d["vertex_stability"] == "attracting"
-        assert not d["uniqueness_conditions_met"]
-        assert not d["contraction"]["is_strict"]
-        assert "contraction_2d" in d
+        assert rep.n == 3
+        assert rep.vertex_stability == "attracting"
+        assert not rep.uniqueness.met
+        assert not rep.contraction.is_strict
+        assert rep.contraction_1d is None
+        assert rep.contraction_2d is not None
         assert rep.necessary.by_name("cumulative_mass").passed
 
     def test_1d_branch(self):

@@ -221,6 +221,16 @@ class TestMixing:
         taus = [float(line.split(",")[1]) for line in lines[1:]]
         assert taus[-1] < 1e-10
 
+    def test_one_row_per_shift(self, runner):
+        result = runner.invoke(
+            main,
+            ["mixing", "--spec", fixture_path("va_a05"), "--x", "0.5,0.5", "--A", "0:1", "--B", "0:1", "--m-max", "4"],
+        )
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        assert lines[0] == "m,tau_m,bound_m"
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3", "4"]
+
     def test_bad_cylinder_syntax(self, runner):
         result = runner.invoke(
             main,
@@ -267,17 +277,48 @@ class TestAbscont:
     def test_csv_format(self, runner):
         result = runner.invoke(
             main,
-            ["abscont", "--a", "0.5", "--x", "0.3,0.7", "--y", "0.6,0.4", "--format", "csv"],
+            ["abscont", "--a", "0.5", "--x", "0.3,0.7", "--y", "0.6,0.4", "--m-max", "5", "--format", "csv"],
         )
         assert result.exit_code == 0
-        assert result.output.splitlines()[0] == "m,K_term,Khat_term,partial_sum"
+        lines = result.output.splitlines()
+        assert lines[0] == "m,K_term,Khat_term,partial_sum"
+        assert len(lines) == 6
+
+    def test_report_fields(self, runner):
+        r = run_json(
+            runner, ["abscont", "--a", "0.5", "--x", "0.3,0.7", "--y", "0.6,0.4", "--m-max", "4"]
+        )["result"]
+        assert r["numerator"] == {"a": 0.5, "x1": 0.3}
+        assert r["denominator"] == {"a": 0.5, "x1": 0.6}
+        assert [t["m"] for t in r["terms"]] == [1, 2, 3, 4]
 
 
-def test_out_directory(runner, tmp_path):
+SPEC = ["--spec", fixture_path("va_a05")]
+ABSCONT_ARGS = ["abscont", "--a", "0.5", "--x", "0.3,0.7", "--y", "0.6,0.4"]
+
+
+@pytest.mark.parametrize(
+    "args,filename",
+    [
+        (["validate", *SPEC], "validate.json"),
+        (["classify", *SPEC], "classify.json"),
+        (["fixed-points", *SPEC], "fixed_points.json"),
+        (["markov", *SPEC, "--x", "0.5,0.5", "--horizon", "3"], "markov.json"),
+        (["iterate", *SPEC, "--x", "0.5,0.5"], "iterate.csv"),
+        (["mixing", *SPEC, "--x", "0.5,0.5", "--A", "0:1", "--B", "0:1"], "mixing.csv"),
+        (ABSCONT_ARGS, "abscont.json"),
+        ([*ABSCONT_ARGS, "--format", "csv"], "abscont.csv"),
+    ],
+    ids=["validate", "classify", "fixed-points", "markov", "iterate", "mixing", "abscont-json", "abscont-csv"],
+)
+def test_out_directory(runner, tmp_path, args, filename):
+    """With --out, a command prints nothing and writes exactly the bytes it
+    prints without --out, to one file named after the command."""
+    printed = runner.invoke(main, args)
+    assert printed.exit_code == 0, printed.output
     out = tmp_path / "reports"
-    result = runner.invoke(
-        main,
-        ["validate", "--spec", fixture_path("va_a05"), "--out", str(out)],
-    )
-    assert result.exit_code == 0
-    assert (out / "validate.json").exists()
+    written = runner.invoke(main, [*args, "--out", str(out)])
+    assert written.exit_code == 0, written.output
+    assert written.stdout_bytes == b""
+    assert [p.name for p in out.iterdir()] == [filename]
+    assert (out / filename).read_bytes() == printed.stdout_bytes

@@ -16,7 +16,6 @@ from qsodyn.markov import (
     cylinder_measure_log,
     mixing_gap,
     mixing_series,
-    mixing_series_csv,
     shift_cylinder,
 )
 from qsodyn.simplex import make_point
@@ -168,12 +167,6 @@ class TestMixing:
     def test_series_skips_overlapping_shifts(self, half_family):
         series = mixing_series(half_family, CylinderSet(0, (1, 1, 1)), CylinderSet(0, (1,)), 8)
         assert series.terms[0][0] == 3
-
-    def test_csv_format(self, half_family):
-        series = mixing_series(half_family, CylinderSet(0, (1,)), CylinderSet(0, (1,)), 4)
-        lines = mixing_series_csv(series).strip().splitlines()
-        assert lines[0] == "m,tau_m,bound_m"
-        assert len(lines) == 5
 
 
 def run_threaded(jobs):

@@ -69,6 +69,16 @@ class TestMakeOperator:
             make_operator(HeredityTensor(1, np.ones((1, 1, 1))))
         assert str(built.value) == str(parsed.value) == "n must be >= 2, got 1"
 
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3, 2)])
+    def test_shape_must_match_n(self, shape):
+        """A 3-state tensor whose array is not (3, 3, 3) is rejected up front,
+        before classify_operator or find_fixed_points index past its end."""
+        p = np.zeros(shape)
+        p[..., -1] = 1.0
+        with pytest.raises(TensorError) as err:
+            make_operator(HeredityTensor(3, p))
+        assert str(err.value) == f"tensor shape must be (3, 3, 3), got {shape}"
+
 
 class TestEvaluate:
     def test_hand_value(self):
