@@ -63,10 +63,6 @@ class VaParams:
         return cls(a, make_point([x1, 1.0 - x1]))
 
 
-def _pow2(k: int) -> int:
-    return 1 << k
-
-
 @dataclass(frozen=True)
 class ClosedFormTransition:
     linear: np.ndarray  # 2x2 floats
@@ -78,7 +74,7 @@ def va_transition_closed_form(params: VaParams, k: int) -> ClosedFormTransition:
     if k < 0:
         raise ValueError("k must be >= 0")
     ax = params.a * params.x1
-    e = _pow2(k)
+    e = 1 << k
     if ax == 0.0:
         h11, log_h11 = 0.0, float("-inf")
     elif ax == 1.0:
@@ -107,22 +103,6 @@ class CylinderClass:
     m: int = 0
     k: int = 0
 
-    @classmethod
-    def all_ones(cls, l: int, m: int) -> "CylinderClass":
-        return cls("all_ones", l=l, m=m)
-
-    @classmethod
-    def all_twos(cls, l: int, m: int) -> "CylinderClass":
-        return cls("all_twos", l=l, m=m)
-
-    @classmethod
-    def ones_then_twos(cls, l: int, m: int, k: int) -> "CylinderClass":
-        return cls("ones_then_twos", l=l, m=m, k=k)
-
-    @classmethod
-    def two_one(cls, k: int) -> "CylinderClass":
-        return cls("two_one", k=k)
-
     def __post_init__(self):
         if self.kind not in {"all_ones", "all_twos", "ones_then_twos", "two_one"}:
             raise ValueError(f"unknown cylinder kind {self.kind!r}")
@@ -149,10 +129,10 @@ def _constructive_mpf(params: VaParams, c: CylinderClass):
     def traj_x1(t: int):
         if t == 0:
             return x1
-        return a ** (_pow2(t) - 1) * x1 ** _pow2(t)
+        return a ** ((1 << t) - 1) * x1 ** (1 << t)
 
     def h11(t: int):
-        return (a * x1) ** _pow2(t)
+        return (a * x1) ** (1 << t)
 
     if c.kind == "two_one":
         return _CTX.zero
@@ -181,12 +161,12 @@ def _printed_mpf(params: VaParams, c: CylinderClass):
     if c.kind == "all_ones":
         if a == 0:
             return _CTX.zero if c.m > 0 or x1 == 0 else x1
-        return a ** (_pow2(c.m) - half_exp) * x1 ** _pow2(c.m)
+        return a ** ((1 << c.m) - half_exp) * x1 ** (1 << c.m)
     if c.kind == "all_twos":
-        return 1 - a**half_exp * x1 ** _pow2(c.l)
+        return 1 - a**half_exp * x1 ** (1 << c.l)
     if a == 0:
         return _CTX.zero
-    return a ** (_pow2(c.k) - half_exp) * x1 ** _pow2(c.k) * (1 - (a * x1) ** _pow2(c.k))
+    return a ** ((1 << c.k) - half_exp) * x1 ** (1 << c.k) * (1 - (a * x1) ** (1 << c.k))
 
 
 @dataclass(frozen=True)
@@ -230,8 +210,16 @@ def _stay_rate(params: VaParams):
 
 
 def _expectation_term(num_rate, den_rate, m: int):
-    """conditional_expectation_term from the two stay rates a * x1."""
-    e = _pow2(m - 1)
+    """The two surviving series contributions at step m >= 1, from the two
+    stay rates a * x1.
+
+    K: squared deviation of the escape-probability ratio, weighted by the
+    numerator's escape probability on the ones-then-exit event.
+    K_hat: squared deviation of the stay-probability ratio, weighted by the
+    numerator's stay probability on the all-ones event. Both >= 0; infinite
+    when the denominator's mass vanishes while the numerator's does not.
+    """
+    e = 1 << (m - 1)
     p = num_rate**e  # numerator stay probability
     q = den_rate**e
     # escape-ratio term
@@ -247,20 +235,6 @@ def _expectation_term(num_rate, den_rate, m: int):
         khat = (1 - p / q) ** 2 * p
     # a term past the double range reads inf
     return float(k_term), float(khat)
-
-
-def conditional_expectation_term(num: VaParams, den: VaParams, m: int):
-    """The two surviving series contributions at step m.
-
-    K: squared deviation of the escape-probability ratio, weighted by the
-    numerator's escape probability on the ones-then-exit event.
-    K_hat: squared deviation of the stay-probability ratio, weighted by the
-    numerator's stay probability on the all-ones event. Both >= 0; infinite
-    when the denominator's mass vanishes while the numerator's does not.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return _expectation_term(_stay_rate(num), _stay_rate(den), m)
 
 
 @dataclass(frozen=True)
@@ -290,18 +264,20 @@ def rn_series(num: VaParams, den: VaParams, m_max: int) -> RNSeriesReport:
     """Partial sums of the conditional second-moment series, with an
     evidence-level convergence verdict (never a proof).
 
-    When the numerator's stay rate exceeds the denominator's, the stay-event
-    contribution lives only on the single all-ones trajectory, which carries
-    zero mass for both chains in the limit; that exceptional trajectory is
-    excluded from the accumulated series and reported in the note, matching
-    the almost-sure form of the convergence dichotomy.
+    When the numerator's stay rate exceeds the denominator's and is below 1,
+    the stay-event contribution lives only on the single all-ones trajectory,
+    which carries zero mass for both chains in the limit; that exceptional
+    trajectory is excluded from the accumulated series and reported in the
+    note, matching the almost-sure form of the convergence dichotomy.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
     # a zero denominator stay rate against a positive numerator one is a
-    # finite-horizon singular witness, not a limit phenomenon; keep it
+    # finite-horizon singular witness, not a limit phenomenon; keep it. At a
+    # numerator stay rate of 1 that chain never leaves state 1, so the
+    # all-ones trajectory carries all of its mass; keep it too
     den_stay = den.a * den.x1
-    exceptional = num.a * num.x1 > den_stay > 0.0
+    exceptional = 1.0 > num.a * num.x1 > den_stay > 0.0
     terms = []
     partial = 0.0
     num_rate, den_rate = _stay_rate(num), _stay_rate(den)

@@ -83,8 +83,11 @@ def _write(text: str, out: Optional[str], filename: str):
     """text to stdout, or to the file filename under the directory out."""
     if out:
         path = Path(out)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / filename).write_text(text)
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+            (path / filename).write_text(text)
+        except OSError as exc:
+            _die(EXIT_VALIDATION, "validation_error", f"cannot write to --out {out!r}: {exc}")
     else:
         click.echo(text, nl=False)
 
@@ -311,13 +314,13 @@ def abscont(a, a2, x_text, y_text, m_max, fmt, out):
     disc = cylinder_discrepancy_log(
         num,
         [
-            CylinderClass.all_ones(0, 4),
-            CylinderClass.all_ones(2, 5),
-            CylinderClass.all_twos(0, 4),
-            CylinderClass.all_twos(2, 5),
-            CylinderClass.ones_then_twos(0, 5, 2),
-            CylinderClass.ones_then_twos(2, 6, 3),
-            CylinderClass.two_one(3),
+            CylinderClass("all_ones", 0, 4),
+            CylinderClass("all_ones", 2, 5),
+            CylinderClass("all_twos", 0, 4),
+            CylinderClass("all_twos", 2, 5),
+            CylinderClass("ones_then_twos", 0, 5, 2),
+            CylinderClass("ones_then_twos", 2, 6, 3),
+            CylinderClass("two_one", k=3),
         ],
     )
     result = {

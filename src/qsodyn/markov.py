@@ -283,47 +283,29 @@ class MixingSeries:
     A: CylinderSet
     B: CylinderSet
     terms: list  # list of (m, tau_m, bound_m)
-    numerically_mixing: bool
 
 
-def _gap_terms(family: TransitionFamily, A: CylinderSet, B: CylinderSet, m_min: int, m_max: int):
-    """(m, tau_m, bound_m) of mixing_gap for m = m_min..m_max, along the
-    stored running products from A's window end."""
+def mixing_series(family: TransitionFamily, A: CylinderSet, B: CylinderSet, m_max: int) -> MixingSeries:
+    """Correlation gap tau_m between A and the m-shifted B, with its bound,
+    for every shift m <= m_max that puts B after A's window.
+
+    tau_m = (common chain factors) * |H^[l, s+m]_{i_l j_s} - x^(s+m)_{j_s}|
+    with l = A's window end and s = B's window start; the bound is the bare
+    absolute difference. Each tau_m is read along the stored running
+    products from time l.
+    """
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
     l = A.end
     s = B.start
-    if l >= s + m_min:
-        raise ValueError(
-            f"windows overlap: A ends at {l}, shifted B starts at {s + m_min}"
-        )
     _check_states(family, B)
     prefix = _cylinder_measure_pair(family, A)
     i, j = A.states[-1] - 1, B.states[0] - 1
     prec = family._prec
-    for m in range(m_min, m_max + 1):
+    terms = []
+    for m in range(max(1, l - s + 1), m_max + 1):
         diff = _add(family._product(l, s + m)[i][j], family._point(s + m)[j], prec, sub=True)
         suffix = _chain_factors(family, _ONE, shift_cylinder(B, m))
         tau = _mul(_mul(prefix, suffix, prec), diff, prec)
-        yield m, _to_float(tau), _to_float(diff)
-
-
-def mixing_gap(family: TransitionFamily, A: CylinderSet, B: CylinderSet, m: int):
-    """Correlation gap tau_m between A and the m-shifted B, plus its bound.
-
-    tau_m = (common chain factors) * |H^[l, s+m]_{i_l j_s} - x^(s+m)_{j_s}|
-    with l = A's window end and s = B's window start; the bound is the bare
-    absolute difference. Requires A's window to end before the shifted B begins.
-    """
-    ((_, tau, bound),) = _gap_terms(family, A, B, m, m)
-    return tau, bound
-
-
-def mixing_series(family: TransitionFamily, A: CylinderSet, B: CylinderSet, m_max: int) -> MixingSeries:
-    """tau_m and its bound for every admissible shift up to m_max; numerically
-    mixing when the last three tau_m are below 1e-10."""
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    m_min = max(1, A.end - B.start + 1)
-    terms = list(_gap_terms(family, A, B, m_min, m_max))
-    tail = [t for _, t, _ in terms[-3:]]
-    mixing = len(tail) == 3 and all(t < 1e-10 for t in tail)
-    return MixingSeries(A=A, B=B, terms=terms, numerically_mixing=mixing)
+        terms.append((m, _to_float(tau), _to_float(diff)))
+    return MixingSeries(A=A, B=B, terms=terms)

@@ -78,9 +78,6 @@ class QsoOperator:
     def n(self) -> int:
         return self.tensor.n
 
-    def __call__(self, x: SimplexPoint) -> SimplexPoint:
-        return evaluate(self, x)
-
 
 def make_operator(tensor: HeredityTensor, symmetrize: bool = False) -> QsoOperator:
     """Validate (and optionally symmetrize) a heredity tensor.

@@ -96,11 +96,6 @@ def vertex(n: int, i: int) -> SimplexPoint:
     return SimplexPoint(tuple(coords))
 
 
-def terminal_vertex(n: int) -> SimplexPoint:
-    """(0, ..., 0, 1): minimal element of the prefix-sum order."""
-    return vertex(n, n)
-
-
 def partial_sum(x: SimplexPoint, k: int) -> float:
     """Sum of the first k coordinates, 1 <= k <= n-1."""
     if not 1 <= k <= x.n - 1:

@@ -6,7 +6,6 @@ import pytest
 from qsodyn.abscont import (
     CylinderClass,
     VaParams,
-    conditional_expectation_term,
     cylinder_discrepancy_log,
     rn_series,
     va_cylinder_closed_form,
@@ -15,18 +14,17 @@ from qsodyn.abscont import (
 )
 from qsodyn.classify import check_uniqueness_conditions
 from qsodyn.markov import TransitionFamily
+from qsodyn.operator import evaluate
 from qsodyn.simplex import make_point
 
 
 class TestVaOperator:
     def test_a_zero_kills_first_coordinate(self):
-        V = va_operator(0.0)
-        y = V(make_point([0.7, 0.3]))
+        y = evaluate(va_operator(0.0), make_point([0.7, 0.3]))
         assert y.coords == (0.0, 1.0)
 
     def test_a_one_squares(self):
-        V = va_operator(1.0)
-        y = V(make_point([0.6, 0.4]))
+        y = evaluate(va_operator(1.0), make_point([0.6, 0.4]))
         assert y[0] == pytest.approx(0.36, abs=1e-15)
 
     def test_uniqueness_conditions_below_one(self):
@@ -69,15 +67,15 @@ class TestClosedFormTransitions:
 
 class TestCylinderClosedForms:
     def test_two_one_zero(self):
-        v = va_cylinder_closed_form(VaParams.of(0.5, 0.5), CylinderClass.two_one(3))
+        v = va_cylinder_closed_form(VaParams.of(0.5, 0.5), CylinderClass("two_one", k=3))
         assert v.constructive == 0.0
 
     def test_all_ones_hand_value(self):
-        v = va_cylinder_closed_form(VaParams.of(0.5, 0.5), CylinderClass.all_ones(0, 1))
+        v = va_cylinder_closed_form(VaParams.of(0.5, 0.5), CylinderClass("all_ones", 0, 1))
         assert v.constructive == pytest.approx(0.125, abs=1e-15)
 
     def test_all_twos_from_vertex(self):
-        v = va_cylinder_closed_form(VaParams.of(0.5, 0.0), CylinderClass.all_twos(0, 6))
+        v = va_cylinder_closed_form(VaParams.of(0.5, 0.0), CylinderClass("all_twos", 0, 6))
         assert v.constructive == 1.0
 
     def test_matches_chain_product(self):
@@ -86,10 +84,10 @@ class TestCylinderClosedForms:
         from qsodyn.markov import CylinderSet, cylinder_measure
 
         cases = [
-            (CylinderClass.all_ones(1, 4), CylinderSet(1, (1, 1, 1, 1))),
-            (CylinderClass.all_twos(2, 5), CylinderSet(2, (2, 2, 2, 2))),
-            (CylinderClass.ones_then_twos(0, 4, 2), CylinderSet(0, (1, 1, 1, 2, 2))),
-            (CylinderClass.two_one(1), CylinderSet(1, (2, 1))),
+            (CylinderClass("all_ones", 1, 4), CylinderSet(1, (1, 1, 1, 1))),
+            (CylinderClass("all_twos", 2, 5), CylinderSet(2, (2, 2, 2, 2))),
+            (CylinderClass("ones_then_twos", 0, 4, 2), CylinderSet(0, (1, 1, 1, 2, 2))),
+            (CylinderClass("two_one", k=1), CylinderSet(1, (2, 1))),
         ]
         for cls, cyl in cases:
             closed = va_cylinder_closed_form(params, cls).constructive
@@ -97,9 +95,9 @@ class TestCylinderClosedForms:
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
-            CylinderClass.ones_then_twos(2, 3, 5)
+            CylinderClass("ones_then_twos", 2, 3, 5)
         with pytest.raises(ValueError):
-            CylinderClass.all_ones(4, 2)
+            CylinderClass("all_ones", 4, 2)
 
     @pytest.mark.parametrize(
         "kind,l,m,k,message",
@@ -112,8 +110,7 @@ class TestCylinderClosedForms:
         ids=["k_past_window", "k_before_window", "negative_start", "two_one_negative_k"],
     )
     def test_constructor_checks_the_window(self, kind, l, m, k, message):
-        """The dataclass constructor, not only the classmethods, rejects a
-        window that does not exist."""
+        """The constructor rejects a window that does not exist."""
         with pytest.raises(ValueError) as err:
             CylinderClass(kind, l=l, m=m, k=k)
         assert str(err.value) == message
@@ -121,11 +118,11 @@ class TestCylinderClosedForms:
     def test_discrepancy_localized(self):
         params = VaParams.of(0.6, 0.7)
         windows = [
-            CylinderClass.all_ones(0, 3),
-            CylinderClass.all_ones(1, 3),
-            CylinderClass.all_ones(2, 4),
-            CylinderClass.all_twos(1, 3),
-            CylinderClass.two_one(2),
+            CylinderClass("all_ones", 0, 3),
+            CylinderClass("all_ones", 1, 3),
+            CylinderClass("all_ones", 2, 4),
+            CylinderClass("all_twos", 1, 3),
+            CylinderClass("two_one", k=2),
         ]
         log = cylinder_discrepancy_log(params, windows)
         kinds = {(c.kind, c.l) for c, *_ in log}
@@ -140,17 +137,18 @@ class TestCylinderClosedForms:
 class TestSeriesTerms:
     def test_diagonal_zero(self):
         p = VaParams.of(0.5, 0.4)
+        terms = rn_series(p, p, 7).terms
         for m in (1, 3, 7):
-            assert conditional_expectation_term(p, p, m) == (0.0, 0.0)
+            assert terms[m - 1][:3] == (m, 0.0, 0.0)
 
     def test_hand_value(self):
-        k, khat = conditional_expectation_term(VaParams.of(0.5, 0.3), VaParams.of(0.5, 0.6), 1)
+        ((_, k, khat, _), _) = rn_series(VaParams.of(0.5, 0.3), VaParams.of(0.5, 0.6), 2).terms
         assert khat == pytest.approx(0.0375, abs=1e-15)
         assert k == pytest.approx((1 - 0.85 / 0.7) ** 2 * 0.85, abs=1e-12)
 
     def test_doubly_exponential_decay(self):
         num, den = VaParams.of(0.5, 0.3), VaParams.of(0.5, 0.6)
-        totals = [sum(conditional_expectation_term(num, den, m)) for m in range(1, 9)]
+        totals = [k + kh for _, k, kh, _ in rn_series(num, den, 8).terms]
         assert all(b < a for a, b in zip(totals[3:], totals[4:]))
         assert totals[-1] < 1e-12
 
@@ -159,7 +157,8 @@ class TestSeriesTerms:
         for _ in range(50):
             num = VaParams.of(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
             den = VaParams.of(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
-            k, khat = conditional_expectation_term(num, den, int(rng.integers(1, 10)))
+            m = int(rng.integers(1, 10))
+            _, k, khat, _ = rn_series(num, den, max(m, 2)).terms[m - 1]
             assert k >= 0.0 and khat >= 0.0
 
 
@@ -198,16 +197,9 @@ class TestRnSeries:
         with pytest.raises(ValueError):
             rn_series(VaParams.of(0.5, 0.3), VaParams.of(0.5, 0.6), 1)
 
-    @pytest.mark.parametrize(
-        "num, den",
-        [((0.5, 0.3), (0.5, 0.6)), ((0.5, 0.6), (0.5, 0.3)), ((0.3, 0.4), (0.7, 0.5)), ((0.5, 0.5), (0.5, 0.0)),
-         ((1.0, 1.0), (0.9, 0.2)), ((0.9, 0.2), (1.0, 1.0)), ((0.0, 0.5), (2.0 / 3.0, 0.9))],
-    )
-    def test_terms_equal_the_per_term_function(self, num, den):
-        """The series hoists each chain's stay rate a * x1 out of its loop;
-        every term keeps the bits of conditional_expectation_term."""
-        num, den = VaParams.of(*num), VaParams.of(*den)
-        r = rn_series(num, den, 40)
-        assert [(m, k, kh) for m, k, kh, _ in r.terms] == [
-            (m, *conditional_expectation_term(num, den, m)) for m in range(1, 41)
-        ]
+    def test_numerator_that_never_leaves_state_one_is_singular(self):
+        # at a * x1 = 1 the numerator chain stays at state 1 forever, so the
+        # all-ones trajectory carries all of its mass and is no exception
+        r = rn_series(VaParams.of(1.0, 1.0), VaParams.of(1.0, 0.5), 12)
+        assert r.classification == "singular_evidence"
+        assert r.exceptional_set_note == ""

@@ -31,7 +31,7 @@ from qsodyn.classify import (
 )
 from qsodyn.cli import main
 from qsodyn.generate import random_structured_tensor, random_structured_tensors
-from qsodyn.markov import CylinderSet, TransitionFamily, cylinder_measure, mixing_gap
+from qsodyn.markov import CylinderSet, TransitionFamily, cylinder_measure, mixing_series
 from qsodyn.operator import (
     HeredityTensor,
     _multistart,
@@ -43,7 +43,7 @@ from qsodyn.operator import (
     trajectory,
     vertex_eigenvalues,
 )
-from qsodyn.simplex import l1_distance, make_point, sample_simplex, terminal_vertex
+from qsodyn.simplex import l1_distance, make_point, sample_simplex, vertex
 
 
 def report(num, text):
@@ -87,7 +87,7 @@ def test_criterion_02_uniqueness_bounds_imply_unique_fixed_point():
             # the search itself, not find_fixed_points, which would answer
             # from the theorem that this criterion checks
             fps = _multistart(V, tol=1e-9)
-            assert rounded(fps.points) == {terminal_vertex(n).coords}, V.tensor.p
+            assert rounded(fps.points) == {vertex(n, n).coords}, V.tensor.p
             assert _unique_fixed_point_theorem(V.tensor.p), V.tensor.p
             checked += 1
     assert checked >= 500
@@ -201,8 +201,9 @@ def test_criterion_08_mixing_gap_decays():
     def check(a, x1, m_hi=14):
         fam = TransitionFamily(va_operator(a), make_point([x1, 1.0 - x1]))
         A = B = CylinderSet(0, (1,))
-        for m in range(1, m_hi + 1):
-            tau, bound = mixing_gap(fam, A, B, m)
+        terms = mixing_series(fam, A, B, m_hi).terms
+        assert [m for m, _, _ in terms] == list(range(1, m_hi + 1))
+        for m, tau, bound in terms:
             assert tau <= bound + 1e-12
             if m >= 10:
                 assert tau < 1e-8
@@ -231,16 +232,16 @@ def test_criterion_09_absolute_continuity_series():
 
     params = VaParams.of(0.6, 0.7)
     windows = {
-        ("all_ones", 0): CylinderClass.all_ones(0, 3),
-        ("all_ones", 1): CylinderClass.all_ones(1, 3),
-        ("all_ones", 2): CylinderClass.all_ones(2, 4),
-        ("all_twos", 0): CylinderClass.all_twos(0, 3),
-        ("all_twos", 1): CylinderClass.all_twos(1, 3),
-        ("all_twos", 2): CylinderClass.all_twos(2, 4),
-        ("ones_then_twos", 0): CylinderClass.ones_then_twos(0, 4, 2),
-        ("ones_then_twos", 1): CylinderClass.ones_then_twos(1, 4, 2),
-        ("ones_then_twos", 2): CylinderClass.ones_then_twos(2, 5, 3),
-        ("two_one", 0): CylinderClass.two_one(2),
+        ("all_ones", 0): CylinderClass("all_ones", 0, 3),
+        ("all_ones", 1): CylinderClass("all_ones", 1, 3),
+        ("all_ones", 2): CylinderClass("all_ones", 2, 4),
+        ("all_twos", 0): CylinderClass("all_twos", 0, 3),
+        ("all_twos", 1): CylinderClass("all_twos", 1, 3),
+        ("all_twos", 2): CylinderClass("all_twos", 2, 4),
+        ("ones_then_twos", 0): CylinderClass("ones_then_twos", 0, 4, 2),
+        ("ones_then_twos", 1): CylinderClass("ones_then_twos", 1, 4, 2),
+        ("ones_then_twos", 2): CylinderClass("ones_then_twos", 2, 5, 3),
+        ("two_one", 0): CylinderClass("two_one", k=2),
     }
     log = cylinder_discrepancy_log(params, list(windows.values()))
     got = {(c.kind, c.l) for c, *_ in log}

@@ -308,15 +308,26 @@ ABSCONT_ARGS = ["abscont", "--a", "0.5", "--x", "0.3,0.7", "--y", "0.6,0.4"]
         (["mixing", *SPEC, "--x", "0.5,0.5", "--A", "0:1", "--B", "0:1"], "mixing.csv"),
         (ABSCONT_ARGS, "abscont.json"),
         ([*ABSCONT_ARGS, "--format", "csv"], "abscont.csv"),
+        (["validate", *SPEC], None),
     ],
-    ids=["validate", "classify", "fixed-points", "markov", "iterate", "mixing", "abscont-json", "abscont-csv"],
+    ids=[
+        "validate", "classify", "fixed-points", "markov", "iterate", "mixing", "abscont-json", "abscont-csv",
+        "existing-file",
+    ],
 )
 def test_out_directory(runner, tmp_path, args, filename):
     """With --out, a command prints nothing and writes exactly the bytes it
-    prints without --out, to one file named after the command."""
+    prints without --out, to one file named after the command. An --out
+    that names an existing file (filename None) is a validation error that
+    leaves the file as it was."""
+    out = tmp_path / "reports"
+    if filename is None:
+        out.write_text("kept")
+        assert_validation_error(runner, [*args, "--out", str(out)])
+        assert out.read_text() == "kept"
+        return
     printed = runner.invoke(main, args)
     assert printed.exit_code == 0, printed.output
-    out = tmp_path / "reports"
     written = runner.invoke(main, [*args, "--out", str(out)])
     assert written.exit_code == 0, written.output
     assert written.stdout_bytes == b""

@@ -14,7 +14,6 @@ from qsodyn.markov import (
     TransitionFamily,
     cylinder_measure,
     cylinder_measure_log,
-    mixing_gap,
     mixing_series,
     shift_cylinder,
 )
@@ -135,22 +134,18 @@ class TestMixing:
     def test_gap_dominated_by_bound(self, half_family):
         A = CylinderSet(0, (1,))
         B = CylinderSet(0, (1,))
-        for m in range(1, 10):
-            tau, bound = mixing_gap(half_family, A, B, m)
+        terms = mixing_series(half_family, A, B, 9).terms
+        assert [m for m, _, _ in terms] == list(range(1, 10))
+        for _, tau, bound in terms:
             assert tau <= bound + 1e-12
-
-    def test_overlap_rejected(self, half_family):
-        with pytest.raises(ValueError):
-            mixing_gap(half_family, CylinderSet(0, (1, 1)), CylinderSet(0, (1,)), 1)
 
     def test_zero_prefix_measure(self):
         fam = TransitionFamily(va_operator(0.5), make_point([0.0, 1.0]))
-        tau, _ = mixing_gap(fam, CylinderSet(0, (1,)), CylinderSet(0, (1,)), 3)
-        assert tau == 0.0
+        m, tau, _ = mixing_series(fam, CylinderSet(0, (1,)), CylinderSet(0, (1,)), 3).terms[-1]
+        assert m == 3 and tau == 0.0
 
     def test_series_decays(self, half_family):
         series = mixing_series(half_family, CylinderSet(0, (1,)), CylinderSet(0, (1,)), 8)
-        assert series.numerically_mixing
         taus = [t for _, t, _ in series.terms]
         assert taus[-1] < taus[0]
         assert taus[-1] < 1e-10

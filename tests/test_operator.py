@@ -16,7 +16,7 @@ from qsodyn.operator import (
     trajectory,
     vertex_eigenvalues,
 )
-from qsodyn.simplex import b_leq, l1_distance, make_point, sample_array, sample_simplex, terminal_vertex, vertex
+from qsodyn.simplex import b_leq, l1_distance, make_point, sample_array, sample_simplex, vertex
 
 
 class TestMakeOperator:
@@ -90,7 +90,7 @@ class TestEvaluate:
     def test_terminal_vertex_fixed(self):
         for a in (0.0, 0.4, 1.0):
             V = va_operator(a)
-            assert evaluate(V, terminal_vertex(2)).coords == (0.0, 1.0)
+            assert evaluate(V, vertex(2, 2)).coords == (0.0, 1.0)
 
     def test_vertex_fixed_in_example(self, three_vertex_operator):
         x = vertex(3, 1)
@@ -190,12 +190,12 @@ class TestJacobian:
 
     def test_lower_triangular_at_terminal_vertex(self):
         for V in random_structured_tensors(4, 5, seed=42):
-            J = reduced_jacobian(V, terminal_vertex(4))
+            J = reduced_jacobian(V, vertex(4, 4))
             assert np.abs(np.triu(J, k=1)).max() <= 1e-14
 
     def test_vertex_eigenvalues_match_eigensolve(self):
         for V in random_structured_tensors(4, 10, seed=43):
-            J = reduced_jacobian(V, terminal_vertex(4))
+            J = reduced_jacobian(V, vertex(4, 4))
             numeric = np.sort(np.linalg.eigvals(J).real)
             claimed = np.sort(vertex_eigenvalues(V))
             assert np.allclose(numeric, claimed, atol=1e-10)

@@ -14,7 +14,6 @@ from qsodyn.simplex import (
     make_point,
     partial_sum,
     sample_simplex,
-    terminal_vertex,
     vertex,
 )
 
@@ -31,7 +30,7 @@ class TestMakePoint:
         assert p.coords == (0.2, 0.3, 0.5)
 
     def test_vertex(self):
-        assert make_point([0.0, 0.0, 1.0]) == terminal_vertex(3)
+        assert make_point([0.0, 0.0, 1.0]) == vertex(3, 3)
 
     def test_sum_off(self):
         with pytest.raises(SimplexError):
@@ -65,7 +64,7 @@ class TestPartialSum:
         assert partial_sum(x, 2) == pytest.approx(0.5)
 
     def test_terminal_vertex_is_zero(self):
-        x = terminal_vertex(3)
+        x = vertex(3, 3)
         assert partial_sum(x, 1) == 0.0
         assert partial_sum(x, 2) == 0.0
 
@@ -80,7 +79,7 @@ class TestPartialSum:
 class TestBOrder:
     def test_terminal_vertex_below_everything(self):
         for p in sample_simplex(4, 20, seed=11):
-            assert b_leq(terminal_vertex(4), p)
+            assert b_leq(vertex(4, 4), p)
 
     def test_violation_reported(self):
         v = b_leq(make_point([0.5, 0.5, 0.0]), make_point([0.2, 0.3, 0.5]))
