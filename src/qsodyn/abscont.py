@@ -9,19 +9,25 @@ H_11 at time k = (a*x1)^(2^k), with state 2 absorbing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .operator import QsoOperator, make_operator, tensor_from_entries
 from .simplex import SimplexPoint, make_point
 
-# every closed form is evaluated in this private context, never in mpmath's
-# global one, which other threads may be using at another precision
-_CTX = mpmath.MPContext()
-_CTX.dps = 40
+
+@functools.cache
+def _ctx():
+    """The private dps-40 context of every closed form, not mpmath's global one
+    that other threads may set; built on first use, so importing loads no mpmath."""
+    import mpmath
+    ctx = mpmath.MPContext()
+    ctx.dps = 40
+    return ctx
+
 
 TAIL_TOL = 1e-12
 DECREASE_FACTOR = 10.0
@@ -123,8 +129,9 @@ def _constructive_mpf(params: VaParams, c: CylinderClass):
 
     Uses x1 at time t = a^(2^t - 1) * x1^(2^t) and the one-step entries.
     """
-    a = _CTX.mpf(params.a)
-    x1 = _CTX.mpf(params.x1)
+    ctx = _ctx()
+    a = ctx.mpf(params.a)
+    x1 = ctx.mpf(params.x1)
 
     def traj_x1(t: int):
         if t == 0:
@@ -135,7 +142,7 @@ def _constructive_mpf(params: VaParams, c: CylinderClass):
         return (a * x1) ** (1 << t)
 
     if c.kind == "two_one":
-        return _CTX.zero
+        return ctx.zero
     if c.kind == "all_ones":
         acc = traj_x1(c.l)
         for t in range(c.l, c.m):
@@ -153,19 +160,20 @@ def _constructive_mpf(params: VaParams, c: CylinderClass):
 
 def _printed_mpf(params: VaParams, c: CylinderClass):
     """The tabulated closed-form values, taken verbatim (exponent 2^(l-1))."""
-    a = _CTX.mpf(params.a)
-    x1 = _CTX.mpf(params.x1)
-    half_exp = _CTX.mpf(2) ** (c.l - 1)  # fractional for l = 0, as written
+    ctx = _ctx()
+    a = ctx.mpf(params.a)
+    x1 = ctx.mpf(params.x1)
+    half_exp = ctx.mpf(2) ** (c.l - 1)  # fractional for l = 0, as written
     if c.kind == "two_one":
-        return _CTX.zero
+        return ctx.zero
     if c.kind == "all_ones":
         if a == 0:
-            return _CTX.zero if c.m > 0 or x1 == 0 else x1
+            return ctx.zero if c.m > 0 or x1 == 0 else x1
         return a ** ((1 << c.m) - half_exp) * x1 ** (1 << c.m)
     if c.kind == "all_twos":
         return 1 - a**half_exp * x1 ** (1 << c.l)
     if a == 0:
-        return _CTX.zero
+        return ctx.zero
     return a ** ((1 << c.k) - half_exp) * x1 ** (1 << c.k) * (1 - (a * x1) ** (1 << c.k))
 
 
@@ -184,7 +192,7 @@ def va_cylinder_closed_form(params: VaParams, c: CylinderClass) -> CylinderValue
     printed = _printed_mpf(params, c)
     return CylinderValue(
         constructive=float(cons),
-        constructive_log=float(_CTX.log(cons)),
+        constructive_log=float(_ctx().log(cons)),
         printed=float(printed),
         discrepancy=float(abs(cons - printed)),
     )
@@ -206,7 +214,8 @@ def cylinder_discrepancy_log(params: VaParams, windows: list) -> list:
 
 def _stay_rate(params: VaParams):
     """a * x1 in extended precision: the stay probability at time 0."""
-    return _CTX.mpf(params.a) * _CTX.mpf(params.x1)
+    ctx = _ctx()
+    return ctx.mpf(params.a) * ctx.mpf(params.x1)
 
 
 def _expectation_term(num_rate, den_rate, m: int):
@@ -224,13 +233,13 @@ def _expectation_term(num_rate, den_rate, m: int):
     q = den_rate**e
     # escape-ratio term
     if q == 1:
-        k_term = _CTX.zero if p == 1 else _CTX.inf
+        k_term = 0.0 if p == 1 else math.inf
     else:
         escape = 1 - p
         k_term = (1 - escape / (1 - q)) ** 2 * escape
     # stay-ratio term
     if q == 0:
-        khat = _CTX.zero if p == 0 else _CTX.inf
+        khat = 0.0 if p == 0 else math.inf
     else:
         khat = (1 - p / q) ** 2 * p
     # a term past the double range reads inf

@@ -36,13 +36,6 @@ class NecessaryReport:
 
     conditions: list  # list[ConditionReport]
 
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.conditions)
-
-    def by_name(self, name: str) -> ConditionReport:
-        return next(c for c in self.conditions if c.name == name)
-
 
 def check_necessary_bbistochastic(V: QsoOperator) -> NecessaryReport:
     """Coefficient-level necessary conditions, each with a first witness,

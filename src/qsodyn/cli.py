@@ -14,9 +14,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .abscont import CylinderClass, VaParams, cylinder_discrepancy_log, rn_series
-from .classify import check_necessary_bbistochastic, classify_operator, verify_bbistochastic_numeric
-from .markov import CylinderSet, TransitionFamily, cylinder_measure, mixing_series
+# classify, markov and abscont, and with them mpmath, load only in the commands calling them
 from .operator import TensorError, evaluate, find_fixed_points, trajectory
 from .simplex import SimplexError, make_point, partial_sum
 from .specfile import SpecFileError, load_spec, spec_hash
@@ -60,8 +58,9 @@ def _parse_point(text: str, n: Optional[int] = None):
     return x
 
 
-def _parse_cylinder(text: str) -> CylinderSet:
-    """Syntax 'l:i_l,i_{l+1},...', e.g. '0:1,2' pins states 1 then 2 from time 0."""
+def _parse_cylinder(text: str):
+    """A CylinderSet from 'l:i_l,i_{l+1},...'; '0:1,2' pins states 1 then 2 from time 0."""
+    from .markov import CylinderSet
     try:
         start_str, states_str = text.split(":")
         states = tuple(int(s) for s in states_str.split(","))
@@ -134,6 +133,7 @@ out_opt = click.option("--out", type=click.Path(), default=None)
 @out_opt
 def validate(spec_path, symmetrize, seed, out):
     """Tensor validation plus structural and numeric order checks."""
+    from .classify import check_necessary_bbistochastic, verify_bbistochastic_numeric
     V = _load_operator(spec_path, symmetrize)
     _require(seed >= 0, f"--seed must be >= 0, got {seed}")
     result = {
@@ -157,6 +157,7 @@ def validate(spec_path, symmetrize, seed, out):
 @out_opt
 def classify(spec_path, symmetrize, seed, out):
     """Full certificate report for the operator."""
+    from .classify import classify_operator
     V = _load_operator(spec_path, symmetrize)
     _require(seed >= 0, f"--seed must be >= 0, got {seed}")
     report = classify_operator(V, seed=seed)
@@ -248,6 +249,7 @@ def fixed_points(spec_path, symmetrize, tol, out):
 @out_opt
 def markov(spec_path, symmetrize, x_text, horizon, out):
     """Transition matrices up to the horizon plus basic cylinder measures."""
+    from .markov import CylinderSet, TransitionFamily, cylinder_measure
     V = _load_operator(spec_path, symmetrize)
     x = _parse_point(x_text, V.n)
     _require(horizon >= 0, f"--horizon must be >= 0, got {horizon}")
@@ -276,6 +278,7 @@ def markov(spec_path, symmetrize, x_text, horizon, out):
 @out_opt
 def mixing(spec_path, symmetrize, x_text, a_text, b_text, m_max, out):
     """Correlation-gap series CSV: m, tau_m, bound_m."""
+    from .markov import TransitionFamily, mixing_series
     V = _load_operator(spec_path, symmetrize)
     x = _parse_point(x_text, V.n)
     _require(m_max >= 1, f"--m-max must be >= 1, got {m_max}")
@@ -299,6 +302,7 @@ def mixing(spec_path, symmetrize, x_text, a_text, b_text, m_max, out):
 @out_opt
 def abscont(a, a2, x_text, y_text, m_max, fmt, out):
     """Likelihood-ratio second-moment series for the one-parameter family."""
+    from .abscont import CylinderClass, VaParams, cylinder_discrepancy_log, rn_series
     x = _parse_point(x_text)
     y = _parse_point(y_text)
     _require(m_max <= ABSCONT_M_MAX, f"--m-max must be <= {ABSCONT_M_MAX}, got {m_max}")

@@ -10,11 +10,10 @@ operations is correctly rounded, so it gives the one value that mpmath's
 operations in the same order, every stored value is the one an mpmath
 computation would store. No signed values arise: coefficients lie in
 [0, 1] and the start point on the simplex, and the one difference, the
-mixing gap's |H - x|, is rounded as a magnitude, as ``mpf_sub`` rounds
-it. Float views round a pair
-to the nearest double as mpmath does, and log views take mpmath's raw
-``mpf_log`` of it. Every call gets the family's precision as an argument, so
-no mpmath context, global or private, is read or changed.
+mixing gap's |H - x|, is rounded as a magnitude, as ``mpf_sub`` rounds it.
+Float views round a pair to the nearest double as mpmath does; only the log
+views load mpmath, for its raw ``mpf_log``. Every call gets the precision as
+an argument, so no mpmath context, global or private, is read or changed.
 """
 
 from __future__ import annotations
@@ -24,12 +23,11 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import libmp
 
 from .operator import QsoOperator
 from .simplex import SimplexPoint
 
-_DPS = 40
+_PREC = 136  # bits: libmp.dps_to_prec(40), 40 decimal digits
 
 # -- the kernel: nonnegative (mantissa, exponent) pairs at prec bits ----------
 
@@ -105,9 +103,12 @@ def _matmul(A: list, B: list, prec: int) -> list:
 
 
 def _pair(v: float, prec: int) -> tuple:
-    """A nonnegative double rounded to prec bits, as mpmath converts it."""
-    _, m, e, _ = libmp.from_float(v, prec, libmp.round_nearest)
-    return m, e
+    """A nonnegative double rounded to prec bits as mpmath converts it: an odd
+    mantissa, or (0, 0), so that no trailing zero bits ride through products."""
+    m, d = v.as_integer_ratio()  # d is a power of two
+    m, e = _round(m, 1 - d.bit_length(), prec)
+    z = (m & -m).bit_length() - 1
+    return (m >> z, e + z) if m else _ZERO
 
 
 def _to_float(v: tuple) -> float:
@@ -119,6 +120,7 @@ def _to_float(v: tuple) -> float:
 def _log_float(v: tuple, prec: int) -> float:
     """The natural log at prec bits as a double (-inf at zero), as
     float(ctx.log(v)) gives in an mpmath context at that precision."""
+    from mpmath import libmp  # here, as it is slow to load and nothing else needs it
     rnd = libmp.round_nearest
     return libmp.to_float(libmp.mpf_log(libmp.from_man_exp(*v), prec, rnd), rnd=rnd)
 
@@ -127,8 +129,8 @@ class TransitionFamily:
     """Memoized trajectory, one-step matrices and running products for
     (operator, start).
 
-    All arithmetic, log views included, runs at _DPS = 40 decimal digits,
-    passed to each operation as a number of bits. The running
+    All arithmetic, log views included, runs at _PREC bits (40 decimal
+    digits), passed to each operation as an argument. The running
     products H^[k,k+1] ... H^[m-1,m] are computed once and kept, one list
     per start time k asked about: one n x n matrix per (k, m) pair reached,
     so each start holds at most as many matrices as the one-step list up to
@@ -142,35 +144,33 @@ class TransitionFamily:
         self.operator = operator
         self.start = start
         self.n = operator.n
-        prec = self._prec = libmp.dps_to_prec(_DPS)
         self._lock = threading.Lock()
         # P[i][j][l] = p[i, l, j], so that row i of the one-step matrix at x
         # is [dot(P[i][j], x) for j]
         p = operator.tensor.p.transpose(0, 2, 1).tolist()
-        self._P = [[[_pair(v, prec) for v in vec] for vec in plane] for plane in p]
+        self._P = [[[_pair(v, _PREC) for v in vec] for vec in plane] for plane in p]
         # a double start point sums to 1 only within float rounding; at
         # this precision that error would set a floor under every gap
-        self._traj = [_unit_sum([_pair(v, prec) for v in start.coords], prec)]
+        self._traj = [_unit_sum([_pair(v, _PREC) for v in start.coords], _PREC)]
         self._mats: list = []  # _mats[k] = one-step matrix from time k
         self._prods: dict = {}  # _prods[k][m - k - 1] = H^[k,k+1] ... H^[m-1,m]
 
     def extend(self, horizon: int) -> None:
         """Ensure trajectory up to x^(horizon) and matrices up to H^[horizon-1, horizon]."""
-        prec = self._prec
         with self._lock:
             while len(self._mats) < horizon:
                 x = self._traj[-1]
-                raw = [[_dot(vec, x, prec) for vec in plane] for plane in self._P]
+                raw = [[_dot(vec, x, _PREC) for vec in plane] for plane in self._P]
                 # coefficient rows sum to 1 only within float rounding
-                self._mats.append([_unit_sum(row, prec) for row in raw])
+                self._mats.append([_unit_sum(row, _PREC) for row in raw])
                 # x^(k+1) = x^(k) H^[k,k+1]; the exact map preserves total
                 # mass, and renormalizing keeps sub-ulp round-off in the
                 # stored coefficients from doubling every step
-                self._traj.append(_unit_sum([_dot(x, col, prec) for col in zip(*raw)], prec))
+                self._traj.append(_unit_sum([_dot(x, col, _PREC) for col in zip(*raw)], _PREC))
 
     def _view(self, values: list, log: bool = False) -> np.ndarray:
         """Doubles of a vector or matrix of kernel values, or of their logs."""
-        f = (lambda v: _log_float(v, self._prec)) if log else _to_float
+        f = (lambda v: _log_float(v, _PREC)) if log else _to_float
         if isinstance(values[0], list):
             return np.array([[f(v) for v in row] for row in values])
         return np.array([f(v) for v in values])
@@ -200,7 +200,7 @@ class TransitionFamily:
             with self._lock:
                 chain = self._prods.setdefault(k, [self._mats[k]])
                 while len(chain) < m - k:
-                    chain.append(_matmul(chain[-1], self._mats[k + len(chain)], self._prec))
+                    chain.append(_matmul(chain[-1], self._mats[k + len(chain)], _PREC))
         return chain[m - k - 1]
 
     # -- views -------------------------------------------------------------
@@ -260,7 +260,7 @@ def _check_states(family: TransitionFamily, c: CylinderSet) -> None:
 def _chain_factors(family: TransitionFamily, head: tuple, c: CylinderSet) -> tuple:
     """head times the one-step factors H^[t,t+1]_{i_t i_(t+1)} along the window."""
     for t, (i, j) in enumerate(zip(c.states, c.states[1:]), c.start):
-        head = _mul(head, family._matrix(t)[i - 1][j - 1], family._prec)
+        head = _mul(head, family._matrix(t)[i - 1][j - 1], _PREC)
     return head
 
 
@@ -275,7 +275,7 @@ def cylinder_measure(family: TransitionFamily, c: CylinderSet) -> float:
 
 
 def cylinder_measure_log(family: TransitionFamily, c: CylinderSet) -> float:
-    return _log_float(_cylinder_measure_pair(family, c), family._prec)
+    return _log_float(_cylinder_measure_pair(family, c), _PREC)
 
 
 @dataclass(frozen=True)
@@ -287,25 +287,25 @@ class MixingSeries:
 
 def mixing_series(family: TransitionFamily, A: CylinderSet, B: CylinderSet, m_max: int) -> MixingSeries:
     """Correlation gap tau_m between A and the m-shifted B, with its bound,
-    for every shift m <= m_max that puts B after A's window.
+    for every shift m <= m_max that puts B after A's window (ValueError if none).
 
     tau_m = (common chain factors) * |H^[l, s+m]_{i_l j_s} - x^(s+m)_{j_s}|
     with l = A's window end and s = B's window start; the bound is the bare
     absolute difference. Each tau_m is read along the stored running
     products from time l.
     """
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
     l = A.end
     s = B.start
     _check_states(family, B)
+    first = max(1, l - s + 1)
+    if first > m_max:
+        raise ValueError(f"no shift m <= {m_max} puts B after A; the first is m = {first}")
     prefix = _cylinder_measure_pair(family, A)
     i, j = A.states[-1] - 1, B.states[0] - 1
-    prec = family._prec
     terms = []
-    for m in range(max(1, l - s + 1), m_max + 1):
-        diff = _add(family._product(l, s + m)[i][j], family._point(s + m)[j], prec, sub=True)
+    for m in range(first, m_max + 1):
+        diff = _add(family._product(l, s + m)[i][j], family._point(s + m)[j], _PREC, sub=True)
         suffix = _chain_factors(family, _ONE, shift_cylinder(B, m))
-        tau = _mul(_mul(prefix, suffix, prec), diff, prec)
+        tau = _mul(_mul(prefix, suffix, _PREC), diff, _PREC)
         terms.append((m, _to_float(tau), _to_float(diff)))
     return MixingSeries(A=A, B=B, terms=terms)

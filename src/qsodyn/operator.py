@@ -201,18 +201,12 @@ def trajectory(
     )
 
 
-def reduced_jacobian(V: QsoOperator, x: SimplexPoint) -> np.ndarray:
-    """Analytic Jacobian of the first n-1 coordinates with x_n eliminated.
+def _reduced_jacobians(V: QsoOperator, X: np.ndarray) -> np.ndarray:
+    """Analytic Jacobian of the first n-1 coordinates with x_n eliminated, at
+    every row of X, shape (count, n-1, n-1).
 
     Entry (k, i) = dV_k/dx_i - dV_k/dx_n = 2 sum_j (p[i,j,k] - p[n-1,j,k]) x_j.
     """
-    if x.n != V.n:
-        raise DimensionMismatch(f"operator on {V.n} states, point has {x.n}")
-    return _reduced_jacobians(V, x.as_array()[None])[0]
-
-
-def _reduced_jacobians(V: QsoOperator, X: np.ndarray) -> np.ndarray:
-    """:func:`reduced_jacobian` at every row of X, shape (count, n-1, n-1)."""
     grad = 2.0 * np.einsum("ijk,pj->pik", V.tensor.p, X)  # grad[p, i, k] = dV_k/dx_i
     return (grad[:, :-1, :-1] - grad[:, -1:, :-1]).transpose(0, 2, 1)
 

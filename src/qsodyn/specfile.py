@@ -9,7 +9,6 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .abscont import va_operator
 from .operator import QsoOperator, make_operator, tensor_from_entries
 
 
@@ -25,6 +24,7 @@ class OperatorSpec:
 
     def build(self, symmetrize: bool = False) -> QsoOperator:
         if self.va is not None:
+            from .abscont import va_operator
             return va_operator(self.va)
         return make_operator(
             tensor_from_entries(self.n, self.coefficients), symmetrize=symmetrize

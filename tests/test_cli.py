@@ -251,6 +251,17 @@ class TestMixing:
             runner, ["mixing", "--spec", fixture_path("va_a05"), "--x", "0.5,0.5", "--A", a, "--B", b]
         )
 
+    @pytest.mark.parametrize("m_max, first", [("2", 4), ("3", 4)])
+    def test_no_shift_puts_b_after_a(self, runner, m_max, first):
+        """A's window ends at time 3, so the first shift of B = 0:1 after it
+        is m = 4: below that there is no term to print."""
+        result = runner.invoke(main, ["mixing", "--spec", fixture_path("va_a05"), "--x", "0.5,0.5",
+                                      "--A", "0:1,1,1,1", "--B", "0:1", "--m-max", m_max])
+        assert result.exit_code == EXIT_VALIDATION, result.output
+        err = json.loads(result.stderr)
+        assert err["error"] == "validation_error"
+        assert f"the first is m = {first}" in err["message"]
+
 
 class TestAbscont:
     def test_equivalent_both_directions(self, runner):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import libmp
 
-from qsodyn.markov import _add, _div, _dot, _log_float, _matmul, _mul, _pair, _round, _to_float, _unit_sum
+from qsodyn.markov import _PREC, _add, _div, _dot, _log_float, _matmul, _mul, _pair, _round, _to_float, _unit_sum
 
 RND = libmp.round_nearest
 PRECS = [libmp.dps_to_prec(dps) for dps in (15, 40, 60)]  # 53, 136, 203 bits
@@ -215,11 +215,18 @@ class TestRoundingCases:
 
 class TestDoubles:
     TINY = [5e-324, 1e-320, 2.2250738585072014e-308, 2.225073858507201e-308, 1e-300, 0.1, 0.5, 1.0, 0.0]
+    # mantissas ending in zero bits, which a pair must not carry along
+    ROUND = [0.75, 0.375, 2.0**-40, 1 - 2.0**-53, 0.3]
 
     @pytest.mark.parametrize("prec", [7] + PRECS)
-    @pytest.mark.parametrize("v", TINY)
+    @pytest.mark.parametrize("v", TINY + ROUND)
     def test_pair_is_mpmath_conversion(self, prec, v):
-        same(_pair(v, prec), libmp.from_float(v, prec, RND))
+        """The same pair as mpmath's, mantissa and exponent alike."""
+        _, m, e, _ = libmp.from_float(v, prec, RND)
+        assert _pair(v, prec) == normalized(m, e)
+
+    def test_family_precision_is_40_digits(self):
+        assert _PREC == libmp.dps_to_prec(40)
 
     @pytest.mark.parametrize("prec", PRECS)
     def test_subnormal_and_tiny_operands(self, prec):

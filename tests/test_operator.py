@@ -6,12 +6,12 @@ from qsodyn.generate import random_structured_tensors
 from qsodyn.operator import (
     HeredityTensor,
     TensorError,
+    _reduced_jacobians,
     block_rows,
     evaluate,
     evaluate_array,
     find_fixed_points,
     make_operator,
-    reduced_jacobian,
     tensor_from_entries,
     trajectory,
     vertex_eigenvalues,
@@ -174,7 +174,7 @@ class TestJacobian:
         h = 1e-6
         for V in random_structured_tensors(3, 5, seed=40):
             for x in sample_simplex(3, 5, seed=41):
-                J = reduced_jacobian(V, x)
+                J = _reduced_jacobians(V, x.as_array()[None])[0]
                 xa = x.as_array()
                 for i in range(2):
                     up, dn = xa.copy(), xa.copy()
@@ -190,12 +190,12 @@ class TestJacobian:
 
     def test_lower_triangular_at_terminal_vertex(self):
         for V in random_structured_tensors(4, 5, seed=42):
-            J = reduced_jacobian(V, vertex(4, 4))
+            J = _reduced_jacobians(V, vertex(4, 4).as_array()[None])[0]
             assert np.abs(np.triu(J, k=1)).max() <= 1e-14
 
     def test_vertex_eigenvalues_match_eigensolve(self):
         for V in random_structured_tensors(4, 10, seed=43):
-            J = reduced_jacobian(V, vertex(4, 4))
+            J = _reduced_jacobians(V, vertex(4, 4).as_array()[None])[0]
             numeric = np.sort(np.linalg.eigvals(J).real)
             claimed = np.sort(vertex_eigenvalues(V))
             assert np.allclose(numeric, claimed, atol=1e-10)

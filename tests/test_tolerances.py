@@ -47,8 +47,11 @@ def test_uniqueness_bound_tolerance():
     ],
 )
 def test_necessary_condition_tolerance(name, inside, outside):
-    assert check_necessary_bbistochastic(two_state(**inside)).by_name(name).passed
-    assert not check_necessary_bbistochastic(two_state(**outside)).by_name(name).passed
+    def passed(V):
+        return {c.name: c.passed for c in check_necessary_bbistochastic(V).conditions}[name]
+
+    assert passed(two_state(**inside))
+    assert not passed(two_state(**outside))
 
 
 def test_vertex_eigenvalue_tolerance():
