@@ -13,6 +13,7 @@ from .operator import (
     QsoOperator,
     block_rows,
     evaluate_array,
+    proven_fixed_points,
     vertex_eigenvalues,
 )
 from .simplex import EPS_ORDER, SimplexPoint, grid_array, sample_array
@@ -326,6 +327,7 @@ class ClassificationReport:
     necessary: NecessaryReport
     numeric_b_verdict: NumericOrderVerdict
     uniqueness: UniquenessReport
+    proven_fixed_points: Optional[np.ndarray]  # vertex rows, None where the check does not apply
     vertex_stability: str
     vertex_eigenvalues: list
     contraction: ContractionResult
@@ -339,6 +341,7 @@ def classify_operator(V: QsoOperator, seed: int = 0) -> ClassificationReport:
         necessary=check_necessary_bbistochastic(V),
         numeric_b_verdict=verify_bbistochastic_numeric(V, seed=seed),
         uniqueness=check_uniqueness_conditions(V),
+        proven_fixed_points=proven_fixed_points(V),
         vertex_stability=classify_vertex_stability(V),
         vertex_eigenvalues=vertex_eigenvalues(V),
         contraction=strict_contraction_general(V),

@@ -161,11 +161,13 @@ def classify(spec_path, symmetrize, seed, out):
     V = _load_operator(spec_path, symmetrize)
     _require(seed >= 0, f"--seed must be >= 0, got {seed}")
     report = classify_operator(V, seed=seed)
+    proven = report.proven_fixed_points
     result = {
         "n": report.n,
         **_order_checks(report.necessary, report.numeric_b_verdict),
         "uniqueness_conditions_met": report.uniqueness.met,
         "uniqueness_violations": report.uniqueness.violations,
+        "proven_fixed_points": None if proven is None else proven.tolist(),
         "vertex_stability": report.vertex_stability,
         "vertex_eigenvalues": report.vertex_eigenvalues,
         "contraction": asdict(report.contraction),
@@ -225,8 +227,8 @@ def iterate(spec_path, symmetrize, x_text, steps, tol, max_iter, out):
 @click.option("--tol", type=float, default=1e-9, show_default=True)
 @out_opt
 def fixed_points(spec_path, symmetrize, tol, out):
-    """Fixed points, JSON output: {e_n} where the coefficients satisfy the
-    uniqueness theorem, otherwise the multistart search."""
+    """Fixed points, JSON output: the vertex set where the coefficients prove
+    it, otherwise the multistart search."""
     V = _load_operator(spec_path, symmetrize)
     _require(tol > 0, f"--tol must be positive, got {tol}")
     fps = find_fixed_points(V, tol=tol)

@@ -1,6 +1,6 @@
 """Heredity tensors, quadratic stochastic operators, iteration, Jacobians,
-and fixed points: the paper's uniqueness theorem checked on the
-coefficients, and a multistart search where it does not apply."""
+and fixed points: the vertex set proven from the coefficients, and a
+multistart search where that check does not apply."""
 
 from __future__ import annotations
 
@@ -221,11 +221,12 @@ def vertex_eigenvalues(V: QsoOperator) -> list:
 class FixedPointSet:
     """Deduplicated fixed points with their residuals ||V(x) - x||_1.
 
-    ``diagnostics["method"]`` is ``"coefficient_theorem"`` where the paper's
-    uniqueness theorem proves the set is {e_n} (p[n,n,n] = 1 and, for every
-    k < n, p[i,j,k] = 0 for i, j > k, p[k,k,k] < 1 and p[k,j,k] < 1/2 for
-    j > k; see :func:`_unique_fixed_point_theorem`), and ``"multistart"``
-    where it fails: only then does the search run. The other keys count, for
+    ``diagnostics["method"]`` is ``"coefficient_theorem"`` where the
+    coefficients prove the set is a set of vertices (p[n,n,n] = 1 and, for
+    every k < n, p[i,j,k] = 0 for i, j > k and p[k,j,k] <= 1/2 for j > k,
+    the bound strict where p[k,k,:] = e_k and p[k,k,k] < 1 elsewhere; see
+    :func:`proven_fixed_points`), and ``"multistart"`` where the check does
+    not apply: only then does the search run. The other keys count, for
     the search (0 when it did not run), seeds tried, seeds whose
     pre-iteration step fell to 1e-10 within 500 steps, polished seeds
     rejected by the residual test, accepted seeds merged into an earlier
@@ -299,10 +300,12 @@ def _newton_polish(V: QsoOperator, X: np.ndarray, tol: float):
     """Damped Newton on V(x) - x in the reduced chart, for every row of X.
 
     Each row takes up to 60 steps and stops once its residual is at most
-    min(tol/10, 1e-15), polishing well past tol so that seeds stalled near a
-    degenerate fixed point collapse onto it instead of surviving dedup as
-    near-duplicates. A step is halved (up to 40 times) until it stays on the
-    simplex and lowers the residual; a row whose step never does stops.
+    min(tol/10, 1e-15). A step is halved (up to 40 times) until it stays on
+    the simplex and lowers the residual; a row whose step never does stops.
+    Near a non-hyperbolic fixed point, where V(x) - x is quadratic in the
+    distance to it, rows do not collapse onto the point: they can stop up
+    to 2.5e-3 away with residuals below tol, farther apart than
+    DEDUP_RADIUS, and the search then reports each as a point of its own.
     Returns the polished rows and the number of accepted steps.
     """
     target = min(tol / 10, 1e-15)
@@ -344,41 +347,60 @@ def _newton_polish(V: QsoOperator, X: np.ndarray, tol: float):
     return renormalize_rows(Xa / Xa.sum(axis=1, keepdims=True)), accepted_steps
 
 
-def _unique_fixed_point_theorem(p: np.ndarray) -> bool:
-    """Whether the stored coefficients prove Fix(V) = {e_n}: p[n,n,n] = 1
-    and, for every k < n, p[k+1:, k+1:, k] = 0 (``upper_block_zero``),
-    p[k,k,k] < 1, and p[k,j,k] < 1/2 and p[j,k,k] < 1/2 for every j > k
-    (make_operator allows an asymmetry up to EPS_COEF). Each test compares
-    a stored double with 0, 1/2 or 1 exactly, with no tolerance: an entry
-    within EPS_COEF of zero but not zero, or a NaN, fails the check.
+def proven_fixed_points(V: QsoOperator) -> Optional[np.ndarray]:
+    """The fixed points that the stored coefficients prove, as vertex rows
+    sorted by coordinate tuple (e_n first), or None where the check does not
+    apply. Each clause compares a stored double with 0, 1/2 or 1 exactly,
+    with no tolerance: an entry within EPS_COEF of a bound but on its wrong
+    side, or a NaN, fails the check.
 
-    Proof: V(e_n) = e_n, as p[n,n,k] = 0 for k < n. Let x be fixed and k < n
-    its first nonzero coordinate. Only the pairs (k,k), (k,j), (j,k) with
-    j > k feed V(x)_k, so V(x)_k = p[k,k,k] x_k^2 + x_k sum_{j>k} (p[k,j,k]
-    + p[j,k,k]) x_j < x_k^2 + x_k (1 - x_k) = x_k, a contradiction; if
-    x = e_k, V(x)_k = p[k,k,k] < 1.
+    The check needs p[n,n,n] = 1 and, for every k < n, p[k+1:, k+1:, k] = 0
+    (``upper_block_zero``) and p[k,j,k] <= 1/2 and p[j,k,k] <= 1/2 for every
+    j > k (make_operator allows an asymmetry up to EPS_COEF). Let C be the
+    k < n with p[k,k,:] = e_k exactly. Every other k < n needs p[k,k,k] < 1,
+    and every k in C the strict p[k,j,k] < 1/2 and p[j,k,k] < 1/2. Then
+    Fix(V) = {e_k : k in C} u {e_n}.
+
+    Proof: V(e_k) = p[k,k,:] = e_k for k in C, and V(e_n) = e_n, as
+    p[n,n,k] = 0 for k < n. Let x be fixed and k < n its first nonzero
+    coordinate. Only the pairs (k,k), (k,j), (j,k) with j > k feed V(x)_k,
+    so x_k = V(x)_k = x_k [p[k,k,k] x_k + sum_{j>k} (p[k,j,k] + p[j,k,k])
+    x_j]. Every weight in the bracket is at most 1 and the x_j sum to 1, so
+    the bracket is 1 only if p[k,k,k] = 1 and every j with x_j > 0 has
+    weight 1. For k outside C the first fails; for k in C the strict bound
+    leaves x = e_k.
     """
-    return bool(p[-1, -1, -1] == 1.0) and all(
-        (p[k + 1 :, k + 1 :, k] == 0.0).all()
-        and p[k, k, k] < 1.0
-        and (p[k, k + 1 :, k] < 0.5).all()
-        and (p[k + 1 :, k, k] < 0.5).all()
-        for k in range(len(p) - 1)
-    )
+    p = V.tensor.p
+    n = V.n
+    if not p[-1, -1, -1] == 1.0:
+        return None
+    C = []
+    for k in range(n - 1):
+        row, mirror = p[k, k + 1 :, k], p[k + 1 :, k, k]
+        if not ((p[k + 1 :, k + 1 :, k] == 0.0).all() and (row <= 0.5).all() and (mirror <= 0.5).all()):
+            return None
+        if p[k, k, k] < 1.0:
+            continue
+        # p[k,k,:] = e_k: p[k,k,k] = 1 is the row's only nonzero entry (a NaN counts)
+        in_C = p[k, k, k] == 1.0 and np.count_nonzero(p[k, k]) == 1
+        if not (in_C and (row < 0.5).all() and (mirror < 0.5).all()):
+            return None
+        C.append(k)
+    return np.eye(n)[[n - 1, *reversed(C)]]
 
 
 def find_fixed_points(V: QsoOperator, tol: float = 1e-9) -> FixedPointSet:
-    """The fixed points of V: {e_n} where :func:`_unique_fixed_point_theorem`
-    proves it, with its residual from evaluate_array (0.0), and otherwise
+    """The fixed points of V: the vertices that :func:`proven_fixed_points`
+    proves, with their residuals from evaluate_array (0.0), and otherwise
     the points the multistart search :func:`_multistart` finds."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if not _unique_fixed_point_theorem(V.tensor.p):
+    X = proven_fixed_points(V)
+    if X is None:
         return _multistart(V, tol)
-    e_n = np.eye(V.n)[-1:]
     return FixedPointSet(
-        points=[SimplexPoint(tuple(e_n[0].tolist()))],
-        residuals=np.abs(evaluate_array(V, e_n) - e_n).sum(axis=1).tolist(),
+        points=[SimplexPoint(tuple(x)) for x in X.tolist()],
+        residuals=np.abs(evaluate_array(V, X) - X).sum(axis=1).tolist(),
         dedup_radius=DEDUP_RADIUS,
         diagnostics=dict.fromkeys(SEARCH_COUNTERS, 0) | {"method": "coefficient_theorem"},
     )

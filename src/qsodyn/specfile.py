@@ -4,7 +4,6 @@ a ``metadata`` block, are ignored."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -91,5 +90,6 @@ def load_spec(path: str) -> OperatorSpec:
 
 
 def spec_hash(path: str) -> str:
+    import hashlib  # only the JSON reports of a spec file pay for OpenSSL
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()

@@ -35,11 +35,11 @@ from qsodyn.markov import CylinderSet, TransitionFamily, cylinder_measure, mixin
 from qsodyn.operator import (
     HeredityTensor,
     _multistart,
-    _unique_fixed_point_theorem,
     evaluate,
     evaluate_array,
     find_fixed_points,
     make_operator,
+    proven_fixed_points,
     trajectory,
     vertex_eigenvalues,
 )
@@ -88,7 +88,7 @@ def test_criterion_02_uniqueness_bounds_imply_unique_fixed_point():
             # from the theorem that this criterion checks
             fps = _multistart(V, tol=1e-9)
             assert rounded(fps.points) == {vertex(n, n).coords}, V.tensor.p
-            assert _unique_fixed_point_theorem(V.tensor.p), V.tensor.p
+            assert proven_fixed_points(V).tolist() == [list(vertex(n, n).coords)], V.tensor.p
             checked += 1
     assert checked >= 500
     report(2, f"{checked} verified random tensors each have the single fixed point (0,...,0,1), "
@@ -100,8 +100,11 @@ def test_criterion_03_uniqueness_bounds_are_sufficient_only():
     rep = check_uniqueness_conditions(V)
     assert not rep.met
     fps = find_fixed_points(V, tol=1e-9)
-    assert rounded(fps.points) == {(0.0, 0.0, 1.0)}
-    report(3, "witness fixture fails the bounds yet has the unique fixed point (0,0,1)")
+    assert fps.diagnostics["method"] == "coefficient_theorem"
+    for found in (fps, _multistart(V, tol=1e-9)):
+        assert rounded(found.points) == {(0.0, 0.0, 1.0)}
+    report(3, "witness fixture fails the bounds yet has the unique fixed point (0,0,1), "
+              "proven from the coefficients and found by the search")
 
 
 def test_criterion_04_contraction_criteria_agree_and_do_not_follow_from_uniqueness():

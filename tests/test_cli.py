@@ -3,8 +3,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from conftest import fixture_path
+from conftest import fixture_path, load_fixture
 from qsodyn.cli import ABSCONT_M_MAX, EXIT_PARSE, EXIT_VALIDATION, main
+from qsodyn.operator import _multistart
 
 
 @pytest.fixture
@@ -95,6 +96,17 @@ class TestClassify:
         assert r["vertex_stability"] == "attracting"
         assert r["uniqueness_conditions_met"] is False
         assert r["contraction"]["is_strict"] is False
+        assert r["proven_fixed_points"] == [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+
+    def test_no_proven_set_where_the_check_does_not_apply(self, runner, tmp_path):
+        """p[2,2,2] < 1: the last vertex is not fixed and nothing is proven."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n": 2, "coefficients": [
+            {"i": 1, "j": 1, "k": 1, "p": 0.5}, {"i": 1, "j": 1, "k": 2, "p": 0.5},
+            {"i": 1, "j": 2, "k": 1, "p": 0.5}, {"i": 1, "j": 2, "k": 2, "p": 0.5},
+            {"i": 2, "j": 2, "k": 1, "p": 0.3}, {"i": 2, "j": 2, "k": 2, "p": 0.7},
+        ]}))
+        assert run_json(runner, ["classify", "--spec", str(spec)])["result"]["proven_fixed_points"] is None
 
     def test_deterministic_output(self, runner):
         args = ["classify", "--spec", fixture_path("va_a23"), "--seed", "5"]
@@ -160,11 +172,21 @@ class TestFixedPoints:
         assert all(p["residual_l1"] <= 1e-9 for p in payload["result"]["points"])
 
     def test_diagnostics(self, runner):
+        """The coefficients decide the fixture, so the report's search
+        counters read 0; the search itself still finds the set."""
         payload = run_json(
             runner, ["fixed-points", "--spec", fixture_path("attracting_not_unique")]
         )
-        # 28 grid seeds at resolution 6, 3 vertices (also on the grid) and the barycenter
         assert payload["result"]["diagnostics"] == {
+            "seeds_tried": 0,
+            "seeds_converged": 0,
+            "rejected_by_residual": 0,
+            "merged": 0,
+            "newton_steps": 0,
+            "method": "coefficient_theorem",
+        }
+        # 28 grid seeds at resolution 6, 3 vertices (also on the grid) and the barycenter
+        assert _multistart(load_fixture("attracting_not_unique").build()).diagnostics == {
             "seeds_tried": 32,
             "seeds_converged": 32,
             "rejected_by_residual": 0,
@@ -172,6 +194,31 @@ class TestFixedPoints:
             "newton_steps": 26,
             "method": "multistart",
         }
+
+    def test_non_hyperbolic_terminal_vertex_is_the_only_point(self, runner, tmp_path):
+        """Both vertex eigenvalues 2 p[k,3,k] are 1, so V(x) - x is quadratic
+        near e_3 and the search accepts points up to 2.5e-3 from it by their
+        residual. The coefficients prove that e_3 is the only fixed point."""
+        rows = {
+            (1, 1): (0.2, 0.1, 0.7),
+            (1, 2): (0.5, 0.1, 0.4),
+            (1, 3): (0.5, 0.2, 0.3),
+            (2, 2): (0.0, 0.2, 0.8),
+            (2, 3): (0.0, 0.5, 0.5),
+            (3, 3): (0.0, 0.0, 1.0),
+        }
+        spec = tmp_path / "non_hyperbolic.json"
+        spec.write_text(json.dumps({
+            "n": 3,
+            "coefficients": [
+                {"i": i, "j": j, "k": k, "p": p}
+                for (i, j), row in rows.items()
+                for k, p in enumerate(row, start=1)
+            ],
+        }))
+        result = run_json(runner, ["fixed-points", "--spec", str(spec)])["result"]
+        assert result["points"] == [{"coords": [0.0, 0.0, 1.0], "residual_l1": 0.0}]
+        assert result["diagnostics"]["method"] == "coefficient_theorem"
 
     def test_negative_tol(self, runner):
         assert_validation_error(

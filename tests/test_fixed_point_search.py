@@ -1,10 +1,10 @@
 """The batched multistart search against the per-seed reference in conftest,
-and the uniqueness theorem that lets find_fixed_points skip the search.
+and the coefficient check that lets find_fixed_points skip the search.
 
 The reference runs each seed on its own through ``trajectory`` and a scalar
 damped Newton step, as the search did before it was batched. The search is
 called as ``_multistart``, so it is compared on every operator, the ones the
-theorem settles included.
+check settles included.
 """
 
 from math import comb
@@ -27,9 +27,9 @@ from qsodyn.operator import (
     QsoOperator,
     _multistart,
     _pre_iterate,
-    _unique_fixed_point_theorem,
     find_fixed_points,
     make_operator,
+    proven_fixed_points,
     trajectory,
 )
 from qsodyn.simplex import SimplexError, l1_distance, make_point
@@ -41,9 +41,9 @@ OPERATORS_PER_N = {2: (50, 50), 3: (29, 29), 4: (10, 10), 5: (5, 5), 6: (3, 3), 
 
 
 def assert_theorem_gives_the_search_result(V, searched, tol=1e-9):
-    """Where the theorem holds, find_fixed_points returns the searched
-    points and residuals to the bit, without searching."""
-    if _unique_fixed_point_theorem(V.tensor.p):
+    """Where the coefficient check applies, find_fixed_points returns the
+    searched points and residuals to the bit, without searching."""
+    if proven_fixed_points(V) is not None:
         got = find_fixed_points(V, tol=tol)
         assert got.diagnostics["method"] == "coefficient_theorem"
         assert repr((got.points, got.residuals)) == repr((searched.points, searched.residuals))
@@ -155,7 +155,7 @@ class TestLeavingTheSimplex:
 
 
 def structured_p():
-    """A structured n = 3 draw, on which the theorem holds."""
+    """A structured n = 3 draw, on which the check holds with C empty."""
     return random_structured_tensors(3, 1, seed=5)[0].tensor.p.copy()
 
 
@@ -181,45 +181,105 @@ def terminal_ulp_p():
     return p
 
 
+def impure_vertex_row_p():
+    """p[1,1,1] = 1, yet p[1,1,3] = 1e-13 (make_operator accepts the mass
+    1 + 1e-13): the row is not e_1, so state 1 is neither in C nor below 1."""
+    p = structured_p()
+    p[0, 0] = [1.0, 0.0, 1e-13]
+    return p
+
+
+def fixed_edge_p():
+    """p[1,1,:] = e_1, p[2,2,:] = e_2 and p[1,2,:] = (1/2, 1/2, 0): state 1
+    is in C with its weight to state 2 at 1/2, and every point of the edge
+    e_1-e_2 is fixed."""
+    p = np.zeros((3, 3, 3))
+    p[0, 0], p[1, 1], p[2, 2] = np.eye(3)
+    p[0, 1] = p[1, 0] = [0.5, 0.5, 0.0]
+    p[0, 2] = p[2, 0] = [0.3, 0.2, 0.5]
+    p[1, 2] = p[2, 1] = [0.0, 0.3, 0.7]
+    return p
+
+
 def built(p):
     return lambda: make_operator(HeredityTensor(len(p), p))
 
 
 E3 = [(0.0, 0.0, 1.0)]
-# name: (operator, the clause of the theorem it fails, its fixed points)
-BOUNDARY = {
+# name: (operator, the boundary it sits on, its fixed points). Each sits where
+# the strict rule (p[k,k,k] < 1 and p[k,j,k] < 1/2 for every k < n) fails,
+# and the check, with the half bound non-strict, decides it.
+DECIDED = {
     "attracting_not_unique": (
         lambda: load_fixture("attracting_not_unique").build(),
-        lambda p: not p[0, 0, 0] < 1.0,
+        lambda p: (p[0, 0] == [1.0, 0.0, 0.0]).all() and (p[1, 1] == [0.0, 1.0, 0.0]).all(),
         [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)],
     ),
-    "half_weight": (built(half_weight_p()), lambda p: not p[0, 1, 0] < 0.5, E3),
+    "half_weight": (built(half_weight_p()), lambda p: p[0, 1, 0] == 0.5 and p[1, 0, 0] == 0.5, E3),
     # one half of the pair at 1/2, the other one ulp below (make_operator
     # allows the asymmetry): each half is tested on its own
     "half_weight_row_only": (
         built(half_weight_p(mirror=np.nextafter(0.5, 0.0))),
-        lambda p: not p[0, 1, 0] < 0.5 and p[1, 0, 0] < 0.5,
+        lambda p: p[0, 1, 0] == 0.5 and p[1, 0, 0] < 0.5,
         E3,
     ),
     "half_weight_mirror_only": (
         built(half_weight_p(weight=np.nextafter(0.5, 0.0))),
-        lambda p: p[0, 1, 0] < 0.5 and not p[1, 0, 0] < 0.5,
+        lambda p: p[0, 1, 0] < 0.5 and p[1, 0, 0] == 0.5,
         E3,
     ),
-    "va_a1": (lambda: va_operator(1.0), lambda p: not p[0, 0, 0] < 1.0, [(1.0, 0.0), (0.0, 1.0)]),
+    "va_a1": (lambda: va_operator(1.0), lambda p: (p[0, 0] == [1.0, 0.0]).all(), [(1.0, 0.0), (0.0, 1.0)]),
+}
+# name: (operator, the clause of the check it fails, the fixed points the search reports)
+FALLBACK = {
     "upper_block_1e-13": (built(upper_entry_p()), lambda p: not (p[1:, 1:, 0] == 0.0).all(), E3),
     "terminal_ulp": (built(terminal_ulp_p()), lambda p: not p[2, 2, 2] == 1.0, E3),
+    "impure_vertex_row": (
+        built(impure_vertex_row_p()),
+        lambda p: p[0, 0, 0] == 1.0 and 0.0 < p[0, 0, 2] <= 1e-12,
+        [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)],
+    ),
+    # the fixed set is the whole edge: the search reports it at its seeds,
+    # the resolution-6 grid points of the edge
+    "fixed_edge": (
+        built(fixed_edge_p()),
+        lambda p: p[0, 1, 0] == 0.5 and p[1, 0, 0] == 0.5 and (p[0, 0] == [1.0, 0.0, 0.0]).all(),
+        [(i / 6, 1 - i / 6, 0.0) for i in range(7)] + E3,
+    ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(BOUNDARY))
+@pytest.mark.parametrize("name", sorted(DECIDED))
+def test_extended_check_decides_the_boundary(name):
+    """The check proves the vertex set, and find_fixed_points returns it
+    without searching: the search's points and residuals to the bit."""
+    build, on_boundary, expected = DECIDED[name]
+    V = build()
+    assert on_boundary(V.tensor.p)
+    assert proven_fixed_points(V).tolist() == [list(x) for x in sorted(expected)]
+    fps = find_fixed_points(V)
+    assert fps.diagnostics == {
+        "seeds_tried": 0,
+        "seeds_converged": 0,
+        "rejected_by_residual": 0,
+        "merged": 0,
+        "newton_steps": 0,
+        "method": "coefficient_theorem",
+    }
+    assert [x.coords for x in fps.points] == sorted(expected)
+    assert fps.residuals == [0.0] * len(expected)
+    searched = _multistart(V)
+    assert repr((fps.points, fps.residuals)) == repr((searched.points, searched.residuals))
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK))
 def test_theorem_boundary_falls_back_to_the_search(name):
     """Each operator fails one clause, so find_fixed_points searches, and
     the search still reports the whole set."""
-    build, fails, expected = BOUNDARY[name]
+    build, fails, expected = FALLBACK[name]
     V = build()
     assert fails(V.tensor.p)
-    assert not _unique_fixed_point_theorem(V.tensor.p)
+    assert proven_fixed_points(V) is None
     fps = find_fixed_points(V)
     assert fps.diagnostics["method"] == "multistart"
     assert fps.diagnostics["seeds_tried"] > 0

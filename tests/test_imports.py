@@ -40,8 +40,9 @@ def test_no_unused_import(module):
 
 
 # the modules only some commands need; what else the CLI imports at start-up
-# (click, numpy, operator, simplex, specfile) every command uses
-OPTIONAL = ("mpmath", "qsodyn.abscont", "qsodyn.classify", "qsodyn.markov")
+# (click, numpy, operator, simplex, specfile) every command uses. hashlib is
+# loaded only by the JSON reports that hash their spec file.
+OPTIONAL = ("hashlib", "mpmath", "qsodyn.abscont", "qsodyn.classify", "qsodyn.markov")
 
 
 def _fixture(name: str) -> str:
@@ -49,13 +50,13 @@ def _fixture(name: str) -> str:
 
 
 COMMANDS = [
-    (["validate", "--spec", _fixture("uniqueness_sufficiency_gap")], {"qsodyn.classify"}),
-    (["classify", "--spec", _fixture("attracting_not_unique")], {"qsodyn.classify"}),
-    (["fixed-points", "--spec", _fixture("attracting_not_unique")], set()),
+    (["validate", "--spec", _fixture("uniqueness_sufficiency_gap")], {"hashlib", "qsodyn.classify"}),
+    (["classify", "--spec", _fixture("attracting_not_unique")], {"hashlib", "qsodyn.classify"}),
+    (["fixed-points", "--spec", _fixture("attracting_not_unique")], {"hashlib"}),
     # a family spec builds its operator through abscont, with no mpmath
     (["iterate", "--spec", _fixture("va_a23"), "--x", "0.5,0.5", "--steps", "3"], {"qsodyn.abscont"}),
     (["markov", "--spec", _fixture("va_a05"), "--x", "0.5,0.5", "--horizon", "3"],
-     {"qsodyn.abscont", "qsodyn.markov"}),
+     {"hashlib", "qsodyn.abscont", "qsodyn.markov"}),
     (["mixing", "--spec", _fixture("va_a23"), "--x", "0.5,0.5", "--A", "0:1", "--B", "0:1", "--m-max", "3"],
      {"qsodyn.abscont", "qsodyn.markov"}),
     (["abscont", "--a", "0.5", "--x", "0.3,0.7", "--y", "0.6,0.4", "--m-max", "3"],

@@ -29,9 +29,9 @@ from qsodyn.generate import random_structured_tensors
 from qsodyn.operator import (
     _multistart,
     _pre_iterate,
-    _unique_fixed_point_theorem,
     evaluate_array,
     find_fixed_points,
+    proven_fixed_points,
     trajectory,
 )
 from qsodyn.simplex import SimplexError, grid_array, make_point, renormalize_rows, sample_array, sample_simplex, vertex
@@ -96,16 +96,25 @@ def test_fixed_points_match_reference(V):
     assert repr(got) == repr(reference_batched_fixed_points(V))
 
 
-# the operators whose coefficients prove Fix(V) = {e_n}: every structured
-# draw, and the fixtures other than the three-vertex and sufficiency-gap ones
-SETTLED = ("structured-", "slow-", "va_", "unique_not_contractive_s2")
+# the operators whose coefficients prove their fixed-point set: every
+# structured draw, and every fixture
+SETTLED = (
+    "structured-",
+    "slow-",
+    "va_",
+    "unique_not_contractive_s2",
+    "attracting_not_unique",
+    "uniqueness_sufficiency_gap",
+)
 
 
 @pytest.mark.parametrize("name, V", OPERATORS, ids=[name for name, _ in OPERATORS])
 def test_theorem_returns_the_search_result(name, V):
-    """Where the theorem holds, find_fixed_points returns what the search
-    finds, points and residuals to the bit; elsewhere it runs the search."""
-    assert _unique_fixed_point_theorem(V.tensor.p) == name.startswith(SETTLED)
+    """Where the coefficient check applies, find_fixed_points returns what
+    the search finds, points and residuals to the bit; elsewhere it runs
+    the search."""
+    proven = proven_fixed_points(V)
+    assert (proven is not None) == name.startswith(SETTLED)
     got, searched = find_fixed_points(V), _multistart(V)
     assert repr((got.points, got.residuals)) == repr((searched.points, searched.residuals))
     if name.startswith(SETTLED):
@@ -117,7 +126,9 @@ def test_theorem_returns_the_search_result(name, V):
             "newton_steps": 0,
             "method": "coefficient_theorem",
         }
-        assert got.residuals == [0.0] and got.points[0].coords == (0.0,) * (V.n - 1) + (1.0,)
+        assert got.residuals == [0.0] * len(proven)
+        assert [x.coords for x in got.points] == [tuple(x) for x in proven.tolist()]
+        assert got.points[0].coords == (0.0,) * (V.n - 1) + (1.0,)
     else:
         assert got.diagnostics == searched.diagnostics
 
