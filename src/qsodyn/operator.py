@@ -12,6 +12,8 @@ import numpy as np
 from .simplex import (
     SimplexPoint,
     DimensionMismatch,
+    _renormalize,
+    _sum,
     grid_array,
     make_point,
     renormalize_rows,
@@ -169,9 +171,8 @@ def trajectory(
 ) -> TrajectoryResult:
     """Iterate until the consecutive step shrinks below tol in l1 norm.
 
-    Each step is :func:`evaluate` and :func:`l1_distance` on the coordinate
-    array, so the path and limit are those of repeated evaluate calls.
-    """
+    Each step equals :func:`evaluate` and :func:`l1_distance` to the bit, yet
+    its one NumPy call is the einsum: the point is a list of Python floats."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 0:
@@ -182,18 +183,18 @@ def trajectory(
     step = float("inf")
     used = 0
     p = V.tensor.p
-    xa = x.as_array()
+    xs = list(x.coords)
     for it in range(1, max_iter + 1):
-        nxt = renormalize_rows(np.einsum("ijk,i,j->k", p, xa, xa), eps=1e-9)
-        step = float(np.add.reduce(np.abs(xa - nxt)))
-        xa = nxt
+        nxt = _renormalize(np.einsum("ijk,i,j->k", p, xs, xs).tolist(), 1e-9)
+        step = _sum([abs(a - b) for a, b in zip(xs, nxt)])
+        xs = nxt
         used = it
         if record_path:
-            path.append(SimplexPoint(tuple(xa.tolist())))
+            path.append(SimplexPoint(tuple(xs)))
         if step <= tol:
             break
     return TrajectoryResult(
-        limit=x if used == 0 else SimplexPoint(tuple(xa.tolist())),
+        limit=x if used == 0 else SimplexPoint(tuple(xs)),
         iterations_used=used,
         final_step_l1=step,
         converged=step <= tol,
@@ -248,9 +249,10 @@ SEARCH_COUNTERS = ("seeds_tried", "seeds_converged", "rejected_by_residual", "me
 
 
 def _pre_iterate(V: QsoOperator, X: np.ndarray):
-    """Iterate every row of X with V, each as :func:`trajectory` would with
-    tol=1e-10 and max_iter=500: a row stops once its l1 step is <= 1e-10 or
-    it has taken 500 steps. Returns the rows and each row's last l1 step."""
+    """Iterate every row of X with V until its l1 step is <= 1e-10 or it has
+    taken 500 steps, as trajectory(tol=1e-10, max_iter=500) stops; rows agree
+    with those orbits to about 1e-13, as :func:`evaluate_array` rounds
+    otherwise. Returns the rows and each row's last l1 step."""
     X = X.copy()
     last = np.full(len(X), np.inf)
     live = np.arange(len(X))  # the rows of X still iterating; rows holds their values

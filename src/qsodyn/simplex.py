@@ -6,7 +6,10 @@ All indices in public interfaces are 1-based; arrays are 0-based internally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, combinations
+from math import copysign
+from operator import add
 from typing import Optional, Sequence
 
 import numpy as np
@@ -58,16 +61,55 @@ class OrderVerdict:
 
 
 def make_point(coords: Sequence[float], eps: float = EPS_SIMPLEX) -> SimplexPoint:
-    """Validate, clamp tiny negatives, and renormalize to sum exactly 1."""
+    """Validate, clip tiny negatives, and divide by the computed sum."""
     arr = np.asarray(coords, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise SimplexError(f"need at least 2 coordinates, got shape {arr.shape}")
-    return SimplexPoint(tuple(renormalize_rows(arr, eps).tolist()))
+    return SimplexPoint(tuple(_renormalize(arr.tolist(), eps)))
+
+
+def _sum(xs: list) -> float:
+    """xs summed as np.add.reduce sums a contiguous float64 vector, to the bit:
+    from +0.0; to 128 terms, 8 running sums combined pairwise if n >= 8, then
+    the rest left to right; beyond, two halves split at a multiple of 8."""
+    n = len(xs)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum(xs[:half]) + _sum(xs[half:])
+    s, m = 0.0, 0
+    if n >= 8:
+        m = n - n % 8
+        r = xs[:8]
+        for i in range(8, m, 8):
+            r = list(map(add, r, xs[i : i + 8]))
+        s += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in xs[m:]:
+        s += v
+    return s
+
+
+def _renormalize(xs: list, eps: float) -> list:
+    """One point's checks and clip-and-renormalize on floats, rounding as the
+    array code would: reject the first coordinate not >= -eps, then a sum off
+    1 by more than eps; clip only a negative or -0.0 entry; divide by the sum."""
+    for i, v in enumerate(xs):
+        if not v >= -eps:  # NaN fails too; +inf fails the sum check
+            reason = f"below -{eps}" if v < -eps else "not a number"
+            raise SimplexError(f"coordinate {i + 1} is {v}, {reason}")
+    total = _sum(xs)
+    if abs(total - 1.0) > eps:
+        raise SimplexError(f"coordinates sum to {total}, deviation exceeds {eps}")
+    if min(xs) <= 0.0 and any(copysign(1.0, v) < 0.0 for v in xs):
+        xs = [v if v > 0.0 else 0.0 for v in xs]
+        total = _sum(xs)
+    return [v / total for v in xs]
 
 
 def renormalize_rows(X: np.ndarray, eps: float = EPS_SIMPLEX) -> np.ndarray:
-    """The checks and the clip-and-renormalize of :func:`make_point`, applied
-    to every row of X (a single point is a 1-D X)."""
+    """:func:`make_point`'s checks and clip-and-renormalize on every row of a
+    (count, n) array X; a 1-D X is one point, done by make_point's routine."""
+    if X.ndim == 1:
+        return np.array(_renormalize(X.tolist(), eps))
     low = X.min()
     # NaN fails this comparison; +inf fails the sum check below
     if not low >= -eps:
@@ -75,18 +117,17 @@ def renormalize_rows(X: np.ndarray, eps: float = EPS_SIMPLEX) -> np.ndarray:
         v = X[idx]
         reason = f"below -{eps}" if v < -eps else "not a number"
         raise SimplexError(f"coordinate {idx[-1] + 1} is {v}, {reason}")
-    totals = X.sum(axis=-1)
+    totals = X.sum(axis=1)
     dev = abs(totals - 1.0)
-    # a single point's dev is a numpy scalar, whose .max() costs microseconds
-    if (dev.max() if X.ndim > 1 else dev) > eps:
-        total = float(np.ravel(totals)[np.argmax(dev)])
+    if dev.max() > eps:
+        total = float(totals[np.argmax(dev)])
         raise SimplexError(f"coordinates sum to {total}, deviation exceeds {eps}")
     # unless an entry is negative or -0.0 (which clip maps to +0.0), the clip
     # would change nothing and the totals are already the sums to divide by
     if low < 0.0 or (low == 0.0 and np.signbit(X).any()):
         X = X.clip(0.0)
-        return X / X.sum(axis=-1, keepdims=True)
-    return X / (totals[:, None] if X.ndim > 1 else totals)
+        return X / X.sum(axis=1, keepdims=True)
+    return X / totals[:, None]
 
 
 def vertex(n: int, i: int) -> SimplexPoint:
@@ -100,7 +141,8 @@ def partial_sum(x: SimplexPoint, k: int) -> float:
     """Sum of the first k coordinates, 1 <= k <= n-1."""
     if not 1 <= k <= x.n - 1:
         raise ValueError(f"k={k} out of range 1..{x.n - 1}")
-    return float(sum(x.coords[:k]))
+    # left to right as np.cumsum; sum() compensates its rounding since 3.12
+    return float(reduce(add, x.coords[:k]))
 
 
 def _check_same_dim(x: SimplexPoint, y: SimplexPoint) -> None:

@@ -29,12 +29,22 @@ from qsodyn.generate import random_structured_tensors
 from qsodyn.operator import (
     _multistart,
     _pre_iterate,
+    evaluate,
     evaluate_array,
     find_fixed_points,
     proven_fixed_points,
     trajectory,
 )
-from qsodyn.simplex import SimplexError, grid_array, make_point, renormalize_rows, sample_array, sample_simplex, vertex
+from qsodyn.simplex import (
+    SimplexError,
+    grid_array,
+    l1_distance,
+    make_point,
+    renormalize_rows,
+    sample_array,
+    sample_simplex,
+    vertex,
+)
 
 FIXTURES = [
     "attracting_not_unique",
@@ -67,10 +77,13 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def orbit_starts(n):
+    return sample_simplex(n, 3, seed=n) + [make_point([1.0 / n] * n), vertex(n, 1)]
+
+
 @operators
 def test_trajectories_match_reference(V):
-    n = V.n
-    starts = sample_simplex(n, 3, seed=n) + [make_point([1.0 / n] * n), vertex(n, 1)]
+    starts = orbit_starts(V.n)
     for x in starts:
         got = trajectory(V, x, max_iter=2000, record_path=True)
         want = reference_trajectory(V, x, max_iter=2000, record_path=True)
@@ -78,6 +91,16 @@ def test_trajectories_match_reference(V):
     # a tolerance never met: every step up to max_iter is taken
     got = trajectory(V, starts[0], tol=1e-300, max_iter=40)
     assert repr(got) == repr(reference_trajectory(V, starts[0], tol=1e-300, max_iter=40))
+
+
+@operators
+def test_trajectory_is_repeated_evaluate(V):
+    """The orbit's list arithmetic gives what evaluate and l1_distance give
+    through NumPy, to the bit."""
+    for x in orbit_starts(V.n):
+        got = trajectory(V, x, max_iter=2000, record_path=True)
+        assert [repr(evaluate(V, y)) for y in got.path[:-1]] == [repr(y) for y in got.path[1:]]
+        assert repr(got.final_step_l1) == repr(l1_distance(got.path[-2], got.path[-1]))
 
 
 @operators

@@ -8,6 +8,7 @@ from conftest import reference_grid, reference_samples
 from qsodyn.simplex import (
     DimensionMismatch,
     SimplexError,
+    _sum,
     b_leq,
     grid_simplex,
     l1_distance,
@@ -68,6 +69,13 @@ class TestPartialSum:
         assert partial_sum(x, 1) == 0.0
         assert partial_sum(x, 2) == 0.0
 
+    def test_sums_left_to_right(self):
+        # sum() compensates its rounding since Python 3.12, and there gives
+        # 1.0000000000000002 here, above 1; np.cumsum, as b_leq uses it, adds
+        # left to right and gives 1.0
+        x = make_point([0.7, 0.1, 0.1, 0.1, 0.0])
+        assert repr(partial_sum(x, 4)) == repr(float(np.cumsum(x.coords)[3])) == "1.0"
+
     def test_range(self):
         x = make_point([0.5, 0.5])
         with pytest.raises(ValueError):
@@ -104,6 +112,36 @@ class TestBOrder:
         if b_leq(x, y, eps=0.0) and b_leq(y, z, eps=0.0):
             assert b_leq(x, z)
 
+
+class TestSum:
+    """_sum equals np.add.reduce on a contiguous float64 vector, to the bit:
+    across the switch to 8 running sums (7/8/9 terms), to halving (127/128/
+    129) and to a second halving (255-257)."""
+
+    STRESSED = (7, 8, 9, 127, 128, 129, 255, 256, 257)
+
+    @staticmethod
+    def assert_matches_numpy(x):
+        assert repr(_sum(x.tolist())) == repr(float(np.add.reduce(x)))
+
+    def test_exponential_draws(self):
+        rng = np.random.default_rng(18)
+        for n in range(1, 301):
+            for _ in range(40 if n in self.STRESSED else 4):
+                # half the draws spread over 26 orders of magnitude
+                scale = np.exp(rng.uniform(-30.0, 30.0, size=n)) if rng.random() < 0.5 else 1.0
+                self.assert_matches_numpy(rng.exponential(size=n) * scale)
+
+    def test_signed_zeros(self):
+        rng = np.random.default_rng(19)
+        for n in range(1, 301):
+            # all -0.0 sums to +0.0: the sum starts from +0.0
+            assert repr(_sum([-0.0] * n)) == "0.0"
+            self.assert_matches_numpy(np.full(n, -0.0))
+            for _ in range(10 if n in self.STRESSED else 2):
+                zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+                self.assert_matches_numpy(zeros)
+                self.assert_matches_numpy(np.where(rng.random(n) < 0.5, zeros, rng.exponential(size=n)))
 
 def test_l1_distance():
     assert l1_distance(make_point([1.0, 0.0]), make_point([0.0, 1.0])) == 2.0
