@@ -288,6 +288,7 @@ def rn_series(num: VaParams, den: VaParams, m_max: int) -> RNSeriesReport:
     den_stay = den.a * den.x1
     exceptional = 1.0 > num.a * num.x1 > den_stay > 0.0
     terms = []
+    totals = []
     partial = 0.0
     num_rate, den_rate = _stay_rate(num), _stay_rate(den)
     for m in range(1, m_max + 1):
@@ -295,10 +296,7 @@ def rn_series(num: VaParams, den: VaParams, m_max: int) -> RNSeriesReport:
         contribution = k_term if exceptional else k_term + khat
         partial += contribution
         terms.append((m, k_term, khat, partial))
-    if exceptional:
-        totals = [k for _, k, _, _ in terms]
-    else:
-        totals = [k + kh for _, k, kh, _ in terms]
+        totals.append(contribution)
     classification = _classify_terms(totals)
     note = ""
     if exceptional:

@@ -31,16 +31,9 @@ class ConditionReport:
     witness: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class NecessaryReport:
-    """Necessary structural conditions for order-decreasing operators."""
-
-    conditions: list  # list[ConditionReport]
-
-
-def check_necessary_bbistochastic(V: QsoOperator) -> NecessaryReport:
-    """Coefficient-level necessary conditions, each with a first witness,
-    each to within EPS_COEF.
+def check_necessary_bbistochastic(V: QsoOperator) -> list:
+    """Coefficient-level necessary conditions for order-decreasing operators,
+    one ConditionReport each with a first witness, each to within EPS_COEF.
 
     cumulative_mass:  sum_{m<=k} sum_{ij} p[i,j,m] <= k*n for every k
     upper_block_zero: p[i,j,k] = 0 whenever both i, j > k
@@ -82,7 +75,7 @@ def check_necessary_bbistochastic(V: QsoOperator) -> NecessaryReport:
         if witness:
             break
     conds.append(ConditionReport("half_bound", witness is None, witness))
-    return NecessaryReport(conds)
+    return conds
 
 
 @dataclass(frozen=True)
@@ -324,7 +317,7 @@ class ClassificationReport:
     """Aggregate of every certificate applicable to the operator's dimension."""
 
     n: int
-    necessary: NecessaryReport
+    necessary: list  # list[ConditionReport]
     numeric_b_verdict: NumericOrderVerdict
     uniqueness: UniquenessReport
     proven_fixed_points: Optional[np.ndarray]  # vertex rows, None where the check does not apply

@@ -11,12 +11,11 @@ from pathlib import Path
 from typing import Optional
 
 import click
-import numpy as np
 
 from . import __version__
 # classify, markov and abscont, and with them mpmath, load only in the commands calling them
 from .operator import TensorError, evaluate, find_fixed_points, trajectory
-from .simplex import SimplexError, make_point, partial_sum
+from .simplex import SimplexError, l1_distance, make_point, partial_sum
 from .specfile import SpecFileError, load_spec, spec_hash
 
 EXIT_VALIDATION = 2
@@ -106,7 +105,7 @@ def _order_checks(necessary, verdict) -> dict:
     """Report fields shared by ``validate`` and ``classify``."""
     witness = verdict.witness_point
     return {
-        "necessary_conditions": [asdict(c) for c in necessary.conditions],
+        "necessary_conditions": [asdict(c) for c in necessary],
         "numeric_b_verdict": {
             **asdict(verdict),
             "witness_point": list(witness.coords) if witness else None,
@@ -215,7 +214,7 @@ def iterate(spec_path, symmetrize, x_text, steps, tol, max_iter, out):
     rows = []
     prev = None
     for step, p in enumerate(path):
-        delta = 0.0 if prev is None else float(np.abs(p.as_array() - prev.as_array()).sum())
+        delta = 0.0 if prev is None else l1_distance(prev, p)
         rows.append([step, *p.coords, *(partial_sum(p, k) for k in range(1, n)), delta])
         prev = p
     _emit_csv(header, rows, out, "iterate")

@@ -12,8 +12,9 @@ computation would store. No signed values arise: coefficients lie in
 [0, 1] and the start point on the simplex, and the one difference, the
 mixing gap's |H - x|, is rounded as a magnitude, as ``mpf_sub`` rounds it.
 Float views round a pair to the nearest double as mpmath does; only the log
-views load mpmath, for its raw ``mpf_log``. Every call gets the precision as
-an argument, so no mpmath context, global or private, is read or changed.
+view of the one-step matrices loads mpmath, for its raw ``mpf_log``. Every
+call gets the precision as an argument, so no mpmath context, global or
+private, is read or changed.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ class TransitionFamily:
     """Memoized trajectory, one-step matrices and running products for
     (operator, start).
 
-    All arithmetic, log views included, runs at _PREC bits (40 decimal
+    All arithmetic, the log view included, runs at _PREC bits (40 decimal
     digits), passed to each operation as an argument. The running
     products H^[k,k+1] ... H^[m-1,m] are computed once and kept, one list
     per start time k asked about: one n x n matrix per (k, m) pair reached,
@@ -169,15 +170,11 @@ class TransitionFamily:
                 self._traj.append(_unit_sum([_dot(x, col, _PREC) for col in zip(*raw)], _PREC))
 
     def _view(self, values: list, log: bool = False) -> np.ndarray:
-        """Doubles of a vector or matrix of kernel values, or of their logs."""
+        """Doubles of a matrix of kernel values, or of their logs."""
         f = (lambda v: _log_float(v, _PREC)) if log else _to_float
-        if isinstance(values[0], list):
-            return np.array([[f(v) for v in row] for row in values])
-        return np.array([f(v) for v in values])
+        return np.array([[f(v) for v in row] for row in values])
 
     def _point(self, k: int) -> list:
-        if k < 0:
-            raise ValueError("k must be >= 0")
         self.extend(k)
         return self._traj[k]
 
@@ -205,12 +202,6 @@ class TransitionFamily:
 
     # -- views -------------------------------------------------------------
 
-    def trajectory_point(self, k: int) -> np.ndarray:
-        return self._view(self._point(k))
-
-    def trajectory_point_log(self, k: int) -> np.ndarray:
-        return self._view(self._point(k), log=True)
-
     def transition_matrix(self, k: int) -> np.ndarray:
         """One-step matrix H^[k, k+1], row-stochastic."""
         return self._view(self._matrix(k))
@@ -221,9 +212,6 @@ class TransitionFamily:
     def compose_transitions(self, k: int, m: int) -> np.ndarray:
         """Ordered product H^[k,k+1] ... H^[m-1,m]."""
         return self._view(self._product(k, m))
-
-    def compose_transitions_log(self, k: int, m: int) -> np.ndarray:
-        return self._view(self._product(k, m), log=True)
 
 
 @dataclass(frozen=True)
@@ -272,10 +260,6 @@ def _cylinder_measure_pair(family: TransitionFamily, c: CylinderSet) -> tuple:
 def cylinder_measure(family: TransitionFamily, c: CylinderSet) -> float:
     """Initial weight at the window start times the one-step chain factors."""
     return _to_float(_cylinder_measure_pair(family, c))
-
-
-def cylinder_measure_log(family: TransitionFamily, c: CylinderSet) -> float:
-    return _log_float(_cylinder_measure_pair(family, c), _PREC)
 
 
 @dataclass(frozen=True)

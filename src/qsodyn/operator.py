@@ -177,7 +177,7 @@ def trajectory(
         raise ValueError("tol must be positive")
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
-    if max_iter > 0 and x.n != V.n:
+    if x.n != V.n:
         raise DimensionMismatch(f"operator on {V.n} states, point has {x.n}")
     path = [x] if record_path else None
     step = float("inf")

@@ -107,9 +107,7 @@ def _renormalize(xs: list, eps: float) -> list:
 
 def renormalize_rows(X: np.ndarray, eps: float = EPS_SIMPLEX) -> np.ndarray:
     """:func:`make_point`'s checks and clip-and-renormalize on every row of a
-    (count, n) array X; a 1-D X is one point, done by make_point's routine."""
-    if X.ndim == 1:
-        return np.array(_renormalize(X.tolist(), eps))
+    (count, n) array X."""
     low = X.min()
     # NaN fails this comparison; +inf fails the sum check below
     if not low >= -eps:

@@ -47,14 +47,14 @@ def modulus_by_enumeration(V):
 class TestNecessaryConditions:
     def test_va_passes(self):
         rep = check_necessary_bbistochastic(va_operator(0.5))
-        assert all(c.passed for c in rep.conditions)
+        assert all(c.passed for c in rep)
 
     def test_upper_block_witness(self):
         t = tensor_from_entries(
             2, {(1, 1, 1): 0.5, (1, 1, 2): 0.5, (1, 2, 2): 1.0, (2, 2, 1): 0.1, (2, 2, 2): 0.9}
         )
         rep = check_necessary_bbistochastic(make_operator(t))
-        cond = {c.name: c for c in rep.conditions}["upper_block_zero"]
+        cond = {c.name: c for c in rep}["upper_block_zero"]
         assert not cond.passed
         assert cond.witness == (2, 2, 1)
 
@@ -63,26 +63,26 @@ class TestNecessaryConditions:
             2, {(1, 1, 2): 1.0, (1, 2, 2): 1.0, (2, 2, 1): 0.1, (2, 2, 2): 0.9}
         )
         rep = check_necessary_bbistochastic(make_operator(t))
-        assert not {c.name: c for c in rep.conditions}["absorbing_last"].passed
+        assert not {c.name: c for c in rep}["absorbing_last"].passed
 
     def test_half_bound_witness(self):
         t = tensor_from_entries(
             2, {(1, 1, 2): 1.0, (1, 2, 1): 0.6, (1, 2, 2): 0.4, (2, 2, 2): 1.0}
         )
         rep = check_necessary_bbistochastic(make_operator(t))
-        cond = {c.name: c for c in rep.conditions}["half_bound"]
+        cond = {c.name: c for c in rep}["half_bound"]
         assert not cond.passed
         assert cond.witness == (1, 2, 0.6)
 
     def test_generated_tensors_pass(self):
         for V in random_structured_tensors(4, 10, seed=60):
-            assert all(c.passed for c in check_necessary_bbistochastic(V).conditions)
+            assert all(c.passed for c in check_necessary_bbistochastic(V))
 
     def test_passed_is_a_python_bool(self):
         # reports are serialized by json.dumps, which rejects numpy.bool
         for name in FIXTURES:
             rep = check_necessary_bbistochastic(load_fixture(name).build())
-            for c in rep.conditions:
+            for c in rep:
                 assert type(c.passed) is bool, (name, c.name)
 
 
@@ -391,7 +391,7 @@ class TestAggregateReport:
         assert not rep.contraction.is_strict
         assert rep.contraction_1d is None
         assert rep.contraction_2d is not None
-        assert {c.name: c for c in rep.necessary.conditions}["cumulative_mass"].passed
+        assert {c.name: c for c in rep.necessary}["cumulative_mass"].passed
 
     def test_1d_branch(self):
         rep = classify_operator(va_operator(0.4))

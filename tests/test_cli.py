@@ -298,6 +298,14 @@ class TestMixing:
             runner, ["mixing", "--spec", fixture_path("va_a05"), "--x", "0.5,0.5", "--A", a, "--B", b]
         )
 
+    def test_negative_window_start(self, runner):
+        result = runner.invoke(main, ["mixing", "--spec", fixture_path("va_a05"), "--x", "0.5,0.5",
+                                      "--A", "-1:1", "--B", "0:1"])
+        assert result.exit_code == EXIT_VALIDATION, result.output
+        err = json.loads(result.stderr)
+        assert err["error"] == "validation_error"
+        assert "window start must be >= 0" in err["message"]
+
     @pytest.mark.parametrize("m_max, first", [("2", 4), ("3", 4)])
     def test_no_shift_puts_b_after_a(self, runner, m_max, first):
         """A's window ends at time 3, so the first shift of B = 0:1 after it

@@ -1,16 +1,18 @@
-"""Every name a library module imports is used in that module, and each
-CLI command loads only the modules it runs."""
+"""Every name a library module imports is used in that module, every public
+library name has a reader, and each CLI command loads only the modules it runs."""
 
 import ast
 import json
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qsodyn"
+BENCH = SRC.parent.parent / "bench"
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
 
 
@@ -37,6 +39,95 @@ def test_finds_an_unused_name():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_import(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+# public names with no reader in the library or the benchmark, kept for the
+# library's users, each with the reason
+API_NAMES = {
+    "b_leq": "the b-order itself, the oracle the tests check every order verdict against",
+    "vertex": "the simplex's vertices, the start points and fixed points the paper names",
+    "VaParams.of": "the two-state family's parameters from (a, x1), as the paper writes them",
+    "va_transition_closed_form": "acceptance criterion 07's closed form of H^[k,k+1]",
+}
+
+
+def _is_command(node) -> bool:
+    """Decorated with @main.command(...): click reads it, no line of code does."""
+    return any(
+        isinstance(d, ast.Call)
+        and isinstance(d.func, ast.Attribute)
+        and d.func.attr == "command"
+        and isinstance(d.func.value, ast.Name)
+        and d.func.value.id == "main"
+        for d in node.decorator_list
+    )
+
+
+def public_names(src: Path) -> dict:
+    """Qualified name -> (file, line) of every public top-level function and
+    class in src, and of every public method of those classes."""
+    names = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if not _is_command(node):
+                names[node.name] = (path, node.lineno)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        names[f"{node.name}.{item.name}"] = (path, item.lineno)
+    return names
+
+
+def reads(paths) -> dict:
+    """Name -> the (file, line) places where an ast Name, Attribute or import
+    alias reads it; an attribute counts under its last part alone."""
+    found = defaultdict(set)
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found[node.id].add((path, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                found[node.attr].add((path, node.lineno))
+            elif isinstance(node, ast.alias):
+                found[node.name.split(".")[-1]].add((path, node.lineno))
+    return found
+
+
+def unread_names(src: Path, others) -> list:
+    """Public names of src, API_NAMES aside, that no other line of src or others reads."""
+    found = reads([*src.glob("*.py"), *others])
+    return sorted(
+        name
+        for name, where in public_names(src).items()
+        if name not in API_NAMES and not found[name.split(".")[-1]] - {where}
+    )
+
+
+def test_finds_an_unread_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Box:\n"
+        "    def used(self):\n        return self.unused\n"
+        "    def unused(self):\n        return 1\n"
+        "def helper():\n    return 2\n"
+        "@main.command()\ndef run():\n    return Box().used()\n"
+    )
+    assert unread_names(tmp_path, []) == ["helper"]
+
+
+def test_api_names_are_public_and_have_no_reader():
+    """Each API_NAMES entry is a public name, and would fail the check
+    below without its entry: once it gains a reader, its entry goes."""
+    found = reads([*SRC.glob("*.py"), *BENCH.glob("*.py")])
+    names = public_names(SRC)
+    for name in API_NAMES:
+        assert name in names
+        assert not found[name.split(".")[-1]] - {names[name]}, name
+
+
+def test_every_public_name_is_used():
+    assert unread_names(SRC, BENCH.glob("*.py")) == []
 
 
 # the modules only some commands need; what else the CLI imports at start-up

@@ -13,7 +13,6 @@ from qsodyn.markov import (
     CylinderSet,
     TransitionFamily,
     cylinder_measure,
-    cylinder_measure_log,
     mixing_series,
     shift_cylinder,
 )
@@ -62,12 +61,6 @@ class TestTransitionMatrices:
         with pytest.raises(ValueError):
             half_family.compose_transitions(3, 3)
 
-    @pytest.mark.parametrize("view", ["trajectory_point", "trajectory_point_log"])
-    def test_negative_time_rejected(self, half_family, view):
-        half_family.extend(5)
-        with pytest.raises(ValueError):
-            getattr(half_family, view)(-1)
-
     def test_log_view_beyond_underflow(self):
         fam = TransitionFamily(va_operator(0.9), make_point([0.9, 0.1]))
         logs = fam.transition_matrix_log(20)
@@ -113,11 +106,6 @@ class TestCylinderMeasures:
         with pytest.raises(ValueError):
             cylinder_measure(half_family, CylinderSet(0, (3,)))
 
-    def test_log_measure(self, half_family):
-        c = CylinderSet(0, (1, 1, 1))
-        lin = cylinder_measure(half_family, c)
-        assert cylinder_measure_log(half_family, c) == pytest.approx(math.log(lin))
-
 
 class TestShift:
     def test_shift_moves_window(self):
@@ -128,6 +116,22 @@ class TestShift:
     def test_zero_shift_identity(self):
         c = CylinderSet(2, (1,))
         assert shift_cylinder(c, 0) == c
+
+    def test_negative_shift_rejected(self):
+        with pytest.raises(ValueError, match="shift must be >= 0"):
+            shift_cylinder(CylinderSet(0, (1,)), -1)
+
+
+class TestCylinderSet:
+    """The window checks are what keep every time the kernel reads at >= 0."""
+
+    def test_negative_start_rejected(self):
+        with pytest.raises(ValueError, match="window start must be >= 0"):
+            CylinderSet(-1, (1,))
+
+    def test_empty_window_rejected(self):
+        with pytest.raises(ValueError, match="cylinder needs at least one state"):
+            CylinderSet(0, ())
 
 
 class TestMixing:
@@ -236,7 +240,7 @@ def test_thread_safe_extension():
     calls = [
         lambda f: f.compose_transitions(0, 30),
         lambda f: f.compose_transitions(0, 9),
-        lambda f: f.compose_transitions_log(0, 24),
+        lambda f: f.transition_matrix_log(24),
         lambda f: f.compose_transitions(6, 30),
         lambda f: f.compose_transitions(6, 11),
         lambda f: f.compose_transitions(0, 27),

@@ -3,7 +3,9 @@
 The reference computes the trajectory by the quadratic map, each one-step
 matrix entry, each matrix product and each chain factor in its own mpmath
 loop, as ``TransitionFamily`` did before it became one object-array kernel.
-Every float and log view is required equal to the reference's to the bit.
+Every float view, the log view of the one-step matrices, and each
+trajectory coordinate (read as the measure of a one-state cylinder) is
+required equal to the reference's to the bit.
 """
 
 import numpy as np
@@ -16,7 +18,6 @@ from qsodyn.markov import (
     CylinderSet,
     TransitionFamily,
     cylinder_measure,
-    cylinder_measure_log,
     mixing_series,
 )
 from qsodyn.simplex import make_point, vertex
@@ -53,18 +54,17 @@ def assert_kernel_matches_reference(V, x):
     ref = reference_markov(V, x)
     n = V.n
     for k in range(HORIZON + 1):
-        assert_same_bits(fam.trajectory_point(k), ref.trajectory_point(k))
-        assert_same_bits(fam.trajectory_point_log(k), ref.trajectory_point(k, log=True))
+        # a one-state cylinder at time k weighs the trajectory's coordinate
+        point = [cylinder_measure(fam, CylinderSet(k, (i,))) for i in range(1, n + 1)]
+        assert_same_bits(point, ref.trajectory_point(k))
     for k in range(HORIZON):
         assert_same_bits(fam.transition_matrix(k), ref.transition_matrix(k))
         assert_same_bits(fam.transition_matrix_log(k), ref.transition_matrix(k, log=True))
     for k, m in ((0, 1), (0, 7), (0, HORIZON), (1, 9), (3, 17), (4, HORIZON),
                  (12, HORIZON), (HORIZON - 1, HORIZON)):
         assert_same_bits(fam.compose_transitions(k, m), ref.compose_transitions(k, m))
-        assert_same_bits(fam.compose_transitions_log(k, m), ref.compose_transitions(k, m, log=True))
     for c in cylinders(n):
         assert_same_bits(cylinder_measure(fam, c), ref.cylinder_measure(c))
-        assert_same_bits(cylinder_measure_log(fam, c), ref.cylinder_measure(c, log=True))
     for A, B in mixing_pairs(n):
         series = mixing_series(fam, A, B, HORIZON)
         m_min = max(1, A.end - B.start + 1)
@@ -119,8 +119,8 @@ def order_queries(n):
     }
     for k, m in window:
         queries[f"compose_{k}_{m}"] = (
-            lambda f, k=k, m=m: [f.compose_transitions(k, m), f.compose_transitions_log(k, m)],
-            lambda r, k=k, m=m: [r.compose_transitions(k, m), r.compose_transitions(k, m, log=True)],
+            lambda f, k=k, m=m: f.compose_transitions(k, m),
+            lambda r, k=k, m=m: r.compose_transitions(k, m),
         )
     return queries
 
@@ -159,11 +159,9 @@ def test_returned_composition_is_a_copy():
     V, x = va_operator(0.5), make_point([0.9, 0.1])
     fam = TransitionFamily(V, x)
     ref = reference_markov(V, x)
-    for log in (False, True):
-        view = fam.compose_transitions_log if log else fam.compose_transitions
-        first = view(0, HORIZON)
-        first[:] = 0.5
-        assert_same_bits(view(0, HORIZON), ref.compose_transitions(0, HORIZON, log=log))
+    first = fam.compose_transitions(0, HORIZON)
+    first[:] = 0.5
+    assert_same_bits(fam.compose_transitions(0, HORIZON), ref.compose_transitions(0, HORIZON))
     A, B = CylinderSet(0, (1,)), CylinderSet(0, (2,))
     for m, tau, bound in mixing_series(fam, A, B, HORIZON).terms:
         assert_same_bits((tau, bound), ref.mixing_gap(A, B, m))

@@ -16,7 +16,15 @@ from qsodyn.operator import (
     trajectory,
     vertex_eigenvalues,
 )
-from qsodyn.simplex import b_leq, l1_distance, make_point, sample_array, sample_simplex, vertex
+from qsodyn.simplex import (
+    DimensionMismatch,
+    b_leq,
+    l1_distance,
+    make_point,
+    sample_array,
+    sample_simplex,
+    vertex,
+)
 
 
 class TestMakeOperator:
@@ -161,6 +169,12 @@ class TestIteration:
         x = make_point([0.4, 0.6])
         with pytest.raises(ValueError, match="max_iter"):
             trajectory(V, x, max_iter=-3)
+
+    @pytest.mark.parametrize("max_iter", [0, 1])
+    def test_wrong_dimension_rejected(self, max_iter):
+        """Even with no step to take, a 3-point is not a start of a 2-state operator."""
+        with pytest.raises(DimensionMismatch):
+            trajectory(va_operator(0.5), make_point([0.2, 0.3, 0.5]), max_iter=max_iter)
 
     def test_limit_is_fixed_point(self):
         for V in random_structured_tensors(3, 10, seed=30):

@@ -173,6 +173,14 @@ def test_batch_map_matches_reference(V):
     assert_same_bits(evaluate_array(V, X), reference_evaluate_array(V, X))
 
 
+def renormalize(X, eps=1e-12):
+    """The library's check and renormalization: renormalize_rows on a
+    (count, n) array, make_point on one point."""
+    if X.ndim == 1:
+        return np.array(make_point(X, eps).coords)
+    return renormalize_rows(X, eps)
+
+
 def outcome(f, X, eps):
     """The result's bytes, or the message of the SimplexError raised."""
     try:
@@ -215,18 +223,18 @@ class TestRenormalizeRows:
     @settings(max_examples=400, deadline=None)
     @given(near_simplex_arrays(), st.sampled_from([1e-12, 1e-9]))
     def test_matches_reference(self, X, eps):
-        assert outcome(renormalize_rows, X, eps) == outcome(reference_renormalize_rows, X, eps)
+        assert outcome(renormalize, X, eps) == outcome(reference_renormalize_rows, X, eps)
 
     @pytest.mark.parametrize("coords", [[0.5, -0.0, 0.5], [[0.25, 0.75], [-0.0, 1.0]]])
     def test_negative_zero_is_clipped(self, coords):
         X = np.array(coords)
-        got = renormalize_rows(X)
+        got = renormalize(X)
         assert not np.signbit(got).any()
         assert_same_bits(got, reference_renormalize_rows(X))
 
     def test_tiny_negative_is_clipped(self):
         X = np.array([-1e-13, 0.5, 0.5 + 1e-13])
-        got = renormalize_rows(X)
+        got = renormalize(X)
         assert got[0] == 0.0 and not np.signbit(got[0])
         assert_same_bits(got, reference_renormalize_rows(X))
 
@@ -243,7 +251,7 @@ class TestRenormalizeRows:
     )
     def test_rejections(self, coords, message):
         X = np.array(coords)
-        for f in (renormalize_rows, reference_renormalize_rows):
+        for f in (renormalize, reference_renormalize_rows):
             with pytest.raises(SimplexError) as exc:
                 f(X)
             assert str(exc.value) == message

@@ -48,7 +48,7 @@ def test_uniqueness_bound_tolerance():
 )
 def test_necessary_condition_tolerance(name, inside, outside):
     def passed(V):
-        return {c.name: c.passed for c in check_necessary_bbistochastic(V).conditions}[name]
+        return {c.name: c.passed for c in check_necessary_bbistochastic(V)}[name]
 
     assert passed(two_state(**inside))
     assert not passed(two_state(**outside))
