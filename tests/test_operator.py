@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from conftest import random_general_operator
 from qsodyn.abscont import va_operator
 from qsodyn.generate import random_structured_tensors
 from qsodyn.operator import (
@@ -176,6 +179,11 @@ class TestIteration:
         with pytest.raises(DimensionMismatch):
             trajectory(va_operator(0.5), make_point([0.2, 0.3, 0.5]), max_iter=max_iter)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+    def test_nonpositive_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            trajectory(va_operator(0.5), make_point([0.5, 0.5]), tol=tol, max_iter=50)
+
     def test_limit_is_fixed_point(self):
         for V in random_structured_tensors(3, 10, seed=30):
             tr = trajectory(V, make_point([1 / 3] * 3), tol=1e-12)
@@ -241,6 +249,14 @@ class TestFixedPoints:
     def test_sufficiency_gap_unique(self, sufficiency_gap_operator):
         fps = find_fixed_points(sufficiency_gap_operator, tol=1e-9)
         assert [p.coords for p in fps.points] == [(0.0, 0.0, 1.0)]
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+    def test_nonpositive_tolerance_rejected(self, tol):
+        """A NaN tolerance used to let the search take no Newton step and
+        return its unpolished seeds."""
+        V = random_general_operator(3, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="tol must be positive"):
+            find_fixed_points(V, tol=tol)
 
     def test_pairwise_separation(self, three_vertex_operator):
         fps = find_fixed_points(three_vertex_operator)

@@ -27,7 +27,10 @@ from conftest import (
 from qsodyn.classify import verify_bbistochastic_numeric
 from qsodyn.generate import random_structured_tensors
 from qsodyn.operator import (
+    LOOP_MAX_TERMS,
+    _loop_image,
     _multistart,
+    _nonzero_terms,
     _pre_iterate,
     evaluate,
     evaluate_array,
@@ -101,6 +104,65 @@ def test_trajectory_is_repeated_evaluate(V):
         got = trajectory(V, x, max_iter=2000, record_path=True)
         assert [repr(evaluate(V, y)) for y in got.path[:-1]] == [repr(y) for y in got.path[1:]]
         assert repr(got.final_step_l1) == repr(l1_distance(got.path[-2], got.path[-1]))
+
+
+# coordinates that round the products to zero or to subnormals
+SPECIAL_COORDS = [0.0, 5e-324, 2.5e-310, 1e-160]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.sampled_from([0.0, 0.4, 0.9]),
+    special=st.lists(st.sampled_from(SPECIAL_COORDS), max_size=3),
+)
+def test_loop_image_is_the_einsum(n, seed, zeros, special):
+    """The loop equals the einsum to the bit, from 2 nonzero coefficients
+    to 512, on either side of LOOP_MAX_TERMS; planted 0.0 and -0.0
+    coefficients (np.clip keeps -0.0, so make_operator passes one on) are
+    skipped, and planted zero and subnormal coordinates round alike."""
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(n), size=(n, n))
+    planted = rng.random((n, n, n)) < zeros
+    p[planted] = rng.choice([0.0, -0.0], size=planted.sum())
+    xs = rng.dirichlet(np.ones(n)).tolist()
+    for i, v in zip(rng.permutation(n), special):
+        xs[i] = v
+    got = _loop_image(_nonzero_terms(p), xs)
+    assert [repr(v) for v in got] == [repr(v) for v in np.einsum("ijk,i,j->k", p, xs, xs).tolist()]
+
+
+@pytest.mark.parametrize("name", ["attracting_not_unique", "uniqueness_sufficiency_gap", "unique_not_contractive_s2", "va_a23"])
+def test_small_operators_step_without_einsum(name, monkeypatch):
+    """The n <= 3 fixtures (at most 27 nonzero coefficients) step by the
+    loop: with np.einsum raising, their orbits still equal the reference."""
+    V = load_fixture(name).build()
+    x = orbit_starts(V.n)[0]
+    want = reference_trajectory(V, x, tol=1e-300, max_iter=200, record_path=True)
+
+    def einsum(*args, **kwargs):
+        raise AssertionError("einsum called")
+
+    monkeypatch.setattr(np, "einsum", einsum)
+    assert repr(trajectory(V, x, tol=1e-300, max_iter=200, record_path=True)) == repr(want)
+
+
+def test_dense_operator_steps_with_einsum(monkeypatch):
+    """A dense n = 5 draw (125 nonzero coefficients) makes one einsum call a step."""
+    V = random_general_operator(5, np.random.default_rng(5))
+    assert np.count_nonzero(V.tensor.p) > LOOP_MAX_TERMS
+    calls = []
+    einsum = np.einsum
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    tr = trajectory(V, orbit_starts(5)[0], tol=1e-300, max_iter=30)
+    assert tr.iterations_used == 30
+    assert calls == ["ijk,i,j->k"] * 30
 
 
 @operators
