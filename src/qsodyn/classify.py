@@ -9,7 +9,6 @@ from typing import Optional
 import numpy as np
 
 from .operator import (
-    EPS_COEF,
     QsoOperator,
     block_rows,
     evaluate_array,
@@ -33,58 +32,20 @@ class ConditionReport:
 
 def check_necessary_bbistochastic(V: QsoOperator) -> list:
     """Coefficient-level necessary conditions for order-decreasing operators,
-    one ConditionReport each with a first witness, each to within EPS_COEF.
-
-    cumulative_mass:  sum_{m<=k} sum_{ij} p[i,j,m] <= k*n for every k
-    upper_block_zero: p[i,j,k] = 0 whenever both i, j > k
-    absorbing_last:   p[n,n,n] = 1
-    half_bound:       p[l,j,l] <= 1/2 for j > l
-    """
-    p = V.tensor.p
-    n = V.n
-    conds = []
-
-    running = 0.0
-    witness = None
-    for k in range(1, n + 1):
-        running += float(p[:, :, k - 1].sum())
-        if running > k * n + EPS_COEF and witness is None:
-            witness = (k, running)
-    conds.append(ConditionReport("cumulative_mass", witness is None, witness))
-
-    witness = None
-    for k in range(n - 1):
-        block = p[k + 1 :, k + 1 :, k]
-        if np.abs(block).max() > EPS_COEF:
-            i, j = np.unravel_index(np.argmax(np.abs(block)), block.shape)
-            witness = (int(i) + k + 2, int(j) + k + 2, k + 1)
-            break
-    conds.append(ConditionReport("upper_block_zero", witness is None, witness))
-
-    ok = bool(abs(p[-1, -1, -1] - 1.0) <= EPS_COEF)
-    conds.append(
-        ConditionReport("absorbing_last", ok, None if ok else (n, n, n, float(p[-1, -1, -1])))
-    )
-
-    witness = None
-    for l in range(n - 1):
-        for j in range(l + 1, n):
-            if p[l, j, l] > 0.5 + EPS_COEF:
-                witness = (l + 1, j + 1, float(p[l, j, l]))
-                break
-        if witness:
-            break
-    conds.append(ConditionReport("half_bound", witness is None, witness))
-    return conds
+    one ConditionReport each with a first witness, as
+    :attr:`QsoOperator.clauses` decides them: cumulative_mass,
+    upper_block_zero, absorbing_last and half_bound."""
+    return [ConditionReport(name, w is None, w) for name, w in V.clauses.necessary.items()]
 
 
 @dataclass(frozen=True)
 class NumericOrderVerdict:
     """Search result for a point where V(x) fails to sit below x in b-order.
 
-    A witness is found only by the sampled search. Its absence is proof when
-    the coefficient bound of :func:`verify_bbistochastic_numeric` holds, and
-    otherwise evidence from the stated search effort.
+    A witness is found only by the sampled search. Its absence is proof
+    where the coefficients give e <= 0 exactly (``order_bound`` of
+    :attr:`QsoOperator.clauses`), and otherwise evidence from the stated
+    search effort.
     """
 
     violated: bool
@@ -103,57 +64,16 @@ def _default_resolution(n: int) -> int:
     return 6
 
 
-def _order_bound_holds(V: QsoOperator, eps: float) -> bool:
-    """Whether the coefficients prove that the sampled scan finds no witness.
-
-    On the simplex, U_k(x) = x^T S_k x and U_k(V(x)) = x^T A_k x, where U_k
-    is the k-th prefix sum, S_k[i,j] = ([i<=k] + [j<=k]) / 2 and
-    A_k[i,j] = sum_{m<=k} p[i,j,m]. The products x_i x_j are nonnegative and
-    sum to 1, so no point has U_k(V(x)) - U_k(x) above
-    e = max over k < n, i, j of (A_k - S_k)[i,j]. The entries of A_k - S_k
-    lie in [-1, 1 + 1e-12], since make_operator lets a pair's outcome mass
-    miss 1 by 1e-12, and e >= 0, since (A_k - S_k)[n,n] = A_k[n,n] >= 0.
-
-    The scan compares doubles, so the bound holds when e plus a rounding slack
-    is at most eps. With u = 2^-53, the roundings for a prefix k <= n - 1 of
-    one scanned row x come to at most (8n - 4)u + u*eps, to first order:
-
-    - row sums: grid_array and sample_array divide each row by its computed
-      sum, so the row's exact sum s is within nu of 1, and
-      U_k(V(x)) - U_k(x) = x^T (A_k - S_k) x + U_k(x)(s - 1) <= e s^2 + s nu,
-      at most e + 3nu;
-    - computing e: the cumsum over outcomes rounds k - 1 <= n - 2 times on
-      entries of A_k at most 1 + 1e-12, and the subtraction of S_k once: nu;
-    - ``evaluate_array``: each term p[i,j,m] x_i x_j passes n roundings in
-      each einsum, then k - 1 in the cumsum of the image, on a prefix sum at
-      most 1: (3n - 2)u;
-    - the cumsum of the row: k - 1 roundings on U_k(x) <= 1: (n - 2)u;
-    - the threshold fl(cx + eps): u(1 + eps).
-
-    So the slack is taken as 8n*u*(1 + eps): the 4u and the eps*8nu beyond
-    that sum cover the second-order terms and the rounding of this very
-    comparison. Since e >= 0, the bound holds only when eps is at least the
-    slack, and never for eps <= 0. It relies on the scanned rows coming from
-    grid_array and sample_array, normalized as above.
-    """
-    n = V.n
-    A = np.cumsum(V.tensor.p, axis=2)[:, :, :-1]  # A[i, j, k] for k = 0..n-2
-    leading = (np.arange(n)[:, None] <= np.arange(n - 1)).astype(float)  # [i <= k]
-    S = 0.5 * (leading[:, None, :] + leading[None, :, :])
-    e = float((A - S).max())
-    return e + 8 * n * 2.0**-53 * (1.0 + eps) <= eps
-
-
-def _first_witness(V: QsoOperator, X: np.ndarray, eps: float) -> Optional[tuple]:
+def _first_witness(V: QsoOperator, X: np.ndarray) -> Optional[tuple]:
     """(point, k, gap) at the first row of X, in row order, where a prefix sum
-    of V(x) exceeds that of x by more than eps; None if there is none."""
+    of V(x) exceeds that of x by more than EPS_ORDER; None if there is none."""
     # block by block, so that the prefix-sum arrays stay small
     block = block_rows(V.n)
     for s in range(0, len(X), block):
         B = X[s : s + block]
         cx = np.cumsum(B, axis=1)[:, :-1]
         cy = np.cumsum(evaluate_array(V, B), axis=1)[:, :-1]
-        bad = cy > cx + eps
+        bad = cy > cx + EPS_ORDER
         if bad.any():
             r = int(np.nonzero(bad.any(axis=1))[0][0])
             k = int(np.nonzero(bad[r])[0][0])
@@ -166,18 +86,18 @@ def verify_bbistochastic_numeric(
     resolution: Optional[int] = None,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    eps: float = EPS_ORDER,
 ) -> NumericOrderVerdict:
     """Evaluate b_leq(V(x), x) over a grid plus random samples, vectorized.
 
-    Returns the first witness in grid order, then sample order. The samples
-    are drawn only when the grid has no witness. Before either, a bound on
-    the coefficients is tried: every prefix-sum excess U_k(V(x)) - U_k(x) on
-    the simplex is at most e = max over k, i, j of (A_k - S_k)[i,j], where
-    A_k[i,j] = sum_{m<=k} p[i,j,m] and S_k[i,j] = ([i<=k] + [j<=k]) / 2.
-    When e plus the scan's rounding slack 8n * 2^-53 * (1 + eps) is at most
-    eps, no scanned point can be a witness, and the verdict the scan would
-    return is returned without scanning.
+    A witness is a prefix sum of V(x) above that of x by more than
+    EPS_ORDER. Returns the first witness in grid order, then sample order.
+    The samples are drawn only when the grid has no witness. Before either,
+    the coefficients are tried: on the simplex U_k(x) = x^T S_k x and
+    U_k(V(x)) = x^T A_k x for the prefix sums U_k, so no excess
+    U_k(V(x)) - U_k(x) is above e (see :class:`CoefficientClauses`). Where
+    e <= 0 exactly, a scanned excess is no more than the scan's rounding,
+    some n * 2^-53, far below EPS_ORDER: the verdict the scan would return is
+    returned without scanning.
     """
     if resolution is not None and resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
@@ -187,11 +107,11 @@ def verify_bbistochastic_numeric(
         raise ValueError(f"seed must be >= 0, got {seed}")
     n = V.n
     res = _default_resolution(n) if resolution is None else resolution
-    if _order_bound_holds(V, eps):
+    if V.clauses.order_bound:
         return NumericOrderVerdict(False, resolution=res, sample_count=samples)
-    hit = _first_witness(V, grid_array(n, res), eps)
+    hit = _first_witness(V, grid_array(n, res))
     if hit is None and samples > 0:
-        hit = _first_witness(V, sample_array(n, samples, seed), eps)
+        hit = _first_witness(V, sample_array(n, samples, seed))
     if hit is None:
         return NumericOrderVerdict(False, resolution=res, sample_count=samples)
     return NumericOrderVerdict(True, *hit, resolution=res, sample_count=samples)
@@ -205,17 +125,9 @@ class UniquenessReport:
 
 def check_uniqueness_conditions(V: QsoOperator) -> UniquenessReport:
     """Strict coefficient bounds sufficient for a unique fixed point:
-    p[k,k,k] < 1 and p[k,j,k] < 1/2 for every k < n and j > k, each with a
-    margin of EPS_COEF."""
-    p = V.tensor.p
-    n = V.n
-    violations = []
-    for k in range(n - 1):
-        if p[k, k, k] >= 1.0 - EPS_COEF:
-            violations.append((k + 1, k + 1))
-        for j in range(k + 1, n):
-            if p[k, j, k] >= 0.5 - EPS_COEF:
-                violations.append((k + 1, j + 1))
+    p[k,k,k] < 1, p[k,j,k] < 1/2 and p[j,k,k] < 1/2 for every k < n and
+    j > k, as :attr:`QsoOperator.clauses` decides them."""
+    violations = list(V.clauses.violations)
     return UniquenessReport(met=not violations, violations=violations)
 
 

@@ -5,6 +5,8 @@ multistart search where that check does not apply."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import fsum
 from typing import Optional
 
 import numpy as np
@@ -77,14 +79,99 @@ def tensor_from_entries(n: int, entries: dict) -> HeredityTensor:
 
 
 @dataclass(frozen=True)
+class CoefficientClauses:
+    """The coefficient clauses of the theorem, as :attr:`QsoOperator.clauses`
+    decides them.
+
+    ``necessary`` maps cumulative_mass, upper_block_zero, absorbing_last and
+    half_bound, in that order, to a first witness, None where the clause
+    holds. ``violations`` lists the (k, j) that break the uniqueness bounds;
+    (k, k) marks p[k,k,k] = 1. ``C`` lists the k < n with p[k,k,:] = e_k.
+    ``order_bound`` says whether e = max over k < n, i, j of (A_k - S_k)[i,j]
+    is at most 0, where A_k[i,j] = sum_{m<=k} p[i,j,m] and
+    S_k[i,j] = ([i<=k] + [j<=k]) / 2. Indices are 1-based.
+    """
+
+    necessary: dict
+    violations: list
+    C: list
+    order_bound: bool
+
+
+@dataclass(frozen=True)
 class QsoOperator:
-    """A validated quadratic stochastic operator x -> V(x)."""
+    """A validated quadratic stochastic operator x -> V(x). Its tensor is not
+    changed after construction: ``clauses`` is decided once."""
 
     tensor: HeredityTensor
 
     @property
     def n(self) -> int:
         return self.tensor.n
+
+    @cached_property
+    def clauses(self) -> CoefficientClauses:
+        """Every coefficient clause, decided in one pass over p.tolist(),
+        exactly on the stored doubles: each compares a coefficient, or the
+        sign of a math.fsum (correctly rounded, so its sign is the exact sign
+        of a sum of doubles), with 0, 1/2, 1 or k*n, with no tolerance.
+
+        cumulative_mass:  sum_{m<=k} sum_{i,j} p[i,j,m] <= k*n for k < n
+                          (at k = n it is the normalization, which
+                          rounding breaks)
+        upper_block_zero: p[i,j,k] = 0 whenever both i, j > k
+        absorbing_last:   p[n,n,n] = 1
+        half_bound:       p[l,j,l] <= 1/2 and p[j,l,l] <= 1/2 for j > l
+        uniqueness:       p[k,k,k] < 1, p[k,j,k] < 1/2 and p[j,k,k] < 1/2
+                          for k < n and j > k
+
+        For e: where upper_block_zero fails at p[i,j,k],
+        (A_k - S_k)[i,j] >= p[i,j,k] > 0. Where it holds, (A_k - S_k)[i,j]
+        = 0 for k < min(i,j), and A_k grows with k, as make_operator's
+        coefficients are nonnegative: so the last k of each step of S_k
+        decides, k = max(i,j) - 1 against 1/2 and k = n - 1 against 1. The
+        entries of S_k sum to k*n, so e <= 0 proves cumulative_mass.
+        """
+        P = self.tensor.p.tolist()
+        n = self.n
+        necessary = dict.fromkeys(("cumulative_mass", "upper_block_zero", "absorbing_last", "half_bound"))
+        for k in range(n - 1):
+            block = [P[i][j][k] for i in range(k + 1, n) for j in range(k + 1, n)]
+            if any(block):
+                r = max(range(len(block)), key=lambda r: abs(block[r]))  # the first largest, as np.argmax
+                necessary["upper_block_zero"] = (k + 2 + r // (n - k - 1), k + 2 + r % (n - k - 1), k + 1)
+                break
+        if P[-1][-1][-1] != 1.0:
+            necessary["absorbing_last"] = (n, n, n, P[-1][-1][-1])
+        violations, C = [], []
+        for k in range(n - 1):
+            if not P[k][k][k] < 1.0:
+                violations.append((k + 1, k + 1))
+                if P[k][k].count(0.0) == n - 1:  # p[k,k,k] = 1 is the row's only nonzero entry
+                    C.append(k + 1)
+            for j in range(k + 1, n):
+                row, mirror = P[k][j][k], P[j][k][k]
+                if necessary["half_bound"] is None and max(row, mirror) > 0.5:
+                    necessary["half_bound"] = (k + 1, j + 1, row) if row > 0.5 else (j + 1, k + 1, mirror)
+                if not (row < 0.5 and mirror < 0.5):
+                    violations.append((k + 1, j + 1))
+        order_bound = (
+            necessary["upper_block_zero"] is None
+            and not any(
+                fsum([*P[i][j][:j], -0.5]) > 0 or fsum([*P[j][i][:j], -0.5]) > 0
+                for j in range(1, n)
+                for i in range(j)
+            )
+            and not any(fsum([*P[i][j][:-1], -1.0]) > 0 for i in range(n - 1) for j in range(n - 1))
+        )
+        if not order_bound:
+            mass = []
+            for k in range(n - 1):
+                mass += [P[i][j][k] for i in range(n) for j in range(n)]
+                if fsum([*mass, -(k + 1) * n]) > 0:
+                    necessary["cumulative_mass"] = (k + 1, fsum(mass))
+                    break
+        return CoefficientClauses(necessary, violations, C, order_bound)
 
 
 def make_operator(tensor: HeredityTensor, symmetrize: bool = False) -> QsoOperator:
@@ -260,16 +347,14 @@ def vertex_eigenvalues(V: QsoOperator) -> list:
 class FixedPointSet:
     """Deduplicated fixed points with their residuals ||V(x) - x||_1.
 
-    ``diagnostics["method"]`` is ``"coefficient_theorem"`` where the
-    coefficients prove the set is a set of vertices (p[n,n,n] = 1 and, for
-    every k < n, p[i,j,k] = 0 for i, j > k and p[k,j,k] <= 1/2 for j > k,
-    the bound strict where p[k,k,:] = e_k and p[k,k,k] < 1 elsewhere; see
-    :func:`proven_fixed_points`), and ``"multistart"`` where the check does
-    not apply: only then does the search run. The other keys count, for
-    the search (0 when it did not run), seeds tried, seeds whose
-    pre-iteration step fell to 1e-10 within 500 steps, polished seeds
-    rejected by the residual test, accepted seeds merged into an earlier
-    point, and accepted damped Newton steps over all seeds.
+    ``diagnostics["method"]`` is ``"coefficient_theorem"`` where
+    :func:`proven_fixed_points` proves the set from the coefficients, and
+    ``"multistart"`` where that check does not apply: only then does the
+    search run. The other keys count, for the search (0 when it did not
+    run), seeds tried, seeds whose pre-iteration step fell to 1e-10 within
+    500 steps, polished seeds rejected by the residual test, accepted seeds
+    merged into an earlier point, and accepted damped Newton steps over all
+    seeds.
     """
 
     points: list  # list[SimplexPoint]
@@ -390,16 +475,13 @@ def _newton_polish(V: QsoOperator, X: np.ndarray, tol: float):
 def proven_fixed_points(V: QsoOperator) -> Optional[np.ndarray]:
     """The fixed points that the stored coefficients prove, as vertex rows
     sorted by coordinate tuple (e_n first), or None where the check does not
-    apply. Each clause compares a stored double with 0, 1/2 or 1 exactly,
-    with no tolerance: an entry within EPS_COEF of a bound but on its wrong
-    side, or a NaN, fails the check.
+    apply. It reads :attr:`QsoOperator.clauses`.
 
-    The check needs p[n,n,n] = 1 and, for every k < n, p[k+1:, k+1:, k] = 0
-    (``upper_block_zero``) and p[k,j,k] <= 1/2 and p[j,k,k] <= 1/2 for every
-    j > k (make_operator allows an asymmetry up to EPS_COEF). Let C be the
-    k < n with p[k,k,:] = e_k exactly. Every other k < n needs p[k,k,k] < 1,
-    and every k in C the strict p[k,j,k] < 1/2 and p[j,k,k] < 1/2. Then
-    Fix(V) = {e_k : k in C} u {e_n}.
+    The check needs absorbing_last, upper_block_zero and half_bound. Let C be
+    the k < n with p[k,k,:] = e_k. Every other k < n needs p[k,k,k] < 1,
+    and every k in C the strict p[k,j,k] < 1/2 and p[j,k,k] < 1/2 for j > k:
+    so each uniqueness violation (k, k) has k in C, and each (k, j), j > k,
+    has k outside C. Then Fix(V) = {e_k : k in C} u {e_n}.
 
     Proof: V(e_k) = p[k,k,:] = e_k for k in C, and V(e_n) = e_n, as
     p[n,n,k] = 0 for k < n. Let x be fixed and k < n its first nonzero
@@ -410,23 +492,11 @@ def proven_fixed_points(V: QsoOperator) -> Optional[np.ndarray]:
     weight 1. For k outside C the first fails; for k in C the strict bound
     leaves x = e_k.
     """
-    p = V.tensor.p
-    n = V.n
-    if not p[-1, -1, -1] == 1.0:
+    c = V.clauses
+    holds = not any(c.necessary[name] for name in ("upper_block_zero", "absorbing_last", "half_bound"))
+    if not (holds and all((j == k) == (k in c.C) for k, j in c.violations)):
         return None
-    C = []
-    for k in range(n - 1):
-        row, mirror = p[k, k + 1 :, k], p[k + 1 :, k, k]
-        if not ((p[k + 1 :, k + 1 :, k] == 0.0).all() and (row <= 0.5).all() and (mirror <= 0.5).all()):
-            return None
-        if p[k, k, k] < 1.0:
-            continue
-        # p[k,k,:] = e_k: p[k,k,k] = 1 is the row's only nonzero entry (a NaN counts)
-        in_C = p[k, k, k] == 1.0 and np.count_nonzero(p[k, k]) == 1
-        if not (in_C and (row < 0.5).all() and (mirror < 0.5).all()):
-            return None
-        C.append(k)
-    return np.eye(n)[[n - 1, *reversed(C)]]
+    return np.eye(V.n)[np.array([V.n, *reversed(c.C)]) - 1]
 
 
 def find_fixed_points(V: QsoOperator, tol: float = 1e-9) -> FixedPointSet:

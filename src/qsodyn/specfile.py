@@ -80,9 +80,9 @@ def parse_spec(data: dict, source: str = "<memory>") -> OperatorSpec:
 
 def load_spec(path: str) -> OperatorSpec:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecFileError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"{path}:{exc.lineno}: {exc.msg}") from exc

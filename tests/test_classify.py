@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +17,6 @@ from qsodyn.abscont import va_operator
 from qsodyn.classify import (
     DEFAULT_SAMPLES,
     NumericOrderVerdict,
-    _order_bound_holds,
     check_necessary_bbistochastic,
     check_uniqueness_conditions,
     classify_operator,
@@ -74,6 +76,19 @@ class TestNecessaryConditions:
         assert not cond.passed
         assert cond.witness == (1, 2, 0.6)
 
+    def test_cumulative_mass_stops_before_n(self):
+        """The stored p[1,1,.] = (0.1, 0.9) sums to just over 1, so the
+        stored masses sum to just over k*n = 4 at k = n, where the clause is
+        the normalization and is not checked. p[1,2,1] = 0.625 breaks the
+        order bound, so the masses are summed."""
+        t = tensor_from_entries(
+            2, {(1, 1, 1): 0.1, (1, 1, 2): 0.9, (1, 2, 1): 0.625, (1, 2, 2): 0.375, (2, 2, 2): 1.0}
+        )
+        V = make_operator(t)
+        assert math.fsum([*V.tensor.p.ravel().tolist(), -4.0]) > 0
+        assert not V.clauses.order_bound
+        assert {c.name: c for c in check_necessary_bbistochastic(V)}["cumulative_mass"].passed
+
     def test_generated_tensors_pass(self):
         for V in random_structured_tensors(4, 10, seed=60):
             assert all(c.passed for c in check_necessary_bbistochastic(V))
@@ -116,7 +131,7 @@ class TestNumericVerification:
         # va_a05's coefficients prove the order, so a check made after the
         # coefficient bound would come too late
         V = load_fixture("va_a05").build()
-        assert _order_bound_holds(V, EPS_ORDER)
+        assert V.clauses.order_bound
         with pytest.raises(ValueError):
             verify_bbistochastic_numeric(V, **kwargs)
 
@@ -183,7 +198,6 @@ def _bound_cases():
 
 
 BOUND_CASES = _bound_cases()
-ORDER_TOLERANCES = [0.0, 1e-15, 1e-12, 1e-9]
 
 
 def moved_across_the_cap(n, seed, pair, delta):
@@ -199,28 +213,72 @@ def moved_across_the_cap(n, seed, pair, delta):
 
 
 class TestOrderBound:
-    """The coefficient bound that returns the scan's verdict without a scan.
+    """The coefficient bound e <= 0 that returns the scan's verdict without
+    a scan, read from the operator's coefficient clauses.
 
-    ``reference_verify`` scans every operator in full; the verifier must
-    return its verdict to the bit, and wherever the bound holds the
-    reference must have found no witness.
+    ``reference_verify`` scans every operator in full at EPS_ORDER; the
+    verifier must return its verdict to the bit, and wherever the bound
+    holds the reference must have found no witness.
     """
 
     @pytest.mark.parametrize("V", [V for _, V in BOUND_CASES], ids=[name for name, _ in BOUND_CASES])
     def test_verdicts_match_the_full_scan(self, V):
-        for eps in ORDER_TOLERANCES:
-            want = reference_verify(V, eps=eps)
-            if _order_bound_holds(V, eps):
-                assert not want.violated
-            assert repr(verify_bbistochastic_numeric(V, eps=eps)) == repr(want)
+        want = reference_verify(V, eps=EPS_ORDER)
+        if V.clauses.order_bound:
+            assert not want.violated
+        assert repr(verify_bbistochastic_numeric(V)) == repr(want)
 
     def test_bound_holds_on_structured_operators(self):
         structured = [V for name, V in BOUND_CASES if not name.startswith("general")]
-        assert all(_order_bound_holds(V, EPS_ORDER) for V in structured)
-        # never at eps <= 0, and not when eps is below the rounding slack
-        for V in structured[:3]:
-            for eps in (-1.0, -1e-12, 0.0, 1e-15):
-                assert not _order_bound_holds(V, eps)
+        assert all(V.clauses.order_bound for V in structured)
+        # a general draw breaks upper_block_zero, and with it the bound
+        assert not any(V.clauses.order_bound for name, V in BOUND_CASES if name.startswith("general"))
+
+    def test_bound_matches_rational_arithmetic(self):
+        """e <= 0 recomputed entry by entry in Fraction, on the bound cases
+        and on structured draws with one coefficient pair one double up."""
+        rng = np.random.default_rng(61)
+        cases = [V for _, V in BOUND_CASES]
+        for n in range(2, 9):
+            for V in random_structured_tensors(n, 4, seed=800 + n, uniqueness_margin=0.0):
+                p = V.tensor.p.copy()
+                i, j = sorted(rng.integers(0, n, 2))
+                k = rng.integers(0, max(j, 1))
+                p[i, j, k] = p[j, i, k] = np.nextafter(p[i, j, k], 1.0)
+                cases.append(make_operator(HeredityTensor(n, p)))
+        for V in cases:
+            P, n = V.tensor.p.tolist(), V.n
+            e_nonpositive = all(
+                sum(map(Fraction, P[i][j][: k + 1])) <= Fraction((i <= k) + (j <= k), 2)
+                for k in range(n - 1)
+                for i in range(n)
+                for j in range(n)
+            )
+            assert V.clauses.order_bound == e_nonpositive
+        assert not all(V.clauses.order_bound for V in cases[len(BOUND_CASES) :])
+
+    def test_bound_is_decided_on_the_exact_sum(self):
+        """p[1,3,1] + p[1,3,2] = 1/2 + 2^-60 rounds to 1/2 in floating
+        point; the exact sum is over the cap, so e > 0 and the scan runs,
+        which finds no witness."""
+        tiny = 2.0**-60
+        t = tensor_from_entries(
+            3,
+            {
+                (1, 1, 1): 0.5, (1, 1, 2): 0.25, (1, 1, 3): 0.25,
+                (1, 2, 1): 0.25, (1, 2, 2): 0.25, (1, 2, 3): 0.5,
+                (1, 3, 1): 0.5, (1, 3, 2): tiny, (1, 3, 3): 0.5,
+                (2, 2, 2): 0.5, (2, 2, 3): 0.5,
+                (2, 3, 2): 0.25, (2, 3, 3): 0.75,
+                (3, 3, 3): 1.0,
+            },
+        )
+        V = make_operator(t)
+        assert 0.5 + tiny == 0.5 and math.fsum([0.5, tiny, -0.5]) > 0
+        assert not V.clauses.order_bound
+        want = reference_verify(V, samples=500, eps=EPS_ORDER)
+        assert not want.violated
+        assert repr(verify_bbistochastic_numeric(V, samples=500)) == repr(want)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -228,19 +286,17 @@ class TestOrderBound:
         seed=st.integers(0, 10_000),
         data=st.data(),
         delta=st.sampled_from([s * d for s in (1, -1) for d in (1e-14, 1e-13, 1e-12, 1e-11)]),
-        eps=st.sampled_from(ORDER_TOLERANCES),
     )
-    def test_mass_moved_across_the_half_cap(self, n, seed, data, delta, eps):
+    def test_mass_moved_across_the_half_cap(self, n, seed, data, delta):
         l = data.draw(st.integers(0, n - 2))
         j = data.draw(st.integers(l + 1, n - 1))
         V = moved_across_the_cap(n, seed, (l, j), delta)
-        want = reference_verify(V, samples=2000, seed=seed, eps=eps)
-        holds = _order_bound_holds(V, eps)
-        if holds:
+        # the excess is delta, far above the rounding of the moved mass
+        assert V.clauses.order_bound == (delta < 0)
+        want = reference_verify(V, samples=2000, seed=seed, eps=EPS_ORDER)
+        if V.clauses.order_bound:
             assert not want.violated
-        if delta > eps:
-            assert not holds
-        got = verify_bbistochastic_numeric(V, samples=2000, seed=seed, eps=eps)
+        got = verify_bbistochastic_numeric(V, samples=2000, seed=seed)
         assert repr(got) == repr(want)
 
     def test_grid_witness_without_drawing_samples(self, monkeypatch):

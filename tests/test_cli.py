@@ -41,6 +41,15 @@ class TestValidate:
         err = json.loads(result.stderr)
         assert err["error"] == "parse_error"
 
+    def test_non_utf8_spec_is_a_parse_error(self, runner, tmp_path):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe" + '{"n": 2}'.encode("utf-16-le"))
+        result = runner.invoke(main, ["validate", "--spec", str(bad)])
+        assert result.exit_code == EXIT_PARSE
+        err = json.loads(result.stderr)
+        assert err["error"] == "parse_error"
+        assert "utf-8" in err["message"]
+
     def test_validation_error_exit_code(self, runner, tmp_path):
         spec = tmp_path / "invalid.json"
         spec.write_text(

@@ -1,12 +1,16 @@
-"""Which side of its fixed tolerance each coefficient check falls on.
+"""Which side of its boundary each coefficient check falls on.
 
-Every case is the two-state operator with p[1,1,.] = (a, 1-a),
-p[1,2,.] = p[2,1,.] = (b, 1-b) and p[2,2,.] = (c, 1-c), moved to just
-inside and just outside one tolerance: EPS_COEF = 1e-12 for make_operator,
-the necessary conditions and the uniqueness bounds, EPS_EIGEN = 1e-10 for
-the vertex spectrum, and EPS_CONTRACTION = 1e-12 for the contraction
-criteria.
+Every case but the mirror one is the two-state operator with
+p[1,1,.] = (a, 1-a), p[1,2,.] = p[2,1,.] = (b, 1-b) and p[2,2,.] = (c, 1-c),
+moved to just inside and just outside one boundary. make_operator accepts
+coefficients to within EPS_COEF = 1e-12, the vertex spectrum has
+EPS_EIGEN = 1e-10 and the contraction criteria EPS_CONTRACTION = 1e-12.
+The necessary conditions and the uniqueness bounds have no tolerance: they
+are decided exactly on the stored doubles, so their cases sit one double
+apart, with math.nextafter.
 """
+
+from math import nextafter
 
 import numpy as np
 import pytest
@@ -18,12 +22,23 @@ from qsodyn.classify import (
     strict_contraction_1d,
     strict_contraction_general,
 )
-from qsodyn.operator import HeredityTensor, TensorError, make_operator
+from qsodyn.operator import HeredityTensor, TensorError, make_operator, proven_fixed_points
 
 
 def two_state(a=0.3, b=0.3, c=0.0):
     p = np.array([[[a, 1 - a], [b, 1 - b]], [[b, 1 - b], [c, 1 - c]]])
     return make_operator(HeredityTensor(2, p))
+
+
+def lopsided(row, mirror):
+    """two_state with p[1,2,1] = row and p[2,1,1] = mirror, which
+    make_operator accepts while they differ by at most EPS_COEF."""
+    p = np.array([[[0.3, 0.7], [row, 1 - row]], [[mirror, 1 - mirror], [0.0, 1.0]]])
+    return make_operator(HeredityTensor(2, p))
+
+
+def passed(V, name):
+    return {c.name: c.passed for c in check_necessary_bbistochastic(V)}[name]
 
 
 def test_make_operator_coefficient_tolerance():
@@ -34,24 +49,43 @@ def test_make_operator_coefficient_tolerance():
 
 
 def test_uniqueness_bound_tolerance():
-    assert check_uniqueness_conditions(two_state(b=0.5 - 5e-13)).violations == [(1, 2)]
-    assert check_uniqueness_conditions(two_state(b=0.5 - 2e-12)).met
+    below = nextafter(0.5, 0)
+    assert check_uniqueness_conditions(two_state(b=below)).met
+    assert check_uniqueness_conditions(two_state(b=0.5)).violations == [(1, 2)]
+    # the bound is strict on the row entry and on its mirror alike
+    for row, mirror in [(0.5, below), (below, 0.5)]:
+        assert check_uniqueness_conditions(lopsided(row, mirror)).violations == [(1, 2)]
 
 
 @pytest.mark.parametrize(
     "name, inside, outside",
     [
-        ("half_bound", {"b": 0.5 + 5e-13}, {"b": 0.5 + 2e-12}),
-        ("upper_block_zero", {"c": 5e-13}, {"c": 2e-12}),
-        ("absorbing_last", {"c": 5e-13}, {"c": 2e-12}),
+        ("half_bound", {"b": 0.5}, {"b": nextafter(0.5, 1)}),
+        ("upper_block_zero", {"c": 0.0}, {"c": 5e-324}),
+        # 1 - 2^-53 is the double below 1
+        ("absorbing_last", {"c": 0.0}, {"c": 2.0**-53}),
+        # a + 2b + c against k*n = 2 at k = 1, with b over the half cap so
+        # that the order bound does not decide it; a + 2b + c is exact here
+        ("cumulative_mass", {"a": 0.75, "b": 0.625}, {"a": nextafter(0.75, 1), "b": 0.625}),
     ],
 )
 def test_necessary_condition_tolerance(name, inside, outside):
-    def passed(V):
-        return {c.name: c.passed for c in check_necessary_bbistochastic(V)}[name]
+    assert passed(two_state(**inside), name)
+    assert not passed(two_state(**outside), name)
 
-    assert passed(two_state(**inside))
-    assert not passed(two_state(**outside))
+
+@pytest.mark.parametrize("row", [0.5 - 5e-13, 0.5])
+def test_mirror_coefficient_is_read(row):
+    """Only p[2,1,1] is over 1/2, by 1e-13, and p[1,2,1] is at most 1/2:
+    within make_operator's asymmetry tolerance, so the tensor is accepted.
+    The row entry p[1,2,1] alone passes half_bound and the order bound, and
+    below 1/2 the uniqueness bounds too."""
+    V = lopsided(row, 0.5 + 1e-13)
+    half = {c.name: c for c in check_necessary_bbistochastic(V)}["half_bound"]
+    assert not half.passed and half.witness == (2, 1, 0.5 + 1e-13)
+    assert check_uniqueness_conditions(V).violations == [(1, 2)]
+    assert not V.clauses.order_bound
+    assert proven_fixed_points(V) is None
 
 
 def test_vertex_eigenvalue_tolerance():
