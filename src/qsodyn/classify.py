@@ -125,8 +125,8 @@ class UniquenessReport:
 
 def check_uniqueness_conditions(V: QsoOperator) -> UniquenessReport:
     """Strict coefficient bounds sufficient for a unique fixed point:
-    p[k,k,k] < 1, p[k,j,k] < 1/2 and p[j,k,k] < 1/2 for every k < n and
-    j > k, as :attr:`QsoOperator.clauses` decides them."""
+    p[k,k,k] < 1 and p[k,j,k] < 1/2 for every k < n and j > k, as
+    :attr:`QsoOperator.clauses` decides them."""
     violations = list(V.clauses.violations)
     return UniquenessReport(met=not violations, violations=violations)
 

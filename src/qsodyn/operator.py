@@ -46,7 +46,8 @@ class HeredityTensor:
     """Coefficients p[i, j, k] = probability that types i+1, j+1 produce k+1.
 
     The array is dense, 0-based, shape (n, n, n). Use :func:`tensor_from_entries`
-    to build one from sparse 1-based records.
+    to build one from sparse 1-based records. :func:`make_operator` stores it
+    exactly symmetric: p[i, j, k] and p[j, i, k] are one double.
     """
 
     n: int
@@ -61,20 +62,17 @@ def tensor_from_entries(n: int, entries: dict) -> HeredityTensor:
     """Build a tensor from a {(i, j, k): p} dict with 1-based indices.
 
     Entries given for (i, j) are mirrored to (j, i) unless both are present.
-    Missing coefficients are zero; validation happens in :func:`make_operator`.
+    Missing coefficients are zero; :func:`make_operator` validates and averages.
     """
     if n < 2:
         raise TensorError(f"n must be >= 2, got {n}")
     p = np.zeros((n, n, n))
-    seen = set()
     for (i, j, k), v in entries.items():
         if not (1 <= i <= n and 1 <= j <= n and 1 <= k <= n):
             raise TensorError(f"index ({i},{j},{k}) out of range for n={n}")
         p[i - 1, j - 1, k - 1] = v
-        seen.add((i, j, k))
-    for (i, j, k) in list(seen):
-        if (j, i, k) not in seen:
-            p[j - 1, i - 1, k - 1] = p[i - 1, j - 1, k - 1]
+        if (j, i, k) not in entries:
+            p[j - 1, i - 1, k - 1] = v
     return HeredityTensor(n, p)
 
 
@@ -121,9 +119,9 @@ class QsoOperator:
                           rounding breaks)
         upper_block_zero: p[i,j,k] = 0 whenever both i, j > k
         absorbing_last:   p[n,n,n] = 1
-        half_bound:       p[l,j,l] <= 1/2 and p[j,l,l] <= 1/2 for j > l
-        uniqueness:       p[k,k,k] < 1, p[k,j,k] < 1/2 and p[j,k,k] < 1/2
-                          for k < n and j > k
+        half_bound:       p[l,j,l] <= 1/2 for j > l
+        uniqueness:       p[k,k,k] < 1 and p[k,j,k] < 1/2 for k < n and j > k
+        p is exactly symmetric (make_operator), so each pair is read at i <= j.
 
         For e: where upper_block_zero fails at p[i,j,k],
         (A_k - S_k)[i,j] >= p[i,j,k] > 0. Where it holds, (A_k - S_k)[i,j]
@@ -150,19 +148,14 @@ class QsoOperator:
                 if P[k][k].count(0.0) == n - 1:  # p[k,k,k] = 1 is the row's only nonzero entry
                     C.append(k + 1)
             for j in range(k + 1, n):
-                row, mirror = P[k][j][k], P[j][k][k]
-                if necessary["half_bound"] is None and max(row, mirror) > 0.5:
-                    necessary["half_bound"] = (k + 1, j + 1, row) if row > 0.5 else (j + 1, k + 1, mirror)
-                if not (row < 0.5 and mirror < 0.5):
+                if necessary["half_bound"] is None and P[k][j][k] > 0.5:
+                    necessary["half_bound"] = (k + 1, j + 1, P[k][j][k])
+                if not P[k][j][k] < 0.5:
                     violations.append((k + 1, j + 1))
         order_bound = (
             necessary["upper_block_zero"] is None
-            and not any(
-                fsum([*P[i][j][:j], -0.5]) > 0 or fsum([*P[j][i][:j], -0.5]) > 0
-                for j in range(1, n)
-                for i in range(j)
-            )
-            and not any(fsum([*P[i][j][:-1], -1.0]) > 0 for i in range(n - 1) for j in range(n - 1))
+            and not any(fsum([*P[i][j][:j], -0.5]) > 0 for j in range(1, n) for i in range(j))
+            and not any(fsum([*P[i][j][:-1], -1.0]) > 0 for j in range(n - 1) for i in range(j + 1))
         )
         if not order_bound:
             mass = []
@@ -175,20 +168,24 @@ class QsoOperator:
 
 
 def make_operator(tensor: HeredityTensor, symmetrize: bool = False) -> QsoOperator:
-    """Validate (and optionally symmetrize) a heredity tensor.
+    """Validate a heredity tensor and store it exactly symmetric.
 
     Checks: at least two states and an (n, n, n) array; then, each to within
     EPS_COEF, entries in [0, 1], symmetry in the first two indices, and unit
-    mass over the third index for every pair.
+    mass over the third index for every pair. It stores the average of p and
+    its (1, 0, 2) transpose, clipped onto [0, 1]: p to the bit where p is
+    symmetric, else each coefficient between its two halves. ``symmetrize``
+    averages before the checks, so a pair may differ by more than EPS_COEF.
     """
     n = tensor.n
     if n < 2:
         raise TensorError(f"n must be >= 2, got {n}")
     if np.shape(tensor.p) != (n, n, n):
         raise TensorError(f"tensor shape must be {(n, n, n)}, got {np.shape(tensor.p)}")
-    p = tensor.p.copy()
+    p = tensor.p
+    mean = 0.5 * (p + p.transpose(1, 0, 2))
     if symmetrize:
-        p = 0.5 * (p + p.transpose(1, 0, 2))
+        p = mean
     bad = ~((p >= -EPS_COEF) & (p <= 1 + EPS_COEF))  # NaN fails both comparisons
     if bad.any():
         i, j, k = np.unravel_index(np.argmax(bad), bad.shape)
@@ -210,8 +207,7 @@ def make_operator(tensor: HeredityTensor, symmetrize: bool = False) -> QsoOperat
         raise TensorError(
             f"outcome mass for pair ({i + 1},{j + 1}) sums to {sums[i, j]}"
         )
-    p = np.clip(p, 0.0, 1.0)
-    return QsoOperator(HeredityTensor(n, p))
+    return QsoOperator(HeredityTensor(n, np.clip(mean, 0.0, 1.0)))
 
 
 def evaluate(V: QsoOperator, x: SimplexPoint) -> SimplexPoint:
@@ -331,14 +327,16 @@ def _reduced_jacobians(V: QsoOperator, X: np.ndarray) -> np.ndarray:
     """Analytic Jacobian of the first n-1 coordinates with x_n eliminated, at
     every row of X, shape (count, n-1, n-1).
 
-    Entry (k, i) = dV_k/dx_i - dV_k/dx_n = 2 sum_j (p[i,j,k] - p[n-1,j,k]) x_j.
+    Entry (k, i) = dV_k/dx_i - dV_k/dx_n = 2 sum_j (p[i,j,k] - p[n-1,j,k]) x_j,
+    exact as make_operator stores p exactly symmetric: p[i,j,k] = p[j,i,k].
     """
     grad = 2.0 * np.einsum("ijk,pj->pik", V.tensor.p, X)  # grad[p, i, k] = dV_k/dx_i
     return (grad[:, :-1, :-1] - grad[:, -1:, :-1]).transpose(0, 2, 1)
 
 
 def vertex_eigenvalues(V: QsoOperator) -> list:
-    """Eigenvalues of the reduced Jacobian at (0,...,0,1): {2 p[k,n,k]}."""
+    """Eigenvalues of the reduced Jacobian at (0,...,0,1): {2 p[k,n,k]}, the
+    sum p[k,n,k] + p[n,k,k] of the exactly symmetric stored tensor."""
     n = V.n
     return [2.0 * float(V.tensor.p[k, n - 1, k]) for k in range(n - 1)]
 
@@ -479,18 +477,18 @@ def proven_fixed_points(V: QsoOperator) -> Optional[np.ndarray]:
 
     The check needs absorbing_last, upper_block_zero and half_bound. Let C be
     the k < n with p[k,k,:] = e_k. Every other k < n needs p[k,k,k] < 1,
-    and every k in C the strict p[k,j,k] < 1/2 and p[j,k,k] < 1/2 for j > k:
-    so each uniqueness violation (k, k) has k in C, and each (k, j), j > k,
-    has k outside C. Then Fix(V) = {e_k : k in C} u {e_n}.
+    and every k in C the strict p[k,j,k] < 1/2 for j > k: so each
+    uniqueness violation (k, k) has k in C, and each (k, j), j > k, has k
+    outside C. Then Fix(V) = {e_k : k in C} u {e_n}.
 
     Proof: V(e_k) = p[k,k,:] = e_k for k in C, and V(e_n) = e_n, as
     p[n,n,k] = 0 for k < n. Let x be fixed and k < n its first nonzero
     coordinate. Only the pairs (k,k), (k,j), (j,k) with j > k feed V(x)_k,
-    so x_k = V(x)_k = x_k [p[k,k,k] x_k + sum_{j>k} (p[k,j,k] + p[j,k,k])
-    x_j]. Every weight in the bracket is at most 1 and the x_j sum to 1, so
-    the bracket is 1 only if p[k,k,k] = 1 and every j with x_j > 0 has
-    weight 1. For k outside C the first fails; for k in C the strict bound
-    leaves x = e_k.
+    and the stored p is symmetric, so x_k = V(x)_k = x_k [p[k,k,k] x_k +
+    sum_{j>k} 2 p[k,j,k] x_j]. Every weight in the bracket is at most 1 and
+    the x_j sum to 1, so the bracket is 1 only if p[k,k,k] = 1 and every j
+    with x_j > 0 has weight 1. For k outside C the first fails; for k in C
+    the strict bound leaves x = e_k.
     """
     c = V.clauses
     holds = not any(c.necessary[name] for name in ("upper_block_zero", "absorbing_last", "half_bound"))

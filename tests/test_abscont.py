@@ -34,6 +34,20 @@ class TestVaOperator:
         with pytest.raises(ValueError):
             va_operator(1.5)
 
+    @pytest.mark.parametrize(
+        "a, x, message",
+        [
+            (1.5, (0.3, 0.7), "a must lie in [0, 1], got 1.5"),
+            (-0.1, (0.3, 0.7), "a must lie in [0, 1], got -0.1"),
+            (0.5, (0.2, 0.3, 0.5), "the family lives on two states"),
+        ],
+        ids=["a_above_one", "a_below_zero", "three_states"],
+    )
+    def test_params_checked(self, a, x, message):
+        with pytest.raises(ValueError) as err:
+            VaParams(a, make_point(x))
+        assert str(err.value) == message
+
 
 class TestClosedFormTransitions:
     def test_hand_values(self):
@@ -47,6 +61,16 @@ class TestClosedFormTransitions:
         p = VaParams.of(0.0, 0.5)
         for k in range(5):
             assert va_transition_closed_form(p, k).linear[0, 0] == 0.0
+
+    def test_a_x1_one_stays(self):
+        """At a * x1 = 1 state 1 is never left: H_11 = 1 and its log 0."""
+        H = va_transition_closed_form(VaParams.of(1.0, 1.0), 3)
+        assert H.linear.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert H.log.tolist() == [[0.0, -math.inf], [-math.inf, 0.0]]
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            va_transition_closed_form(VaParams.of(0.5, 0.5), -1)
 
     def test_matches_generic_chain_linear(self):
         for a in (0.1, 0.5, 0.9):
@@ -106,8 +130,9 @@ class TestCylinderClosedForms:
             ("ones_then_twos", 3, 5, 1, "need l <= k <= m-1, got l=3, k=1, m=5"),
             ("all_ones", -2, 3, 0, "window start must be >= 0, got l=-2"),
             ("two_one", 0, 0, -1, "need k >= 0, got k=-1"),
+            ("bogus", 0, 0, 0, "unknown cylinder kind 'bogus'"),
         ],
-        ids=["k_past_window", "k_before_window", "negative_start", "two_one_negative_k"],
+        ids=["k_past_window", "k_before_window", "negative_start", "two_one_negative_k", "unknown_kind"],
     )
     def test_constructor_checks_the_window(self, kind, l, m, k, message):
         """The constructor rejects a window that does not exist."""
@@ -196,6 +221,13 @@ class TestRnSeries:
     def test_m_max_guard(self):
         with pytest.raises(ValueError):
             rn_series(VaParams.of(0.5, 0.3), VaParams.of(0.5, 0.6), 1)
+
+    def test_denominator_that_never_leaves_state_one(self):
+        """The denominator's stay probability is 1 at every m: escape-ratio
+        terms K are infinite, as the numerator escapes and the denominator
+        cannot."""
+        r = rn_series(VaParams.of(0.5, 0.3), VaParams.of(1.0, 1.0), 3)
+        assert [t[1] for t in r.terms] == [math.inf] * 3
 
     def test_numerator_that_never_leaves_state_one_is_singular(self):
         # at a * x1 = 1 the numerator chain stays at state 1 forever, so the

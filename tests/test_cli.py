@@ -62,6 +62,13 @@ class TestValidate:
         err = json.loads(result.stderr)
         assert err["error"] == "validation_error"
 
+    def test_index_out_of_range_is_a_validation_error(self, runner, tmp_path):
+        spec = tmp_path / "out_of_range.json"
+        spec.write_text(json.dumps({"n": 2, "coefficients": [{"i": 1, "j": 1, "k": 3, "p": 0.5}]}))
+        result = runner.invoke(main, ["validate", "--spec", str(spec)])
+        assert result.exit_code == EXIT_VALIDATION
+        assert "index (1,1,3) out of range for n=2" in json.loads(result.stderr)["message"]
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -69,8 +76,9 @@ class TestValidate:
             {"va": {"a": True}},
             {"n": 2, "coefficients": [{"i": 1, "j": 2, "k": 2, "p": 0.5}, {"i": 1, "j": 2, "k": 2, "p": 0.5}]},
             {"n": 2, "coefficients": [{"i": 1.7, "j": True, "k": "2", "p": True}]},
+            [1, 2],
         ],
-        ids=["coefficients_not_a_list", "boolean_a", "duplicate_record", "coerced_record_fields"],
+        ids=["coefficients_not_a_list", "boolean_a", "duplicate_record", "coerced_record_fields", "not_an_object"],
     )
     def test_malformed_spec_is_a_parse_error(self, runner, tmp_path, spec):
         path = tmp_path / "spec.json"
@@ -343,11 +351,14 @@ class TestAbscont:
         )
         assert payload["result"]["closed_form_discrepancies"]
 
-    @pytest.mark.parametrize("m_max", [str(ABSCONT_M_MAX + 1), "3000"])
+    @pytest.mark.parametrize("m_max", [str(ABSCONT_M_MAX + 1), "3000", "1"])
     def test_m_max_bounded(self, runner, m_max):
         assert_validation_error(
             runner, ["abscont", "--a", "0.5", "--x", "0.3,0.7", "--y", "0.6,0.4", "--m-max", m_max]
         )
+
+    def test_a_outside_the_family(self, runner):
+        assert_validation_error(runner, ["abscont", "--a", "1.5", "--x", "0.3,0.7", "--y", "0.6,0.4"])
 
     def test_csv_format(self, runner):
         result = runner.invoke(

@@ -61,6 +61,14 @@ class TestTransitionMatrices:
         with pytest.raises(ValueError):
             half_family.compose_transitions(3, 3)
 
+    def test_negative_time_rejected(self, half_family):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            half_family.transition_matrix(-1)
+
+    def test_start_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match="start point dimension does not match operator"):
+            TransitionFamily(va_operator(0.5), make_point([0.2, 0.3, 0.5]))
+
     def test_log_view_beyond_underflow(self):
         fam = TransitionFamily(va_operator(0.9), make_point([0.9, 0.1]))
         logs = fam.transition_matrix_log(20)

@@ -1,15 +1,21 @@
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from conftest import random_general_operator
+import qsodyn.abscont
+import qsodyn.generate
+import qsodyn.specfile
+from conftest import load_fixture, random_general_operator
 from qsodyn.abscont import va_operator
 from qsodyn.generate import random_structured_tensors
 from qsodyn.operator import (
     HeredityTensor,
     TensorError,
     _reduced_jacobians,
+    _solve_rows,
     block_rows,
     evaluate,
     evaluate_array,
@@ -68,6 +74,29 @@ class TestMakeOperator:
         assert V.tensor.entry(1, 2, 1) == pytest.approx(0.1)
         assert V.tensor.entry(2, 1, 1) == pytest.approx(0.1)
 
+    def test_symmetric_input_is_stored_as_given(self, monkeypatch):
+        """Every fixture and generate draw is stored to the bit as
+        np.clip(p, 0, 1): a symmetric tensor averaged with its transpose
+        keeps every bit, signed zeros included."""
+        made = []
+
+        def recording(tensor, symmetrize=False):
+            V = make_operator(tensor, symmetrize)
+            made.append((tensor.p, V.tensor.p))
+            return V
+
+        for module in (qsodyn.abscont, qsodyn.generate, qsodyn.specfile):
+            monkeypatch.setattr(module, "make_operator", recording)
+        manifest = json.loads(resources.files("qsodyn").joinpath("fixtures/manifest.json").read_text())
+        for name in manifest["fixtures"]:
+            load_fixture(name.removesuffix(".json")).build()
+        for n in range(2, 9):
+            for margin in (0.02, 0.0):
+                random_structured_tensors(n, 25, seed=n, uniqueness_margin=margin)
+        assert len(made) == 6 + 7 * 2 * 25
+        for given, stored in made:
+            assert stored.tobytes() == np.clip(given, 0.0, 1.0).tobytes()
+
     def test_mirroring(self):
         V = va_operator(0.3)
         assert V.tensor.entry(2, 1, 2) == 1.0
@@ -106,6 +135,10 @@ class TestEvaluate:
     def test_vertex_fixed_in_example(self, three_vertex_operator):
         x = vertex(3, 1)
         assert l1_distance(evaluate(three_vertex_operator, x), x) <= 1e-15
+
+    def test_wrong_dimension_rejected(self):
+        with pytest.raises(DimensionMismatch, match="operator on 2 states, point has 3"):
+            evaluate(va_operator(0.5), make_point([0.2, 0.3, 0.5]))
 
     def test_symmetrization_invariance(self):
         rng = np.random.default_rng(4)
@@ -269,3 +302,16 @@ def test_bbistochastic_order_along_samples():
     for V in random_structured_tensors(3, 10, seed=50):
         for x in sample_simplex(3, 30, seed=51):
             assert b_leq(evaluate(V, x), x)
+
+
+def test_singular_rows_fall_back_to_least_squares():
+    """A singular matrix in the stack makes the stacked solve raise: then
+    each regular row is np.linalg.solve's answer and each singular row
+    np.linalg.lstsq's, to the bit."""
+    J = np.stack([np.eye(2), np.ones((2, 2))])
+    b = np.array([[0.3, 0.7], [3.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(J, b[:, :, None])
+    out = _solve_rows(J, b)
+    assert out[0].tobytes() == np.linalg.solve(J[0], b[0]).tobytes()
+    assert out[1].tobytes() == np.linalg.lstsq(J[1], b[1], rcond=None)[0].tobytes()

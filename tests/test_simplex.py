@@ -10,10 +10,12 @@ from qsodyn.simplex import (
     SimplexError,
     _sum,
     b_leq,
+    grid_array,
     grid_simplex,
     l1_distance,
     make_point,
     partial_sum,
+    sample_array,
     sample_simplex,
     vertex,
 )
@@ -174,6 +176,21 @@ class TestSampling:
     def test_samples_match_pointwise_construction(self, n):
         got = np.array([p.coords for p in sample_simplex(n, 2000, seed=n)])
         assert got.tobytes() == np.array(reference_samples(n, 2000, n)).tobytes()
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: grid_array(1, 3), "need n >= 2 and resolution >= 1"),
+            (lambda: grid_array(3, 0), "need n >= 2 and resolution >= 1"),
+            (lambda: sample_array(1, 5, seed=0), "need n >= 2 and count >= 1"),
+            (lambda: sample_array(3, 0, seed=0), "need n >= 2 and count >= 1"),
+        ],
+        ids=["grid_one_state", "grid_resolution_zero", "sample_one_state", "sample_count_zero"],
+    )
+    def test_array_arguments_checked(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
 
     def test_grid_points_valid(self):
         for p in grid_simplex(3, 5):

@@ -1,10 +1,11 @@
 """Which side of its boundary each coefficient check falls on.
 
-Every case but the mirror one is the two-state operator with
-p[1,1,.] = (a, 1-a), p[1,2,.] = p[2,1,.] = (b, 1-b) and p[2,2,.] = (c, 1-c),
-moved to just inside and just outside one boundary. make_operator accepts
-coefficients to within EPS_COEF = 1e-12, the vertex spectrum has
-EPS_EIGEN = 1e-10 and the contraction criteria EPS_CONTRACTION = 1e-12.
+Every case is the two-state operator with p[1,1,.] = (a, 1-a),
+p[1,2,.] = p[2,1,.] = (b, 1-b) and p[2,2,.] = (c, 1-c), moved to just inside
+and just outside one boundary; the lopsided one gives p[1,2,1] and p[2,1,1]
+apart. make_operator accepts coefficients to within EPS_COEF = 1e-12 and
+stores each pair as its average; the vertex spectrum has EPS_EIGEN = 1e-10
+and the contraction criteria EPS_CONTRACTION = 1e-12.
 The necessary conditions and the uniqueness bounds have no tolerance: they
 are decided exactly on the stored doubles, so their cases sit one double
 apart, with math.nextafter.
@@ -31,7 +32,7 @@ def two_state(a=0.3, b=0.3, c=0.0):
 
 
 def lopsided(row, mirror):
-    """two_state with p[1,2,1] = row and p[2,1,1] = mirror, which
+    """two_state with p[1,2,1] = row and p[2,1,1] = mirror given apart, which
     make_operator accepts while they differ by at most EPS_COEF."""
     p = np.array([[[0.3, 0.7], [row, 1 - row]], [[mirror, 1 - mirror], [0.0, 1.0]]])
     return make_operator(HeredityTensor(2, p))
@@ -52,9 +53,6 @@ def test_uniqueness_bound_tolerance():
     below = nextafter(0.5, 0)
     assert check_uniqueness_conditions(two_state(b=below)).met
     assert check_uniqueness_conditions(two_state(b=0.5)).violations == [(1, 2)]
-    # the bound is strict on the row entry and on its mirror alike
-    for row, mirror in [(0.5, below), (below, 0.5)]:
-        assert check_uniqueness_conditions(lopsided(row, mirror)).violations == [(1, 2)]
 
 
 @pytest.mark.parametrize(
@@ -75,17 +73,24 @@ def test_necessary_condition_tolerance(name, inside, outside):
 
 
 @pytest.mark.parametrize("row", [0.5 - 5e-13, 0.5])
-def test_mirror_coefficient_is_read(row):
-    """Only p[2,1,1] is over 1/2, by 1e-13, and p[1,2,1] is at most 1/2:
-    within make_operator's asymmetry tolerance, so the tensor is accepted.
-    The row entry p[1,2,1] alone passes half_bound and the order bound, and
-    below 1/2 the uniqueness bounds too."""
-    V = lopsided(row, 0.5 + 1e-13)
+def test_lopsided_pair_is_stored_as_its_average(row):
+    """p[2,1,1] = 1/2 + 1e-13 and p[1,2,1] = row: within EPS_COEF of each
+    other, so make_operator accepts the pair and stores both halves as their
+    average, the tensor equal to its transpose to the bit. Every verdict
+    follows the average: 1/2 - 2e-13 passes half_bound, the uniqueness
+    bounds and the order bound, 1/2 + 5e-14 fails them."""
+    mirror = 0.5 + 1e-13
+    V = lopsided(row, mirror)
+    p = V.tensor.p
+    assert p.tobytes() == p.transpose(1, 0, 2).tobytes(order="C")
+    mean = 0.5 * (row + mirror)
+    assert p[0, 1, 0] == mean and mean != 0.5
+    below = mean < 0.5
     half = {c.name: c for c in check_necessary_bbistochastic(V)}["half_bound"]
-    assert not half.passed and half.witness == (2, 1, 0.5 + 1e-13)
-    assert check_uniqueness_conditions(V).violations == [(1, 2)]
-    assert not V.clauses.order_bound
-    assert proven_fixed_points(V) is None
+    assert half.passed is below and half.witness == (None if below else (1, 2, mean))
+    assert check_uniqueness_conditions(V).met is below
+    assert V.clauses.order_bound is below
+    assert (proven_fixed_points(V) is not None) is below
 
 
 def test_vertex_eigenvalue_tolerance():
