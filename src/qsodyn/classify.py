@@ -4,6 +4,7 @@ vertex stability, and strict-contraction criteria."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -16,9 +17,6 @@ from .operator import (
     vertex_eigenvalues,
 )
 from .simplex import EPS_ORDER, SimplexPoint, grid_array, sample_array
-
-EPS_CONTRACTION = 1e-12
-EPS_EIGEN = 1e-10
 
 DEFAULT_SAMPLES = 10_000
 
@@ -132,57 +130,61 @@ def check_uniqueness_conditions(V: QsoOperator) -> UniquenessReport:
 
 
 def classify_vertex_stability(V: QsoOperator) -> str:
-    """Spectral verdict at (0,...,0,1): attracting, non_hyperbolic, or mixed,
-    with eigenvalues within EPS_EIGEN of 1 counted as 1."""
+    """Spectral verdict at (0,...,0,1) on the exact eigenvalues 2 p[k,n,k]:
+    attracting if all are below 1, non_hyperbolic if one is 1, else mixed.
+    Eigenvalue k is below 1 exactly where p[k,n,k] < 1/2, the uniqueness
+    clause (k, n)."""
     eigs = vertex_eigenvalues(V)
-    if any(abs(e - 1.0) <= EPS_EIGEN for e in eigs):
-        return "non_hyperbolic"
-    if all(e < 1.0 - EPS_EIGEN for e in eigs):
+    if all(e < 1.0 for e in eigs):
         return "attracting"
-    return "mixed"
+    return "non_hyperbolic" if 1.0 in eigs else "mixed"
+
+
+# A contraction criterion's float is off its exact value on the stored
+# doubles by under 2n * 2^-53: the modulus sums n rounded differences of
+# coefficients in [0, 1], at most 2 in all; the closed forms round less.
+# That is below the window for n < 4096, past any n whose n^4 array fits.
+EXACT_WINDOW = 2.0**-40
+
+
+def _below_one(value: float, exact) -> bool:
+    """Whether a criterion is below 1 exactly: its float value decides outside
+    EXACT_WINDOW of 1, and exact(), the criterion in Fraction, inside it."""
+    return (exact() if abs(value - 1.0) <= EXACT_WINDOW else value) < 1
 
 
 @dataclass(frozen=True)
 class ContractionResult:
     modulus: float
     is_strict: bool
-    boundary: bool
     argmax_triple: tuple  # (i1, i2, k), 1-based
 
 
 def strict_contraction_general(V: QsoOperator) -> ContractionResult:
     """Contraction modulus: max over i1, i2, k of sum_j |p[i1,k,j] - p[i2,k,j]|,
-    strict below 1 - EPS_CONTRACTION and on the boundary within it of 1."""
-    p = V.tensor.p
-    n = V.n
-    modulus = 0.0
-    arg = (1, 1, 1)
-    for i1 in range(n):
-        for i2 in range(i1 + 1, n):
-            diffs = np.abs(p[i1] - p[i2]).sum(axis=1)  # indexed by the shared k
-            k = int(np.argmax(diffs))
-            if diffs[k] > modulus:
-                modulus = float(diffs[k])
-                arg = (i1 + 1, i2 + 1, k + 1)
-    return ContractionResult(
-        modulus=modulus,
-        is_strict=modulus < 1.0 - EPS_CONTRACTION,
-        boundary=abs(modulus - 1.0) <= EPS_CONTRACTION,
-        argmax_triple=arg,
-    )
+    the float sum at the first largest triple; strict where the exact
+    modulus on the stored doubles is below 1."""
+    p, n = V.tensor.p, V.n
+    D = np.abs(p[:, None] - p[None, :]).sum(axis=3)  # D[i1, i2, k], symmetric in i1, i2
+    r = int(D.argmax())  # so the first largest has i1 < i2, or is (1, 1, 1) where D = 0
+    modulus = D.item(r)
+
+    def exact():
+        P = p.tolist()
+        near = zip(*np.nonzero(D >= 1.0 - EXACT_WINDOW))
+        return max(sum(abs(Fraction(x) - Fraction(y)) for x, y in zip(P[i][k], P[j][k])) for i, j, k in near)
+
+    return ContractionResult(modulus, _below_one(modulus, exact), (r // (n * n) + 1, r // n % n + 1, r % n + 1))
 
 
 def strict_contraction_1d(V: QsoOperator) -> bool:
     """Two-state criterion: max{p[1,2,1], |p[1,1,1] - p[1,2,1]|} < 1/2,
-    with a margin of EPS_CONTRACTION / 2."""
+    decided exactly."""
     if V.n != 2:
         raise ValueError(f"criterion needs n = 2, got n = {V.n}")
-    a = V.tensor.entry(1, 1, 1)
-    b = V.tensor.entry(1, 2, 1)
-    return max(b, abs(a - b)) < 0.5 - EPS_CONTRACTION / 2
-
-
-_2D_NAMES = "abcdefghi"
+    a, b = V.tensor.p[0, :, 0].tolist()
+    twice = lambda a, b: 2 * max(b, abs(a - b))  # in floats or in Fractions, against 1
+    return _below_one(twice(a, b), lambda: twice(Fraction(a), Fraction(b)))
 
 
 @dataclass(frozen=True)
@@ -193,18 +195,10 @@ class Contraction2D:
     quantities: dict
 
 
-def strict_contraction_2d(V: QsoOperator) -> Contraction2D:
-    """Three-state criterion: nine closed-form quantities, strict iff
-    max < 1 - EPS_CONTRACTION."""
-    if V.n != 3:
-        raise ValueError(f"criterion needs n = 3, got n = {V.n}")
-    t = V.tensor
-    A1, A2 = t.entry(1, 1, 1), t.entry(1, 1, 2)
-    B1, B2 = t.entry(1, 2, 1), t.entry(1, 2, 2)
-    C1, C2 = t.entry(1, 3, 1), t.entry(1, 3, 2)
-    D2 = t.entry(2, 2, 2)
-    E2 = t.entry(2, 3, 2)
-    q = {
+def _three_state(A1, A2, B1, B2, C1, C2, D2, E2) -> dict:
+    """The nine closed-form quantities in A = p[1,1,:], B = p[1,2,:],
+    C = p[1,3,:], D = p[2,2,:], E = p[2,3,:], in floats or in Fractions."""
+    return {
         "a": abs(A1 - B1) + abs(A2 - B2) + abs(A1 + A2 - B1 - B2),
         "b": B1 + abs(B2 - D2) + abs(B1 + B2 - D2),
         "c": C1 + abs(C2 - E2) + abs(C1 + C2 - E2),
@@ -215,13 +209,20 @@ def strict_contraction_2d(V: QsoOperator) -> Contraction2D:
         "h": 2 * abs(D2 - E2),
         "i": 2 * E2,
     }
-    which = max(_2D_NAMES, key=lambda name: q[name])
-    return Contraction2D(
-        max_quantity=q[which],
-        which=which,
-        is_strict=q[which] < 1.0 - EPS_CONTRACTION,
-        quantities=q,
-    )
+
+
+def strict_contraction_2d(V: QsoOperator) -> Contraction2D:
+    """Three-state criterion: the nine quantities of :func:`_three_state` as
+    floats, and the first largest; strict where their exact maximum on the
+    stored doubles is below 1."""
+    if V.n != 3:
+        raise ValueError(f"criterion needs n = 3, got n = {V.n}")
+    P = V.tensor.p.tolist()
+    args = (*P[0][0][:2], *P[0][1][:2], *P[0][2][:2], P[1][1][1], P[1][2][1])
+    q = _three_state(*args)
+    which = max(q, key=q.get)
+    strict = _below_one(q[which], lambda: max(_three_state(*map(Fraction, args)).values()))
+    return Contraction2D(max_quantity=q[which], which=which, is_strict=strict, quantities=q)
 
 
 @dataclass(frozen=True)

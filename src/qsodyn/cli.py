@@ -14,8 +14,8 @@ import click
 
 from . import __version__
 # classify, markov and abscont, and with them mpmath, load only in the commands calling them
-from .operator import TensorError, evaluate, find_fixed_points, trajectory
-from .simplex import SimplexError, l1_distance, make_point, partial_sum
+from .operator import evaluate, find_fixed_points, trajectory
+from .simplex import l1_distance, make_point, partial_sum
 from .specfile import SpecFileError, load_spec, spec_hash
 
 EXIT_VALIDATION = 2
@@ -44,14 +44,14 @@ def _load_operator(spec_path: str, symmetrize: bool):
         _die(EXIT_PARSE, "parse_error", str(exc), path=spec_path)
     try:
         return spec.build(symmetrize=symmetrize)
-    except (TensorError, SimplexError, ValueError) as exc:
+    except ValueError as exc:  # TensorError and SimplexError among them
         _die(EXIT_VALIDATION, "validation_error", str(exc), path=spec_path)
 
 
 def _parse_point(text: str, n: Optional[int] = None):
     try:
         x = make_point([float(v) for v in text.split(",")])
-    except (ValueError, SimplexError) as exc:
+    except ValueError as exc:
         _die(EXIT_VALIDATION, "validation_error", f"bad point {text!r}: {exc}")
     _require(n is None or x.n == n, f"point has {x.n} states, operator {n}")
     return x

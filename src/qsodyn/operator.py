@@ -47,15 +47,11 @@ class HeredityTensor:
 
     The array is dense, 0-based, shape (n, n, n). Use :func:`tensor_from_entries`
     to build one from sparse 1-based records. :func:`make_operator` stores it
-    exactly symmetric: p[i, j, k] and p[j, i, k] are one double.
+    exactly symmetric, p[i, j, k] and p[j, i, k] one double, and read-only.
     """
 
     n: int
     p: np.ndarray
-
-    def entry(self, i: int, j: int, k: int) -> float:
-        """1-based coefficient lookup."""
-        return float(self.p[i - 1, j - 1, k - 1])
 
 
 def tensor_from_entries(n: int, entries: dict) -> HeredityTensor:
@@ -168,7 +164,7 @@ class QsoOperator:
 
 
 def make_operator(tensor: HeredityTensor, symmetrize: bool = False) -> QsoOperator:
-    """Validate a heredity tensor and store it exactly symmetric.
+    """Validate a heredity tensor and store it exactly symmetric, read-only.
 
     Checks: at least two states and an (n, n, n) array; then, each to within
     EPS_COEF, entries in [0, 1], symmetry in the first two indices, and unit
@@ -207,7 +203,9 @@ def make_operator(tensor: HeredityTensor, symmetrize: bool = False) -> QsoOperat
         raise TensorError(
             f"outcome mass for pair ({i + 1},{j + 1}) sums to {sums[i, j]}"
         )
-    return QsoOperator(HeredityTensor(n, np.clip(mean, 0.0, 1.0)))
+    stored = np.clip(mean, 0.0, 1.0)
+    stored.flags.writeable = False  # clauses is decided once
+    return QsoOperator(HeredityTensor(n, stored))
 
 
 def evaluate(V: QsoOperator, x: SimplexPoint) -> SimplexPoint:

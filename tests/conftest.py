@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qsodyn.classify import NumericOrderVerdict, _default_resolution
+from qsodyn.generate import random_structured_tensors
 from qsodyn.operator import (
     FixedPointSet,
     HeredityTensor,
@@ -63,6 +64,13 @@ def reference_samples(n, count, seed):
     return tuple(make_point(row).coords for row in draws)
 
 
+def two_state(a=0.3, b=0.3, c=0.0):
+    """The two-state operator with p[1,1,.] = (a, 1-a), p[1,2,.] = p[2,1,.]
+    = (b, 1-b) and p[2,2,.] = (c, 1-c)."""
+    p = np.array([[[a, 1 - a], [b, 1 - b]], [[b, 1 - b], [c, 1 - c]]])
+    return make_operator(HeredityTensor(2, p))
+
+
 def random_general_operator(n, rng):
     """Symmetric tensor with Dirichlet outcome rows; usually breaks the order."""
     p = rng.dirichlet(np.ones(n), size=(n, n))
@@ -80,6 +88,36 @@ def cyclic_vertex_operator(n, rng):
         for j in range(i + 1, n):
             p[i, j] = p[j, i] = rng.dirichlet(np.ones(n))
     return make_operator(HeredityTensor(n, p))
+
+
+@lru_cache(maxsize=None)
+def structured_draws():
+    """350 structured operators: 25 at each n = 2..8, at uniqueness margin
+    0.02 and at 0 (where the uniqueness bounds may fail)."""
+    return tuple(
+        V
+        for n in range(2, 9)
+        for margin in (0.02, 0.0)
+        for V in random_structured_tensors(n, 25, seed=2300 + n, uniqueness_margin=margin)
+    )
+
+
+def reference_contraction(V):
+    """The contraction modulus by a loop over the pairs i1 < i2, each pair's
+    sums over the shared k in one array: (modulus, argmax_triple) at the
+    first largest triple, (0.0, (1, 1, 1)) where every sum is 0."""
+    p = V.tensor.p
+    n = V.n
+    modulus = 0.0
+    arg = (1, 1, 1)
+    for i1 in range(n):
+        for i2 in range(i1 + 1, n):
+            diffs = np.abs(p[i1] - p[i2]).sum(axis=1)
+            k = int(np.argmax(diffs))
+            if diffs[k] > modulus:
+                modulus = float(diffs[k])
+                arg = (i1 + 1, i2 + 1, k + 1)
+    return modulus, arg
 
 
 def _reference_image(V, xa):

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +10,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     load_fixture,
     random_general_operator,
+    reference_contraction,
     reference_grid,
     reference_samples,
     reference_verify,
+    structured_draws,
+    two_state,
 )
 from qsodyn import classify
 from qsodyn.abscont import va_operator
@@ -27,7 +32,7 @@ from qsodyn.classify import (
     verify_bbistochastic_numeric,
 )
 from qsodyn.generate import random_structured_tensors
-from qsodyn.operator import HeredityTensor, evaluate_array, make_operator, tensor_from_entries
+from qsodyn.operator import HeredityTensor, evaluate_array, make_operator, tensor_from_entries, vertex_eigenvalues
 from qsodyn.simplex import EPS_ORDER, SimplexPoint
 
 
@@ -39,7 +44,7 @@ def modulus_by_enumeration(V):
         for i2 in range(1, n + 1):
             for k in range(1, n + 1):
                 s = sum(
-                    abs(V.tensor.entry(i1, k, j) - V.tensor.entry(i2, k, j))
+                    abs(V.tensor.p[i1 - 1, k - 1, j - 1] - V.tensor.p[i2 - 1, k - 1, j - 1])
                     for j in range(1, n + 1)
                 )
                 best = max(best, s)
@@ -436,6 +441,90 @@ class TestContraction:
             strict_contraction_1d(three_vertex_operator)
         with pytest.raises(ValueError):
             strict_contraction_2d(va_operator(0.5))
+
+
+def three_state_vertex(b, e):
+    """Structured n = 3 with p[1,3,1] = b and p[2,3,2] = e: eigenvalues 2b, 2e."""
+    p = np.zeros((3, 3, 3))
+    rows = {(0, 0): (0.5, 0.25, 0.25), (0, 1): (0.2, 0.3, 0.5), (0, 2): (b, 0.0, 1 - b), (1, 1): (0, 0.5, 0.5),
+            (1, 2): (0, e, 1 - e), (2, 2): (0, 0, 1)}
+    for (i, j), row in rows.items():
+        p[i, j] = p[j, i] = row
+    return make_operator(HeredityTensor(3, p))
+
+
+def _coherence_cases():
+    half_below = math.nextafter(0.5, 0)
+    cases = [(name, load_fixture(name).build()) for name in FIXTURES]
+    cases += [(f"draw{r}", V) for r, V in enumerate(structured_draws())]
+    for b in (0.5 - 2.5e-11, half_below, 0.5, math.nextafter(0.5, 1)):
+        cases.append((f"two_state-b{b!r}", two_state(0.3, b)))
+    for b, e in ((half_below, half_below), (0.5, half_below), (0.5, 0.6), (half_below, 0.6)):
+        cases.append((f"three_state-b{b!r}-e{e!r}", three_state_vertex(b, e)))
+    return cases
+
+
+COHERENCE_CASES = _coherence_cases()
+
+
+def quantized_operator(n, rng):
+    """Symmetric rows of quarters, so that the largest sums often tie."""
+    p = rng.multinomial(4, np.ones(n) / n, size=(n, n)) / 4
+    lower = np.tril_indices(n, -1)
+    p[lower] = p[lower[::-1]]
+    return make_operator(HeredityTensor(n, p))
+
+
+class TestContractionMatchesLoop:
+    """The modulus as one array expression against the loop over pairs in
+    conftest: the same bits and the same first largest triple."""
+
+    def test_fixtures_draws_and_ties(self):
+        rng = np.random.default_rng(2301)
+        cases = COHERENCE_CASES + [("quantized", quantized_operator(n, rng)) for n in range(2, 9) for _ in range(10)]
+        cases.append(("all sums 0, triple (1, 1, 1)", two_state(0.2, 0.2, 0.2)))
+        ties = 0
+        for name, V in cases:
+            res = strict_contraction_general(V)
+            modulus, triple = reference_contraction(V)
+            assert (res.modulus.hex(), res.argmax_triple) == (modulus.hex(), triple), name
+            assert type(res.is_strict) is bool and all(type(i) is int for i in res.argmax_triple)
+            json.dumps(asdict(res))
+            D = np.abs(V.tensor.p[:, None] - V.tensor.p[None, :]).sum(axis=3)
+            ties += np.count_nonzero(D[np.triu_indices(V.n, 1)] == modulus) > 1
+        assert ties > 50
+
+
+class TestCoherence:
+    """The vertex verdict, the uniqueness clauses and the contraction
+    criteria are decided by one exact rule, so they cannot disagree at a
+    boundary."""
+
+    @pytest.mark.parametrize("V", [V for _, V in COHERENCE_CASES], ids=[name for name, _ in COHERENCE_CASES])
+    def test_vertex_verdict_follows_the_uniqueness_clauses(self, V):
+        """(k, n) breaks the uniqueness bounds exactly where eigenvalue k is
+        at least 1, and the vertex is attracting exactly where none does."""
+        n = V.n
+        broken = {k for k, j in check_uniqueness_conditions(V).violations if j == n}
+        assert broken == {k for k, e in enumerate(vertex_eigenvalues(V), 1) if e >= 1.0}
+        assert (classify_vertex_stability(V) == "attracting") == (not broken)
+
+    def test_uniqueness_met_is_attracting(self):
+        met = [V for _, V in COHERENCE_CASES if check_uniqueness_conditions(V).met]
+        assert len(met) > 150
+        assert all(classify_vertex_stability(V) == "attracting" for V in met)
+
+    def test_non_hyperbolic_and_mixed(self):
+        below = math.nextafter(0.5, 0)
+        assert classify_vertex_stability(three_state_vertex(0.5, below)) == "non_hyperbolic"
+        assert classify_vertex_stability(three_state_vertex(0.5, 0.6)) == "non_hyperbolic"
+        assert classify_vertex_stability(three_state_vertex(below, 0.6)) == "mixed"
+
+    def test_two_state_criterion_matches_the_modulus(self):
+        draws = [V for V in structured_draws() if V.n == 2]
+        assert len(draws) == 50
+        for V in draws:
+            assert strict_contraction_1d(V) is strict_contraction_general(V).is_strict
 
 
 class TestAggregateReport:

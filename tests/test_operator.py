@@ -39,8 +39,8 @@ from qsodyn.simplex import (
 class TestMakeOperator:
     def test_va_valid(self):
         V = va_operator(0.5)
-        assert V.tensor.entry(1, 1, 1) == 0.5
-        assert V.tensor.entry(2, 2, 2) == 1.0
+        assert V.tensor.p[0, 0, 0] == 0.5
+        assert V.tensor.p[1, 1, 1] == 1.0
 
     def test_unit_mass_violation(self):
         t = tensor_from_entries(2, {(1, 1, 1): 0.6, (1, 1, 2): 0.6, (1, 2, 2): 1.0, (2, 2, 2): 1.0})
@@ -71,8 +71,8 @@ class TestMakeOperator:
         with pytest.raises(TensorError):
             make_operator(HeredityTensor(2, p))
         V = make_operator(HeredityTensor(2, p), symmetrize=True)
-        assert V.tensor.entry(1, 2, 1) == pytest.approx(0.1)
-        assert V.tensor.entry(2, 1, 1) == pytest.approx(0.1)
+        assert V.tensor.p[0, 1, 0] == pytest.approx(0.1)
+        assert V.tensor.p[1, 0, 0] == pytest.approx(0.1)
 
     def test_symmetric_input_is_stored_as_given(self, monkeypatch):
         """Every fixture and generate draw is stored to the bit as
@@ -97,9 +97,17 @@ class TestMakeOperator:
         for given, stored in made:
             assert stored.tobytes() == np.clip(given, 0.0, 1.0).tobytes()
 
+    def test_stored_tensor_is_read_only(self):
+        """clauses is decided once, so the stored tensor cannot change under it."""
+        V = make_operator(tensor_from_entries(2, {(1, 1, 1): 1.0, (1, 2, 2): 1.0, (2, 2, 2): 1.0}))
+        assert V.clauses.violations == [(1, 1)]
+        with pytest.raises(ValueError, match="read-only"):
+            V.tensor.p[0, 0, 0] = 0.25
+        assert V.tensor.p[0, 0, 0] == 1.0
+
     def test_mirroring(self):
         V = va_operator(0.3)
-        assert V.tensor.entry(2, 1, 2) == 1.0
+        assert V.tensor.p[1, 0, 1] == 1.0
 
     def test_one_state_rejected(self):
         """A 1-state tensor is rejected with tensor_from_entries' message."""

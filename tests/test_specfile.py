@@ -28,8 +28,8 @@ class TestParsing:
             }
         )
         V = spec.build()
-        assert V.tensor.entry(1, 1, 2) == 1.0
-        assert V.tensor.entry(2, 1, 2) == 1.0
+        assert V.tensor.p[0, 0, 1] == 1.0
+        assert V.tensor.p[1, 0, 1] == 1.0
 
     def test_mutual_exclusion(self):
         with pytest.raises(SpecFileError):

@@ -1,14 +1,17 @@
 """Which side of its boundary each coefficient check falls on.
 
-Every case is the two-state operator with p[1,1,.] = (a, 1-a),
+Most cases are the two-state operator with p[1,1,.] = (a, 1-a),
 p[1,2,.] = p[2,1,.] = (b, 1-b) and p[2,2,.] = (c, 1-c), moved to just inside
 and just outside one boundary; the lopsided one gives p[1,2,1] and p[2,1,1]
 apart. make_operator accepts coefficients to within EPS_COEF = 1e-12 and
-stores each pair as its average; the vertex spectrum has EPS_EIGEN = 1e-10
-and the contraction criteria EPS_CONTRACTION = 1e-12.
-The necessary conditions and the uniqueness bounds have no tolerance: they
-are decided exactly on the stored doubles, so their cases sit one double
-apart, with math.nextafter.
+stores each pair as its average.
+Every verdict on the stored coefficients has no tolerance: the necessary
+conditions, the uniqueness bounds, the vertex spectrum and the contraction
+criteria are decided exactly on the stored doubles, so their cases sit one
+double apart, with math.nextafter. A contraction criterion is computed in
+floats and decided again in Fraction where its float lies within
+EXACT_WINDOW of 1: the last cases round to the float 1.0 from an exact
+value on either side of 1.
 """
 
 from math import nextafter
@@ -16,19 +19,16 @@ from math import nextafter
 import numpy as np
 import pytest
 
+from conftest import load_fixture, two_state
 from qsodyn.classify import (
     check_necessary_bbistochastic,
     check_uniqueness_conditions,
     classify_vertex_stability,
     strict_contraction_1d,
+    strict_contraction_2d,
     strict_contraction_general,
 )
 from qsodyn.operator import HeredityTensor, TensorError, make_operator, proven_fixed_points
-
-
-def two_state(a=0.3, b=0.3, c=0.0):
-    p = np.array([[[a, 1 - a], [b, 1 - b]], [[b, 1 - b], [c, 1 - c]]])
-    return make_operator(HeredityTensor(2, p))
 
 
 def lopsided(row, mirror):
@@ -94,18 +94,70 @@ def test_lopsided_pair_is_stored_as_its_average(row):
 
 
 def test_vertex_eigenvalue_tolerance():
-    """The one vertex eigenvalue is 2b."""
-    assert classify_vertex_stability(two_state(b=0.5 - 2.5e-11)) == "non_hyperbolic"
-    assert classify_vertex_stability(two_state(b=0.5 - 1e-10)) == "attracting"
+    """The one vertex eigenvalue is 2b, an exact double."""
+    assert classify_vertex_stability(two_state(b=0.5)) == "non_hyperbolic"
+    assert classify_vertex_stability(two_state(b=nextafter(0.5, 0))) == "attracting"
+    assert classify_vertex_stability(two_state(b=nextafter(0.5, 1))) == "mixed"
 
 
 def test_contraction_tolerance():
-    """With a = b and c = 0 the modulus is 2b and the two-state criterion
-    reads b < 1/2 - EPS_CONTRACTION / 2: both move at the same b."""
-    b = 0.5 - 2.5e-13
-    edge = strict_contraction_general(two_state(a=b, b=b))
-    assert not edge.is_strict and edge.boundary
-    assert not strict_contraction_1d(two_state(a=b, b=b))
-    b = 0.5 - 1e-12
-    assert strict_contraction_general(two_state(a=b, b=b)).is_strict
-    assert strict_contraction_1d(two_state(a=b, b=b))
+    """With a = b and c = 0 the modulus is b + (1 - p[1,2,2]) at (1, 2, 2),
+    p[1,2,2] being 1 - b rounded, and the two-state criterion reads 2b < 1:
+    both are strict one double below 1/2 and not at 1/2. One double below,
+    p[1,2,2] rounds to 1/2 and the float modulus to 1.0, so the exact value
+    1 - 2^-54 decides."""
+    below = two_state(a=nextafter(0.5, 0), b=nextafter(0.5, 0))
+    assert strict_contraction_general(below).modulus == 1.0
+    assert strict_contraction_general(below).is_strict is True
+    assert strict_contraction_1d(below) is True
+    edge = two_state(a=0.5, b=0.5)
+    assert strict_contraction_general(edge).is_strict is False
+    assert strict_contraction_1d(edge) is False
+
+
+def window_three_state():
+    """A structured three-state operator with p[1,3,:] = (3/8, 1/8 - 2^-56,
+    1/2): criterion f, 2 p[1,3,1] + 2 p[1,3,2], and the modulus at (1, 3, 3)
+    are the largest and round to 1.0 from 1 - 2^-55 and 1 - 2^-56."""
+    c = (0.375, 0.125 - 2.0**-56, 0.5)
+    rows = {(0, 0): c, (0, 1): (0.1, 0.1, 0.8), (0, 2): c, (1, 1): (0, 0.1, 0.9), (1, 2): (0, 0.1, 0.9)}
+    p = np.zeros((3, 3, 3))
+    p[2, 2, 2] = 1.0
+    for (i, j), row in rows.items():
+        p[i, j] = p[j, i] = row
+    return make_operator(HeredityTensor(3, p))
+
+
+def test_contraction_is_decided_in_fraction_within_the_window():
+    """Each float criterion here is 1.0, which a float rule reads as not
+    strict; the exact value decides. Below 1: a two-state operator with
+    p[1,1,1] - p[1,2,1] = 1/2 - 2^-55, which rounds to 1/2, and the
+    three-state one above. Above 1: uniqueness_sufficiency_gap, whose
+    modulus is 1 + 2^-54 and whose closed-form maximum is 1 + 2^-53."""
+    V = two_state(a=0.625, b=0.125 + 2.0**-55)
+    assert 2 * abs(V.tensor.p[0, 0, 0] - V.tensor.p[0, 1, 0]) == 1.0
+    assert strict_contraction_1d(V) is True
+    general = strict_contraction_general(V)
+    assert (general.modulus, general.is_strict) == (1.0, True)
+    V = window_three_state()
+    general, closed = strict_contraction_general(V), strict_contraction_2d(V)
+    assert (general.modulus, general.argmax_triple, general.is_strict) == (1.0, (1, 3, 3), True)
+    assert (closed.max_quantity, closed.which, closed.is_strict) == (1.0, "f", True)
+    V = load_fixture("uniqueness_sufficiency_gap").build()
+    general, closed = strict_contraction_general(V), strict_contraction_2d(V)
+    assert (general.modulus, general.is_strict) == (1.0, False)
+    assert (closed.max_quantity, closed.is_strict) == (1.0, False)
+
+
+def test_every_triple_within_the_window_is_decided():
+    """Four triples tie at the float 1.0. The first, (1, 2, 1), is
+    1 - 2^-54 exactly, but (1, 2, 3), (1, 3, 3) and (2, 3, 1) are
+    1 + 2^-54: reading the first largest triple alone would call the
+    operator strict."""
+    near_half = 0.5 - 2.0**-54
+    p = np.empty((3, 3, 3))
+    p[:] = (0.0, 1.0, 0.0)
+    p[0, 0] = (near_half, 0.5, 0.0)
+    p[0, 2] = p[2, 0] = (near_half, 0.5, 2.0**-53)
+    res = strict_contraction_general(make_operator(HeredityTensor(3, p)))
+    assert (res.modulus, res.argmax_triple, res.is_strict) == (1.0, (1, 2, 1), False)
