@@ -10,6 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .operator import (
+    BLOCK_ENTRIES,
     QsoOperator,
     block_rows,
     evaluate_array,
@@ -131,19 +132,21 @@ def check_uniqueness_conditions(V: QsoOperator) -> UniquenessReport:
 
 def classify_vertex_stability(V: QsoOperator) -> str:
     """Spectral verdict at (0,...,0,1) on the exact eigenvalues 2 p[k,n,k]:
-    attracting if all are below 1, non_hyperbolic if one is 1, else mixed.
-    Eigenvalue k is below 1 exactly where p[k,n,k] < 1/2, the uniqueness
-    clause (k, n)."""
+    attracting if all are below 1, repelling if all are above 1,
+    non_hyperbolic if one is 1, else mixed. Eigenvalue k is below 1 exactly
+    where p[k,n,k] < 1/2, the uniqueness clause (k, n)."""
     eigs = vertex_eigenvalues(V)
     if all(e < 1.0 for e in eigs):
         return "attracting"
+    if all(e > 1.0 for e in eigs):
+        return "repelling"
     return "non_hyperbolic" if 1.0 in eigs else "mixed"
 
 
 # A contraction criterion's float is off its exact value on the stored
 # doubles by under 2n * 2^-53: the modulus sums n rounded differences of
 # coefficients in [0, 1], at most 2 in all; the closed forms round less.
-# That is below the window for n < 4096, past any n whose n^4 array fits.
+# That is below the window for n < 4096.
 EXACT_WINDOW = 2.0**-40
 
 
@@ -165,7 +168,10 @@ def strict_contraction_general(V: QsoOperator) -> ContractionResult:
     the float sum at the first largest triple; strict where the exact
     modulus on the stored doubles is below 1."""
     p, n = V.tensor.p, V.n
-    D = np.abs(p[:, None] - p[None, :]).sum(axis=3)  # D[i1, i2, k], symmetric in i1, i2
+    D = np.empty((n, n, n))  # D[i1, i2, k], symmetric in i1, i2
+    rows = max(1, BLOCK_ENTRIES // n**3)  # (rows, n, n, n) differences a block: one block for n <= 11
+    for s in range(0, n, rows):
+        np.abs(p[s : s + rows, None] - p[None, :]).sum(axis=3, out=D[s : s + rows])
     r = int(D.argmax())  # so the first largest has i1 < i2, or is (1, 1, 1) where D = 0
     modulus = D.item(r)
 

@@ -5,7 +5,7 @@ multistart search where that check does not apply."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import fsum
 from typing import Optional
 
@@ -25,12 +25,11 @@ EPS_COEF = 1e-12
 
 TRAJECTORY_TOL = 1e-12
 TRAJECTORY_MAX_ITER = 10_000
-# an orbit of an operator with at most this many nonzero coefficients steps
-# by a Python loop over them: it costs about 90-150 ns a term and one einsum
-# call about 6 us at n <= 5 (2-core x86-64, numpy 2.4.6), so the loop wins
-# below about 60 terms; every n <= 3 operator (at most 27) goes to it, a
-# dense n = 4 one (64) does not
-LOOP_MAX_TERMS = 48
+# an orbit at n <= KERNEL_MAX_N steps by one generated straight-line function
+# (_step_kernel): 2.5 us a step at n = 4, 4.3 at n = 5, against 5.9 and 6.2
+# through the einsum, but 7.7 against 6.5 at n = 6 (2-core x86-64, numpy
+# 2.4.6); its sums add left to right, _sum's order only below n = 8
+KERNEL_MAX_N = 5
 DEDUP_RADIUS = 1e-6
 # entries of one block's (rows, n, n) intermediates in evaluate_array, the
 # Newton polish and the order verifier: 128 KB, 256 rows at n = 8
@@ -259,11 +258,12 @@ def trajectory(
     """Iterate until the consecutive step shrinks below tol in l1 norm.
 
     Each step equals :func:`evaluate` and :func:`l1_distance` to the bit, on
-    a point held as a list of Python floats. An operator with at most
-    LOOP_MAX_TERMS nonzero coefficients computes V(x) by :func:`_loop_image`
-    with no NumPy call (a step of the n = 3 fixture uniqueness_sufficiency_gap
-    takes 3.7 us, 5.7 through the einsum, on a 2-core x86-64 machine); a
-    larger one makes one NumPy call, the einsum."""
+    a point held as a list of Python floats. At n <= KERNEL_MAX_N one call
+    of the :func:`_step_kernel` bound to p takes the step with no NumPy call
+    (a recorded step of the n = 3 fixture uniqueness_sufficiency_gap took
+    2.1 us, 8.3 through the einsum, on a 2-core x86-64 machine); a larger
+    operator makes one NumPy call, the einsum. A step whose image the kernel
+    does not renormalize goes through _renormalize and _sum."""
     if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
     if max_iter < 0:
@@ -274,15 +274,16 @@ def trajectory(
     step = float("inf")
     used = 0
     p = V.tensor.p
-    terms = _nonzero_terms(p) if np.count_nonzero(p) <= LOOP_MAX_TERMS else None
+    if V.n <= KERNEL_MAX_N:
+        kernel = _step_kernel(V.n)(*p.ravel().tolist())
+    else:
+        kernel = lambda xs: (np.einsum("ijk,i,j->k", p, xs, xs).tolist(), None)
     xs = list(x.coords)
     for it in range(1, max_iter + 1):
-        if terms is None:
-            image = np.einsum("ijk,i,j->k", p, xs, xs).tolist()
-        else:
-            image = _loop_image(terms, xs)
-        nxt = _renormalize(image, 1e-9)
-        step = _sum([abs(a - b) for a, b in zip(xs, nxt)])
+        nxt, step = kernel(xs)
+        if step is None:
+            nxt = _renormalize(nxt, 1e-9)
+            step = _sum([abs(a - b) for a, b in zip(xs, nxt)])
         xs = nxt
         used = it
         if record_path:
@@ -298,27 +299,36 @@ def trajectory(
     )
 
 
-def _nonzero_terms(p: np.ndarray) -> list:
-    """For each outcome k, the (p[i,j,k], i, j) with p[i,j,k] nonzero, in
-    row-major (i, j) order, as Python floats and ints."""
-    n = len(p)
-    P = p.tolist()
-    return [[(P[i][j][k], i, j) for i in range(n) for j in range(n) if P[i][j][k] != 0.0] for k in range(n)]
+@lru_cache(maxsize=None)
+def _step_kernel(n: int):
+    """The orbit step at n as straight-line code, compiled on first use. Its
+    arguments are p.ravel().tolist(); it returns step(xs) -> (z, l1).
 
-
-def _loop_image(terms: list, xs: list) -> list:
-    """V(x) from :func:`_nonzero_terms`, equal to np.einsum("ijk,i,j->k", p,
-    xs, xs) to the bit: each coordinate adds (p[i,j,k] * x_i) * x_j from
-    +0.0 in row-major (i, j) order, as the einsum does. At a finite x, a
-    skipped 0.0 or -0.0 coefficient would add a zero to a sum that is never
-    -0.0 (only -0.0 + -0.0 is), so skipping it changes no bit."""
-    out = []
-    for row in terms:
-        s = 0.0
-        for c, i, j in row:
-            s += c * xs[i] * xs[j]
-        out.append(s)
-    return out
+    y_k adds (p[i,j,k] * x_i) * x_j from +0.0 over every (i, j) in row-major
+    order, as np.einsum("ijk,i,j->k", p, xs, xs) does, so y is the einsum's
+    image to the bit. Where every y_k > 0.0 and the total t of y, added left
+    to right from +0.0 as _sum adds fewer than 8 terms, is within 1e-9 of
+    1, _renormalize would neither raise nor clip: z is y_k / t and l1 adds
+    |x_k - z_k| likewise. Otherwise z is y and l1 None."""
+    X = [f"x{i}" for i in range(n)]
+    Y = [f"y{k}" for k in range(n)]
+    Z = [f"z{k}" for k in range(n)]
+    c = lambda i, j, k: f"c{(i * n + j) * n + k}"
+    src = [
+        f"def bind({', '.join(c(i, j, k) for i in range(n) for j in range(n) for k in range(n))}):",
+        "    def step(xs):",
+        f"        {', '.join(X)} = xs",
+        *(f"        y{k} = 0.0 + " + " + ".join(f"{c(i, j, k)} * x{i} * x{j}" for i in range(n) for j in range(n)) for k in range(n)),
+        f"        t = 0.0 + {' + '.join(Y)}",
+        f"        if {' and '.join(y + ' > 0.0' for y in Y)} and abs(t - 1.0) <= 1e-9:",
+        f"            {', '.join(Z)} = {', '.join(y + ' / t' for y in Y)}",
+        f"            return [{', '.join(Z)}], 0.0 + {' + '.join(f'abs(x{k} - z{k})' for k in range(n))}",
+        f"        return [{', '.join(Y)}], None",
+        "    return step",
+    ]
+    namespace = {}
+    exec(compile("\n".join(src), f"<orbit step, n = {n}>", "exec"), namespace)
+    return namespace["bind"]
 
 
 def _reduced_jacobians(V: QsoOperator, X: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from qsodyn.classify import (
     verify_bbistochastic_numeric,
 )
 from qsodyn.generate import random_structured_tensors
-from qsodyn.operator import HeredityTensor, evaluate_array, make_operator, tensor_from_entries, vertex_eigenvalues
+from qsodyn.operator import BLOCK_ENTRIES, HeredityTensor, evaluate_array, make_operator, tensor_from_entries, vertex_eigenvalues
 from qsodyn.simplex import EPS_ORDER, SimplexPoint
 
 
@@ -372,8 +372,9 @@ class TestVertexStability:
         assert classify_vertex_stability(make_operator(t)) == "non_hyperbolic"
 
     def test_never_repelling(self):
+        """Structured draws keep every p[k,n,k] below 1/2 by their margin."""
         for V in random_structured_tensors(4, 20, seed=63):
-            assert classify_vertex_stability(V) in {"attracting", "non_hyperbolic", "mixed"}
+            assert classify_vertex_stability(V) == "attracting"
 
 
 class TestContraction:
@@ -494,6 +495,25 @@ class TestContractionMatchesLoop:
             ties += np.count_nonzero(D[np.triu_indices(V.n, 1)] == modulus) > 1
         assert ties > 50
 
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_rows_in_blocks(self, n):
+        """Above n = 11 the sums fill in blocks of BLOCK_ENTRIES // n**3
+        rows of i1, 9 at n = 12 and 4 at n = 16: the same bits and first
+        largest triple, ties and a modulus within the exact window
+        included."""
+        assert 1 < BLOCK_ENTRIES // n**3 < n
+        rng = np.random.default_rng(2300 + n)
+        cases = [random_general_operator(n, rng), quantized_operator(n, rng), *random_structured_tensors(n, 2, seed=n)]
+        p = np.zeros((n, n, n))
+        p[:, :, -1] = 1.0
+        p[0, 0, 0] = p[0, 0, -1] = 0.5  # D[1, i2, 1] = 1 for every i2 > 1: exactly 1, not strict
+        cases.append(make_operator(HeredityTensor(n, p)))
+        for V in cases:
+            res = strict_contraction_general(V)
+            modulus, triple = reference_contraction(V)
+            assert (res.modulus.hex(), res.argmax_triple) == (modulus.hex(), triple)
+        assert (res.modulus, res.argmax_triple, res.is_strict) == (1.0, (1, 2, 1), False)
+
 
 class TestCoherence:
     """The vertex verdict, the uniqueness clauses and the contraction
@@ -519,6 +539,14 @@ class TestCoherence:
         assert classify_vertex_stability(three_state_vertex(0.5, below)) == "non_hyperbolic"
         assert classify_vertex_stability(three_state_vertex(0.5, 0.6)) == "non_hyperbolic"
         assert classify_vertex_stability(three_state_vertex(below, 0.6)) == "mixed"
+
+    def test_repelling(self):
+        """Every eigenvalue above 1 is repelling; one at 1 or below is not."""
+        above = math.nextafter(0.5, 1)
+        assert classify_vertex_stability(three_state_vertex(above, above)) == "repelling"
+        assert classify_vertex_stability(three_state_vertex(0.6, 0.7)) == "repelling"
+        assert classify_vertex_stability(three_state_vertex(0.5, 0.7)) == "non_hyperbolic"
+        assert classify_vertex_stability(three_state_vertex(0.3, 0.7)) == "mixed"
 
     def test_two_state_criterion_matches_the_modulus(self):
         draws = [V for V in structured_draws() if V.n == 2]

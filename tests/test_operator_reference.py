@@ -27,11 +27,10 @@ from conftest import (
 from qsodyn.classify import verify_bbistochastic_numeric
 from qsodyn.generate import random_structured_tensors
 from qsodyn.operator import (
-    LOOP_MAX_TERMS,
-    _loop_image,
+    KERNEL_MAX_N,
     _multistart,
-    _nonzero_terms,
     _pre_iterate,
+    _step_kernel,
     evaluate,
     evaluate_array,
     find_fixed_points,
@@ -40,6 +39,9 @@ from qsodyn.operator import (
 )
 from qsodyn.simplex import (
     SimplexError,
+    SimplexPoint,
+    _renormalize,
+    _sum,
     grid_array,
     l1_distance,
     make_point,
@@ -112,32 +114,61 @@ SPECIAL_COORDS = [0.0, 5e-324, 2.5e-310, 1e-160]
 
 @settings(max_examples=400, deadline=None)
 @given(
-    n=st.integers(2, 8),
+    n=st.integers(2, KERNEL_MAX_N),
     seed=st.integers(0, 2**32 - 1),
     zeros=st.sampled_from([0.0, 0.4, 0.9]),
     special=st.lists(st.sampled_from(SPECIAL_COORDS), max_size=3),
+    scale=st.sampled_from([1.0, 2.0]),
 )
-def test_loop_image_is_the_einsum(n, seed, zeros, special):
-    """The loop equals the einsum to the bit, from 2 nonzero coefficients
-    to 512, on either side of LOOP_MAX_TERMS; planted 0.0 and -0.0
-    coefficients (np.clip keeps -0.0, so make_operator passes one on) are
-    skipped, and planted zero and subnormal coordinates round alike."""
+def test_kernel_image_is_the_einsum(n, seed, zeros, special, scale):
+    """The generated step's image equals the einsum to the bit: planted 0.0
+    and -0.0 coefficients (np.clip keeps -0.0, so make_operator passes one
+    on) add nothing, and planted zero and subnormal coordinates round alike.
+    Where the step renormalizes (mostly on the simplex, scale 1, with no
+    planted zero), it returns _renormalize's point and _sum's l1 step on
+    that image; elsewhere (always at scale 2, image total near 4) it
+    returns the image."""
     rng = np.random.default_rng(seed)
     p = rng.dirichlet(np.ones(n), size=(n, n))
     planted = rng.random((n, n, n)) < zeros
     p[planted] = rng.choice([0.0, -0.0], size=planted.sum())
-    xs = rng.dirichlet(np.ones(n)).tolist()
+    xs = (scale * rng.dirichlet(np.ones(n))).tolist()
     for i, v in zip(rng.permutation(n), special):
         xs[i] = v
-    got = _loop_image(_nonzero_terms(p), xs)
-    assert [repr(v) for v in got] == [repr(v) for v in np.einsum("ijk,i,j->k", p, xs, xs).tolist()]
+    want = np.einsum("ijk,i,j->k", p, xs, xs).tolist()
+    got, step = _step_kernel(n)(*p.ravel().tolist())(xs)
+    if step is not None:
+        want = _renormalize(want, 1e-9)
+        assert repr(step) == repr(_sum([abs(a - b) for a, b in zip(xs, want)]))
+    assert [repr(v) for v in got] == [repr(v) for v in want]
 
 
-@pytest.mark.parametrize("name", ["attracting_not_unique", "uniqueness_sufficiency_gap", "unique_not_contractive_s2", "va_a23"])
-def test_small_operators_step_without_einsum(name, monkeypatch):
-    """The n <= 3 fixtures (at most 27 nonzero coefficients) step by the
-    loop: with np.einsum raising, their orbits still equal the reference."""
-    V = load_fixture(name).build()
+@pytest.mark.parametrize("first", [0.0, -0.0, -1e-13])
+@pytest.mark.parametrize("name", ["uniqueness_sufficiency_gap", "general-n3"])
+def test_face_starts(name, first):
+    """Starts on the face x_1 = 0 or just off it, built without make_point.
+    On the fixture, whose p[i,j,1] = 0 for i, j > 1, the first image
+    coordinate is 0.0, or negative from -1e-13: the kernel returns the image
+    raw and _renormalize clips it. On a general draw the kernel
+    renormalizes. Either way the orbit equals the reference."""
+    fixture = name != "general-n3"
+    V = load_fixture(name).build() if fixture else random_general_operator(3, np.random.default_rng(3))
+    x = SimplexPoint((first, 0.25, 0.75 - first))
+    image, step = _step_kernel(3)(*V.tensor.p.ravel().tolist())(list(x.coords))
+    assert (step is None) is fixture and (image[0] <= 0.0) is fixture
+    want = reference_trajectory(V, x, tol=1e-300, max_iter=200, record_path=True)
+    assert repr(trajectory(V, x, tol=1e-300, max_iter=200, record_path=True)) == repr(want)
+
+
+SMALL = [(name, load_fixture(name).build()) for name in ["attracting_not_unique", "uniqueness_sufficiency_gap", "unique_not_contractive_s2", "va_a23"]]
+SMALL.append((f"general-n{KERNEL_MAX_N}", random_general_operator(KERNEL_MAX_N, np.random.default_rng(5))))
+
+
+@pytest.mark.parametrize("V", [V for _, V in SMALL], ids=[name for name, _ in SMALL])
+def test_small_operators_step_without_einsum(V, monkeypatch):
+    """The n <= 3 fixtures and a dense n = KERNEL_MAX_N draw step by the
+    generated kernel: with np.einsum raising, their orbits still equal the
+    reference."""
     x = orbit_starts(V.n)[0]
     want = reference_trajectory(V, x, tol=1e-300, max_iter=200, record_path=True)
 
@@ -149,9 +180,9 @@ def test_small_operators_step_without_einsum(name, monkeypatch):
 
 
 def test_dense_operator_steps_with_einsum(monkeypatch):
-    """A dense n = 5 draw (125 nonzero coefficients) makes one einsum call a step."""
-    V = random_general_operator(5, np.random.default_rng(5))
-    assert np.count_nonzero(V.tensor.p) > LOOP_MAX_TERMS
+    """A dense draw above KERNEL_MAX_N makes one einsum call a step."""
+    n = KERNEL_MAX_N + 1
+    V = random_general_operator(n, np.random.default_rng(n))
     calls = []
     einsum = np.einsum
 
@@ -160,7 +191,7 @@ def test_dense_operator_steps_with_einsum(monkeypatch):
         return einsum(*args, **kwargs)
 
     monkeypatch.setattr(np, "einsum", counting)
-    tr = trajectory(V, orbit_starts(5)[0], tol=1e-300, max_iter=30)
+    tr = trajectory(V, orbit_starts(n)[0], tol=1e-300, max_iter=30)
     assert tr.iterations_used == 30
     assert calls == ["ijk,i,j->k"] * 30
 

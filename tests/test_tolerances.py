@@ -97,7 +97,7 @@ def test_vertex_eigenvalue_tolerance():
     """The one vertex eigenvalue is 2b, an exact double."""
     assert classify_vertex_stability(two_state(b=0.5)) == "non_hyperbolic"
     assert classify_vertex_stability(two_state(b=nextafter(0.5, 0))) == "attracting"
-    assert classify_vertex_stability(two_state(b=nextafter(0.5, 1))) == "mixed"
+    assert classify_vertex_stability(two_state(b=nextafter(0.5, 1))) == "repelling"
 
 
 def test_contraction_tolerance():
