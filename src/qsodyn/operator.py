@@ -6,7 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import fsum
+from math import fsum, inf, isfinite
+from operator import index
 from typing import Optional
 
 import numpy as np
@@ -25,10 +26,11 @@ EPS_COEF = 1e-12
 
 TRAJECTORY_TOL = 1e-12
 TRAJECTORY_MAX_ITER = 10_000
-# an orbit at n <= KERNEL_MAX_N steps by one generated straight-line function
-# (_step_kernel): 2.5 us a step at n = 4, 4.3 at n = 5, against 5.9 and 6.2
-# through the einsum, but 7.7 against 6.5 at n = 6 (2-core x86-64, numpy
-# 2.4.6); its sums add left to right, _sum's order only below n = 8
+# an orbit at n <= KERNEL_MAX_N runs in one call of generated straight-line
+# code (_orbit_kernel): on dense draws 2.2 us a step at n = 4 and 3.9 at
+# n = 5, against 5.7 and 6.1 through the einsum, but 6.5 against 6.6 at
+# n = 6 (2-core x86-64, numpy 2.4.6); its sums add left to right, _sum's
+# order only below n = 8
 KERNEL_MAX_N = 5
 DEDUP_RADIUS = 1e-6
 # entries of one block's (rows, n, n) intermediates in evaluate_array, the
@@ -94,9 +96,21 @@ class CoefficientClauses:
 @dataclass(frozen=True)
 class QsoOperator:
     """A validated quadratic stochastic operator x -> V(x). Its tensor is not
-    changed after construction: ``clauses`` is decided once."""
+    changed after construction: ``clauses`` is decided once.
+
+    Every reader takes p as :func:`make_operator` stores it, read-only and
+    exactly symmetric in its first two indices, which construction checks."""
 
     tensor: HeredityTensor
+
+    def __post_init__(self):
+        n, p = self.tensor.n, self.tensor.p
+        if not isinstance(p, np.ndarray) or p.shape != (n, n, n) or p.flags.writeable:
+            raise TensorError(f"tensor must be a read-only array of shape {(n, n, n)}")
+        asym = p != p.transpose(1, 0, 2)  # NaN is asymmetric too
+        if asym.any():
+            i, j, k = np.argwhere(asym)[0]
+            raise TensorError(f"asymmetric pair ({i + 1},{j + 1}) at outcome {k + 1}: {p[i, j, k]} vs {p[j, i, k]}")
 
     @property
     def n(self) -> int:
@@ -255,15 +269,16 @@ def trajectory(
     max_iter: int = TRAJECTORY_MAX_ITER,
     record_path: bool = False,
 ) -> TrajectoryResult:
-    """Iterate until the consecutive step shrinks below tol in l1 norm.
+    """Iterate until the consecutive step shrinks below tol in l1 norm, or
+    for max_iter steps, an integer.
 
     Each step equals :func:`evaluate` and :func:`l1_distance` to the bit, on
-    a point held as a list of Python floats. At n <= KERNEL_MAX_N one call
-    of the :func:`_step_kernel` bound to p takes the step with no NumPy call
-    (a recorded step of the n = 3 fixture uniqueness_sufficiency_gap took
-    2.1 us, 8.3 through the einsum, on a 2-core x86-64 machine); a larger
-    operator makes one NumPy call, the einsum. A step whose image the kernel
-    does not renormalize goes through _renormalize and _sum."""
+    a point held as Python floats. At n <= KERNEL_MAX_N, from a start whose
+    coordinates are finite, one call of :func:`_orbit_kernel` runs the whole
+    orbit with no NumPy call; a larger operator, or a start with an inf or
+    NaN coordinate (where a left-out 0.0 * inf would not be NaN), makes one
+    NumPy call a step, the einsum."""
+    max_iter = index(max_iter)
     if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
     if max_iter < 0:
@@ -271,27 +286,24 @@ def trajectory(
     if x.n != V.n:
         raise DimensionMismatch(f"operator on {V.n} states, point has {x.n}")
     path = [x] if record_path else None
-    step = float("inf")
-    used = 0
     p = V.tensor.p
-    if V.n <= KERNEL_MAX_N:
-        kernel = _step_kernel(V.n)(*p.ravel().tolist())
+    if V.n <= KERNEL_MAX_N and all(map(isfinite, x.coords)):
+        c = p.ravel().tolist()
+        orbit = _orbit_kernel(V.n, tuple(v == 0.0 for v in c))
+        xs, used, step = orbit(c, x.coords, tol, max_iter, path)
     else:
-        kernel = lambda xs: (np.einsum("ijk,i,j->k", p, xs, xs).tolist(), None)
-    xs = list(x.coords)
-    for it in range(1, max_iter + 1):
-        nxt, step = kernel(xs)
-        if step is None:
-            nxt = _renormalize(nxt, 1e-9)
+        xs, used, step = x.coords, 0, inf
+        while used < max_iter:
+            nxt = _renormalize(np.einsum("ijk,i,j->k", p, xs, xs).tolist(), 1e-9)
             step = _sum([abs(a - b) for a, b in zip(xs, nxt)])
-        xs = nxt
-        used = it
-        if record_path:
-            path.append(SimplexPoint(tuple(xs)))
-        if step <= tol:
-            break
+            xs = tuple(nxt)
+            used += 1
+            if path is not None:
+                path.append(SimplexPoint(xs))
+            if step <= tol:
+                break
     return TrajectoryResult(
-        limit=x if used == 0 else SimplexPoint(tuple(xs)),
+        limit=x if used == 0 else SimplexPoint(xs),
         iterations_used=used,
         final_step_l1=step,
         converged=step <= tol,
@@ -299,36 +311,60 @@ def trajectory(
     )
 
 
-@lru_cache(maxsize=None)
-def _step_kernel(n: int):
-    """The orbit step at n as straight-line code, compiled on first use. Its
-    arguments are p.ravel().tolist(); it returns step(xs) -> (z, l1).
+# few zero masks occur: the sweep meets eight, one per n for the structured
+# draws, one per n for the dense draws (no zeros) and one per fixture.
+# Compiling one took 0.3 ms at n = 2, 0.5 ms at n = 3 and 1.2 ms for a
+# dense n = 5 (2-core x86-64, Python 3.11.7)
+@lru_cache(maxsize=64)
+def _orbit_kernel(n: int, zeros: tuple):
+    """The orbit at n as straight-line code, compiled on first use for the
+    coefficients p.ravel() whose entries of ``zeros`` are False. Its call
+    orbit(c, x, tol, max_iter, path), c being p.ravel().tolist(), returns
+    (coordinates, steps taken, last l1 step) and appends each point taken
+    to path unless path is None.
 
-    y_k adds (p[i,j,k] * x_i) * x_j from +0.0 over every (i, j) in row-major
-    order, as np.einsum("ijk,i,j->k", p, xs, xs) does, so y is the einsum's
-    image to the bit. Where every y_k > 0.0 and the total t of y, added left
-    to right from +0.0 as _sum adds fewer than 8 terms, is within 1e-9 of
-    1, _renormalize would neither raise nor clip: z is y_k / t and l1 adds
-    |x_k - z_k| likewise. Otherwise z is y and l1 None."""
+    y_k adds (p[i,j,k] * x_i) * x_j from +0.0 over the (i, j) in row-major
+    order, as np.einsum("ijk,i,j->k", p, xs, xs) does, leaving out each
+    coefficient that is 0.0 or -0.0: with x finite its product is a signed
+    zero, and adding one to a sum that starts at +0.0 (and so is never
+    -0.0) changes no bit. So y is the einsum's image to the bit. Where every
+    y_k > 0.0 and their total t, added left to right from +0.0 as _sum adds
+    fewer than 8 terms, is within 1e-9 of 1, _renormalize would neither
+    raise nor clip, and z is y_k / t; otherwise z is _renormalize(y, 1e-9).
+    The l1 step adds |x_k - z_k| left to right as well."""
     X = [f"x{i}" for i in range(n)]
     Y = [f"y{k}" for k in range(n)]
     Z = [f"z{k}" for k in range(n)]
-    c = lambda i, j, k: f"c{(i * n + j) * n + k}"
+    C = ["_" if zero else f"c{r}" for r, zero in enumerate(zeros)]
+
+    def image(k):
+        rows = [((i * n + j) * n + k, i, j) for i in range(n) for j in range(n)]
+        return " + ".join(["0.0", *(f"c{r} * x{i} * x{j}" for r, i, j in rows if not zeros[r])])
+
     src = [
-        f"def bind({', '.join(c(i, j, k) for i in range(n) for j in range(n) for k in range(n))}):",
-        "    def step(xs):",
-        f"        {', '.join(X)} = xs",
-        *(f"        y{k} = 0.0 + " + " + ".join(f"{c(i, j, k)} * x{i} * x{j}" for i in range(n) for j in range(n)) for k in range(n)),
+        "def orbit(c, x, tol, max_iter, path):",
+        f"    {', '.join(C)} = c",
+        f"    {', '.join(X)} = x",
+        "    step, used = inf, 0",
+        "    while used < max_iter:",
+        *(f"        y{k} = {image(k)}" for k in range(n)),
         f"        t = 0.0 + {' + '.join(Y)}",
         f"        if {' and '.join(y + ' > 0.0' for y in Y)} and abs(t - 1.0) <= 1e-9:",
         f"            {', '.join(Z)} = {', '.join(y + ' / t' for y in Y)}",
-        f"            return [{', '.join(Z)}], 0.0 + {' + '.join(f'abs(x{k} - z{k})' for k in range(n))}",
-        f"        return [{', '.join(Y)}], None",
-        "    return step",
+        "        else:",
+        f"            {', '.join(Z)} = _renormalize([{', '.join(Y)}], 1e-9)",
+        f"        step = 0.0 + {' + '.join(f'abs({x} - {z})' for x, z in zip(X, Z))}",
+        f"        {', '.join(X)} = {', '.join(Z)}",
+        "        used += 1",
+        "        if path is not None:",
+        f"            path.append(SimplexPoint(({', '.join(X)},)))",
+        "        if step <= tol:",
+        "            break",
+        f"    return ({', '.join(X)},), used, step",
     ]
-    namespace = {}
-    exec(compile("\n".join(src), f"<orbit step, n = {n}>", "exec"), namespace)
-    return namespace["bind"]
+    namespace = {"inf": inf, "_renormalize": _renormalize, "SimplexPoint": SimplexPoint}
+    exec(compile("\n".join(src), f"<orbit, n = {n}>", "exec"), namespace)
+    return namespace["orbit"]
 
 
 def _reduced_jacobians(V: QsoOperator, X: np.ndarray) -> np.ndarray:

@@ -135,11 +135,13 @@ def test_every_seed_is_tried(n):
 
 
 class TestLeavingTheSimplex:
-    """An operator that skips make_operator's checks: its image leaves the
-    simplex, and the search raises as evaluate() does."""
+    """An operator that skips make_operator's range and mass checks (its
+    tensor is symmetric and read-only, as QsoOperator requires): its image
+    leaves the simplex, and the search raises as evaluate() does."""
 
     def test_excess_mass(self):
         p = load_fixture("attracting_not_unique").build().tensor.p * 1.001
+        p.flags.writeable = False
         V = QsoOperator(HeredityTensor(3, p))
         with pytest.raises(SimplexError):
             trajectory(V, make_point([0.2, 0.3, 0.5]))
@@ -149,6 +151,7 @@ class TestLeavingTheSimplex:
     def test_negative_coordinate(self):
         p = load_fixture("attracting_not_unique").build().tensor.p.copy()
         p[0, 0] = [1.5, -0.5, 0.0]
+        p.flags.writeable = False
         V = QsoOperator(HeredityTensor(3, p))
         with pytest.raises(SimplexError, match="below"):
             find_fixed_points(V)

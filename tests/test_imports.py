@@ -182,3 +182,18 @@ def test_command_loads_only_what_it_runs(argv, loaded):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert set(json.loads(proc.stderr.splitlines()[-1])) == loaded
+
+
+def test_cli_import_compiles_no_orbit_kernel():
+    """Start-up is most of every CLI command: importing the CLI compiles no
+    generated orbit code, which the first trajectory call does."""
+    code = (
+        "import qsodyn.cli\n"
+        "from qsodyn.operator import _orbit_kernel\n"
+        "print(_orbit_kernel.cache_info().currsize)\n"
+    )
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"

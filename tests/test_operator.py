@@ -13,6 +13,7 @@ from qsodyn.abscont import va_operator
 from qsodyn.generate import random_structured_tensors
 from qsodyn.operator import (
     HeredityTensor,
+    QsoOperator,
     TensorError,
     _reduced_jacobians,
     _solve_rows,
@@ -104,6 +105,33 @@ class TestMakeOperator:
         with pytest.raises(ValueError, match="read-only"):
             V.tensor.p[0, 0, 0] = 0.25
         assert V.tensor.p[0, 0, 0] == 1.0
+
+    def test_constructor_rejects_a_writeable_tensor(self):
+        p = va_operator(0.5).tensor.p.copy()
+        with pytest.raises(TensorError, match=r"read-only array of shape \(2, 2, 2\)"):
+            QsoOperator(HeredityTensor(2, p))
+        p.flags.writeable = False
+        assert QsoOperator(HeredityTensor(2, p)).tensor.p is p
+        with pytest.raises(TensorError, match="shape"):
+            QsoOperator(HeredityTensor(3, p))
+
+    def test_constructor_rejects_an_asymmetric_tensor(self):
+        """p[1,2,1] = 0.6 and p[2,1,1] = 0.4 would let clauses read the row
+        alone; the error names the first asymmetric pair, a signed zero is
+        symmetric with its opposite, and NaN with nothing."""
+        p = np.array([[[0.5, 0.5], [0.6, 0.4]], [[0.4, 0.6], [-0.0, 1.0]]])
+        p.flags.writeable = False
+        with pytest.raises(TensorError) as err:
+            QsoOperator(HeredityTensor(2, p))
+        assert str(err.value) == "asymmetric pair (1,2) at outcome 1: 0.6 vs 0.4"
+        q = np.array([[[0.5, 0.5], [-0.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]]])
+        q.flags.writeable = False
+        QsoOperator(HeredityTensor(2, q))
+        q = q.copy()
+        q[0, 0, 0] = np.nan
+        q.flags.writeable = False
+        with pytest.raises(TensorError, match=r"pair \(1,1\) at outcome 1: nan vs nan"):
+            QsoOperator(HeredityTensor(2, q))
 
     def test_mirroring(self):
         V = va_operator(0.3)
@@ -213,6 +241,14 @@ class TestIteration:
         x = make_point([0.4, 0.6])
         with pytest.raises(ValueError, match="max_iter"):
             trajectory(V, x, max_iter=-3)
+
+    @pytest.mark.parametrize("max_iter", [2.5, math.nan])
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_fractional_iteration_count_rejected(self, max_iter, n):
+        """max_iter counts steps: 2.5 would otherwise take 3."""
+        V = random_general_operator(n, np.random.default_rng(n))
+        with pytest.raises(TypeError):
+            trajectory(V, make_point([1.0 / n] * n), max_iter=max_iter)
 
     @pytest.mark.parametrize("max_iter", [0, 1])
     def test_wrong_dimension_rejected(self, max_iter):

@@ -28,12 +28,14 @@ from qsodyn.classify import verify_bbistochastic_numeric
 from qsodyn.generate import random_structured_tensors
 from qsodyn.operator import (
     KERNEL_MAX_N,
+    HeredityTensor,
     _multistart,
+    _orbit_kernel,
     _pre_iterate,
-    _step_kernel,
     evaluate,
     evaluate_array,
     find_fixed_points,
+    make_operator,
     proven_fixed_points,
     trajectory,
 )
@@ -112,6 +114,18 @@ def test_trajectory_is_repeated_evaluate(V):
 SPECIAL_COORDS = [0.0, 5e-324, 2.5e-310, 1e-160]
 
 
+def kernel_steps(p, xs, max_iter):
+    """The generated orbit for p.ravel(), unrecorded, from xs: the point and
+    l1 step after max_iter steps, or the message of the SimplexError raised."""
+    c = p.ravel().tolist()
+    try:
+        z, used, step = _orbit_kernel(len(xs), tuple(v == 0.0 for v in c))(c, tuple(xs), 1e-300, max_iter, None)
+    except SimplexError as exc:
+        return str(exc)
+    assert used == max_iter
+    return [repr(v) for v in z], repr(step)
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     n=st.integers(2, KERNEL_MAX_N),
@@ -121,13 +135,13 @@ SPECIAL_COORDS = [0.0, 5e-324, 2.5e-310, 1e-160]
     scale=st.sampled_from([1.0, 2.0]),
 )
 def test_kernel_image_is_the_einsum(n, seed, zeros, special, scale):
-    """The generated step's image equals the einsum to the bit: planted 0.0
-    and -0.0 coefficients (np.clip keeps -0.0, so make_operator passes one
-    on) add nothing, and planted zero and subnormal coordinates round alike.
-    Where the step renormalizes (mostly on the simplex, scale 1, with no
-    planted zero), it returns _renormalize's point and _sum's l1 step on
-    that image; elsewhere (always at scale 2, image total near 4) it
-    returns the image."""
+    """One step of the generated orbit is _renormalize and _sum on the
+    einsum's image, to the bit: planted 0.0 and -0.0 coefficients (np.clip
+    keeps -0.0, so make_operator passes one on), which the kernel leaves
+    out, add nothing, and planted zero and subnormal coordinates round
+    alike. Mostly on the simplex (scale 1, no planted zero) the step
+    renormalizes inline; elsewhere it goes through _renormalize, which at
+    scale 2 (image total near 4) raises with the image's total."""
     rng = np.random.default_rng(seed)
     p = rng.dirichlet(np.ones(n), size=(n, n))
     planted = rng.random((n, n, n)) < zeros
@@ -135,12 +149,34 @@ def test_kernel_image_is_the_einsum(n, seed, zeros, special, scale):
     xs = (scale * rng.dirichlet(np.ones(n))).tolist()
     for i, v in zip(rng.permutation(n), special):
         xs[i] = v
-    want = np.einsum("ijk,i,j->k", p, xs, xs).tolist()
-    got, step = _step_kernel(n)(*p.ravel().tolist())(xs)
-    if step is not None:
-        want = _renormalize(want, 1e-9)
-        assert repr(step) == repr(_sum([abs(a - b) for a, b in zip(xs, want)]))
-    assert [repr(v) for v in got] == [repr(v) for v in want]
+    image = np.einsum("ijk,i,j->k", p, xs, xs).tolist()
+    try:
+        want = _renormalize(image, 1e-9)
+    except SimplexError as exc:
+        assert kernel_steps(p, xs, 1) == str(exc)
+    else:
+        assert kernel_steps(p, xs, 1) == ([repr(v) for v in want], repr(_sum([abs(a - b) for a, b in zip(xs, want)])))
+
+
+def test_kernels_are_cached_by_zero_mask():
+    """Two n = 3 operators with two exact zeros each, in different places,
+    their orbits alternated in one process: each takes the kernel compiled
+    for its own zeros and equals the reference."""
+    rng = np.random.default_rng(11)
+    q = rng.dirichlet(np.ones(3), size=(3, 3))
+    q = 0.5 * (q + q.transpose(1, 0, 2))
+    ops = []
+    for pair, outcome in [((0, 1), 0), ((1, 2), 2)]:
+        p = q.copy()
+        for i, j in (pair, pair[::-1]):
+            p[i, j, outcome] = 0.0
+            p[i, j] /= p[i, j].sum()
+        ops.append(make_operator(HeredityTensor(3, p)))
+    assert (ops[0].tensor.p == 0.0).sum() == (ops[1].tensor.p == 0.0).sum() == 2
+    x = orbit_starts(3)[0]
+    for V in ops + ops:
+        got = trajectory(V, x, tol=1e-300, max_iter=50, record_path=True)
+        assert repr(got) == repr(reference_trajectory(V, x, tol=1e-300, max_iter=50, record_path=True))
 
 
 @pytest.mark.parametrize("first", [0.0, -0.0, -1e-13])
@@ -148,16 +184,70 @@ def test_kernel_image_is_the_einsum(n, seed, zeros, special, scale):
 def test_face_starts(name, first):
     """Starts on the face x_1 = 0 or just off it, built without make_point.
     On the fixture, whose p[i,j,1] = 0 for i, j > 1, the first image
-    coordinate is 0.0, or negative from -1e-13: the kernel returns the image
-    raw and _renormalize clips it. On a general draw the kernel
-    renormalizes. Either way the orbit equals the reference."""
+    coordinate is 0.0, or negative from -1e-13: the step goes through
+    _renormalize, which clips it. On a general draw the step renormalizes
+    inline. Either way one step is _renormalize on the einsum's image, and
+    the orbit equals the reference, every step of it through _renormalize
+    on the fixture's face."""
     fixture = name != "general-n3"
     V = load_fixture(name).build() if fixture else random_general_operator(3, np.random.default_rng(3))
     x = SimplexPoint((first, 0.25, 0.75 - first))
-    image, step = _step_kernel(3)(*V.tensor.p.ravel().tolist())(list(x.coords))
-    assert (step is None) is fixture and (image[0] <= 0.0) is fixture
-    want = reference_trajectory(V, x, tol=1e-300, max_iter=200, record_path=True)
-    assert repr(trajectory(V, x, tol=1e-300, max_iter=200, record_path=True)) == repr(want)
+    image = np.einsum("ijk,i,j->k", V.tensor.p, x.coords, x.coords).tolist()
+    assert (image[0] <= 0.0) is fixture
+    assert repr(trajectory(V, x, tol=1e-300, max_iter=1).limit.coords) == repr(tuple(_renormalize(image, 1e-9)))
+    for max_iter in (200, 2000):
+        want = reference_trajectory(V, x, tol=1e-300, max_iter=max_iter, record_path=True)
+        assert repr(trajectory(V, x, tol=1e-300, max_iter=max_iter, record_path=True)) == repr(want)
+
+
+def vertex_to_face_operator():
+    """n = 3 with p[1,1,.] = e_2: the image of e_1 has y_1 = y_3 = 0.0, and
+    every later image is positive."""
+    p = np.array(
+        [
+            [[0.0, 1.0, 0.0], [0.25, 0.25, 0.5], [0.3, 0.3, 0.4]],
+            [[0.25, 0.25, 0.5], [0.2, 0.3, 0.5], [0.1, 0.2, 0.7]],
+            [[0.3, 0.3, 0.4], [0.1, 0.2, 0.7], [0.0, 0.0, 1.0]],
+        ]
+    )
+    return make_operator(HeredityTensor(3, p))
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 2, 2000])
+@pytest.mark.parametrize("excess", [0.0, 4e-10, 1e-8])
+def test_fallback_then_inline_steps(excess, max_iter):
+    """From e_1 scaled by 1 + excess the first image lies on a face, so the
+    first step (the last allowed one at max_iter 1) goes through
+    _renormalize; the orbit then stays inside the kernel. At 1 + 1e-8 the
+    image total is 2e-8 off 1 and that step raises, as the reference does."""
+    V = vertex_to_face_operator()
+    x = SimplexPoint((1.0 + excess, 0.0, 0.0))
+    image = np.einsum("ijk,i,j->k", V.tensor.p, x.coords, x.coords).tolist()
+    assert image[0] == image[2] == 0.0
+    if excess == 1e-8 and max_iter > 0:
+        with pytest.raises(SimplexError) as want:
+            reference_trajectory(V, x, max_iter=max_iter, record_path=True)
+        with pytest.raises(SimplexError) as got:
+            trajectory(V, x, max_iter=max_iter, record_path=True)
+        assert str(got.value) == str(want.value)
+    else:
+        want = reference_trajectory(V, x, max_iter=max_iter, record_path=True)
+        assert repr(trajectory(V, x, max_iter=max_iter, record_path=True)) == repr(want)
+
+
+@pytest.mark.parametrize(
+    "name, coords",
+    [("uniqueness_sufficiency_gap", (0.5, 0.0, math.inf)), ("unique_not_contractive_s2", (0.0, 0.0, math.nan))],
+)
+def test_non_finite_start_raises_as_the_einsum(name, coords):
+    """A start with an inf or NaN coordinate takes the einsum, whose 0.0 *
+    inf is NaN: the first NaN coordinate of its image is the one named."""
+    V = load_fixture(name).build()
+    with pytest.raises(SimplexError) as want:
+        reference_trajectory(V, SimplexPoint(coords), max_iter=3)
+    with pytest.raises(SimplexError) as got:
+        trajectory(V, SimplexPoint(coords), max_iter=3)
+    assert str(got.value) == str(want.value) == "coordinate 1 is nan, not a number"
 
 
 SMALL = [(name, load_fixture(name).build()) for name in ["attracting_not_unique", "uniqueness_sufficiency_gap", "unique_not_contractive_s2", "va_a23"]]
