@@ -317,11 +317,11 @@ def trajectory(
 # dense n = 5 (2-core x86-64, Python 3.11.7)
 @lru_cache(maxsize=64)
 def _orbit_kernel(n: int, zeros: tuple):
-    """The orbit at n as straight-line code, compiled on first use for the
-    coefficients p.ravel() whose entries of ``zeros`` are False. Its call
-    orbit(c, x, tol, max_iter, path), c being p.ravel().tolist(), returns
-    (coordinates, steps taken, last l1 step) and appends each point taken
-    to path unless path is None.
+    """The orbit at n as straight-line code, compiled on first use, over
+    the coefficients p.ravel() that ``zeros`` does not mark as exactly zero.
+    Its call orbit(c, x, tol, max_iter, path), c being p.ravel().tolist(),
+    returns (coordinates, steps taken, last l1 step) and appends each point
+    taken to path unless path is None.
 
     y_k adds (p[i,j,k] * x_i) * x_j from +0.0 over the (i, j) in row-major
     order, as np.einsum("ijk,i,j->k", p, xs, xs) does, leaving out each
