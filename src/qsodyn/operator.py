@@ -4,9 +4,10 @@ multistart search where that check does not apply."""
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import fsum, inf, isfinite
+from math import fsum, inf
 from operator import index
 from typing import Optional
 
@@ -105,8 +106,9 @@ class QsoOperator:
 
     def __post_init__(self):
         n, p = self.tensor.n, self.tensor.p
-        if not isinstance(p, np.ndarray) or p.shape != (n, n, n) or p.flags.writeable:
-            raise TensorError(f"tensor must be a read-only array of shape {(n, n, n)}")
+        if not isinstance(p, np.ndarray) or p.shape != (n, n, n) or p.flags.writeable or not p.flags.owndata:
+            # a read-only view of a writeable array could still change
+            raise TensorError(f"tensor must be a read-only array of shape {(n, n, n)} that owns its data")
         asym = p != p.transpose(1, 0, 2)  # NaN is asymmetric too
         if asym.any():
             i, j, k = np.argwhere(asym)[0]
@@ -273,11 +275,10 @@ def trajectory(
     for max_iter steps, an integer.
 
     Each step equals :func:`evaluate` and :func:`l1_distance` to the bit, on
-    a point held as Python floats. At n <= KERNEL_MAX_N, from a start whose
-    coordinates are finite, one call of :func:`_orbit_kernel` runs the whole
-    orbit with no NumPy call; a larger operator, or a start with an inf or
-    NaN coordinate (where a left-out 0.0 * inf would not be NaN), makes one
-    NumPy call a step, the einsum."""
+    a point held as Python floats. At n <= KERNEL_MAX_N one call of
+    :func:`_orbit_kernel` runs the whole orbit with no NumPy call; a larger
+    operator makes one NumPy call a step, the einsum. While it records the
+    path it pauses the garbage collector, and restores it as it was."""
     max_iter = index(max_iter)
     if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
@@ -287,21 +288,30 @@ def trajectory(
         raise DimensionMismatch(f"operator on {V.n} states, point has {x.n}")
     path = [x] if record_path else None
     p = V.tensor.p
-    if V.n <= KERNEL_MAX_N and all(map(isfinite, x.coords)):
-        c = p.ravel().tolist()
-        orbit = _orbit_kernel(V.n, tuple(v == 0.0 for v in c))
-        xs, used, step = orbit(c, x.coords, tol, max_iter, path)
-    else:
-        xs, used, step = x.coords, 0, inf
-        while used < max_iter:
-            nxt = _renormalize(np.einsum("ijk,i,j->k", p, xs, xs).tolist(), 1e-9)
-            step = _sum([abs(a - b) for a, b in zip(xs, nxt)])
-            xs = tuple(nxt)
-            used += 1
-            if path is not None:
-                path.append(SimplexPoint(xs))
-            if step <= tol:
-                break
+    # a recorded step allocates two objects the collector tracks and no
+    # cycle: left on, it would pass over the growing path every 350 steps
+    # and promote it towards the full collections, about 10 ms each in the
+    # sweep (2-core x86-64)
+    pause = record_path and gc.isenabled()
+    if pause:
+        gc.disable()
+    try:
+        if V.n <= KERNEL_MAX_N:
+            xs, used, step = _orbit_kernel(V.n)(p.ravel().tolist(), x.coords, tol, max_iter, path)
+        else:
+            xs, used, step = x.coords, 0, inf
+            while used < max_iter:
+                nxt = _renormalize(np.einsum("ijk,i,j->k", p, xs, xs).tolist(), 1e-9)
+                step = _sum([abs(a - b) for a, b in zip(xs, nxt)])
+                xs = tuple(nxt)
+                used += 1
+                if path is not None:
+                    path.append(SimplexPoint(xs))
+                if step <= tol:
+                    break
+    finally:
+        if pause:
+            gc.enable()
     return TrajectoryResult(
         limit=x if used == 0 else SimplexPoint(xs),
         iterations_used=used,
@@ -311,23 +321,17 @@ def trajectory(
     )
 
 
-# few zero masks occur: the sweep meets eight, one per n for the structured
-# draws, one per n for the dense draws (no zeros) and one per fixture.
-# Compiling one took 0.3 ms at n = 2, 0.5 ms at n = 3 and 1.2 ms for a
-# dense n = 5 (2-core x86-64, Python 3.11.7)
-@lru_cache(maxsize=64)
-def _orbit_kernel(n: int, zeros: tuple):
-    """The orbit at n as straight-line code, compiled on first use, over
-    the coefficients p.ravel() that ``zeros`` does not mark as exactly zero.
-    Its call orbit(c, x, tol, max_iter, path), c being p.ravel().tolist(),
-    returns (coordinates, steps taken, last l1 step) and appends each point
-    taken to path unless path is None.
+@lru_cache(maxsize=KERNEL_MAX_N - 1)
+def _orbit_kernel(n: int):
+    """The orbit at n as straight-line code, compiled on first use (0.3 ms
+    at n = 2, 1.5 ms at n = 5, 2-core x86-64, Python 3.11.7). Its call
+    orbit(c, x, tol, max_iter, path), c being p.ravel().tolist(), returns
+    (coordinates, steps taken, last l1 step) and appends each point taken
+    to path unless path is None; no coefficient enters the source.
 
-    y_k adds (p[i,j,k] * x_i) * x_j from +0.0 over the (i, j) in row-major
-    order, as np.einsum("ijk,i,j->k", p, xs, xs) does, leaving out each
-    coefficient that is 0.0 or -0.0: with x finite its product is a signed
-    zero, and adding one to a sum that starts at +0.0 (and so is never
-    -0.0) changes no bit. So y is the einsum's image to the bit. Where every
+    y_k adds (p[i,j,k] * x_i) * x_j from +0.0 over every (i, j) in
+    row-major order, as np.einsum("ijk,i,j->k", p, xs, xs) does, so y is
+    the einsum's image to the bit, NaN where it has one. Where every
     y_k > 0.0 and their total t, added left to right from +0.0 as _sum adds
     fewer than 8 terms, is within 1e-9 of 1, _renormalize would neither
     raise nor clip, and z is y_k / t; otherwise z is _renormalize(y, 1e-9).
@@ -335,19 +339,14 @@ def _orbit_kernel(n: int, zeros: tuple):
     X = [f"x{i}" for i in range(n)]
     Y = [f"y{k}" for k in range(n)]
     Z = [f"z{k}" for k in range(n)]
-    C = ["_" if zero else f"c{r}" for r, zero in enumerate(zeros)]
-
-    def image(k):
-        rows = [((i * n + j) * n + k, i, j) for i in range(n) for j in range(n)]
-        return " + ".join(["0.0", *(f"c{r} * x{i} * x{j}" for r, i, j in rows if not zeros[r])])
-
+    c = lambda i, j, k: f"c{(i * n + j) * n + k}"
     src = [
         "def orbit(c, x, tol, max_iter, path):",
-        f"    {', '.join(C)} = c",
+        f"    {', '.join(c(i, j, k) for i in range(n) for j in range(n) for k in range(n))} = c",
         f"    {', '.join(X)} = x",
         "    step, used = inf, 0",
         "    while used < max_iter:",
-        *(f"        y{k} = {image(k)}" for k in range(n)),
+        *(f"        y{k} = 0.0 + " + " + ".join(f"{c(i, j, k)} * x{i} * x{j}" for i in range(n) for j in range(n)) for k in range(n)),
         f"        t = 0.0 + {' + '.join(Y)}",
         f"        if {' and '.join(y + ' > 0.0' for y in Y)} and abs(t - 1.0) <= 1e-9:",
         f"            {', '.join(Z)} = {', '.join(y + ' / t' for y in Y)}",

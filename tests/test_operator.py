@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from importlib import resources
@@ -28,6 +29,7 @@ from qsodyn.operator import (
 )
 from qsodyn.simplex import (
     DimensionMismatch,
+    SimplexError,
     b_leq,
     l1_distance,
     make_point,
@@ -114,6 +116,10 @@ class TestMakeOperator:
         assert QsoOperator(HeredityTensor(2, p)).tensor.p is p
         with pytest.raises(TensorError, match="shape"):
             QsoOperator(HeredityTensor(3, p))
+        view = va_operator(0.5).tensor.p.copy()[:]
+        view.flags.writeable = False
+        with pytest.raises(TensorError, match="owns its data"):
+            QsoOperator(HeredityTensor(2, view))
 
     def test_constructor_rejects_an_asymmetric_tensor(self):
         """p[1,2,1] = 0.6 and p[2,1,1] = 0.4 would let clauses read the row
@@ -249,6 +255,42 @@ class TestIteration:
         V = random_general_operator(n, np.random.default_rng(n))
         with pytest.raises(TypeError):
             trajectory(V, make_point([1.0 / n] * n), max_iter=max_iter)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("excess", [1.0, 1.001])
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_recorded_orbit_restores_the_collector(self, n, excess, enabled):
+        """A recorded orbit pauses the garbage collector and leaves it as it
+        found it, also where a step leaves the simplex and raises."""
+        p = random_general_operator(n, np.random.default_rng(n)).tensor.p * excess
+        p.flags.writeable = False
+        V = QsoOperator(HeredityTensor(n, p))
+        x = make_point([1.0 / n] * n)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if excess > 1.0:
+                with pytest.raises(SimplexError):
+                    trajectory(V, x, record_path=True)
+            else:
+                trajectory(V, x, record_path=True)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_recorded_orbit_runs_no_young_collection(self, sufficiency_gap_operator):
+        """2,000 recorded steps allocate 4,000 tracked objects, five young
+        collections' worth at the threshold of 700: paused, the collector
+        runs at most once before the orbit and once after it."""
+        starts = []
+        count = lambda phase, info: starts.append(info["generation"]) if phase == "start" else None
+        assert gc.isenabled()
+        gc.callbacks.append(count)
+        try:
+            tr = trajectory(sufficiency_gap_operator, make_point([0.2, 0.3, 0.5]), max_iter=2000, record_path=True)
+        finally:
+            gc.callbacks.remove(count)
+        assert len(tr.path) == 2001 and len(starts) <= 2
 
     @pytest.mark.parametrize("max_iter", [0, 1])
     def test_wrong_dimension_rejected(self, max_iter):

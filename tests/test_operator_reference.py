@@ -119,7 +119,7 @@ def kernel_steps(p, xs, max_iter):
     l1 step after max_iter steps, or the message of the SimplexError raised."""
     c = p.ravel().tolist()
     try:
-        z, used, step = _orbit_kernel(len(xs), tuple(v == 0.0 for v in c))(c, tuple(xs), 1e-300, max_iter, None)
+        z, used, step = _orbit_kernel(len(xs))(c, tuple(xs), 1e-300, max_iter, None)
     except SimplexError as exc:
         return str(exc)
     assert used == max_iter
@@ -137,11 +137,11 @@ def kernel_steps(p, xs, max_iter):
 def test_kernel_image_is_the_einsum(n, seed, zeros, special, scale):
     """One step of the generated orbit is _renormalize and _sum on the
     einsum's image, to the bit: planted 0.0 and -0.0 coefficients (np.clip
-    keeps -0.0, so make_operator passes one on), which the kernel leaves
-    out, add nothing, and planted zero and subnormal coordinates round
-    alike. Mostly on the simplex (scale 1, no planted zero) the step
-    renormalizes inline; elsewhere it goes through _renormalize, which at
-    scale 2 (image total near 4) raises with the image's total."""
+    keeps -0.0, so make_operator passes one on) add nothing, and planted
+    zero and subnormal coordinates round alike. Mostly on the simplex
+    (scale 1, no planted zero) the step renormalizes inline; elsewhere it
+    goes through _renormalize, which at scale 2 (image total near 4)
+    raises with the image's total."""
     rng = np.random.default_rng(seed)
     p = rng.dirichlet(np.ones(n), size=(n, n))
     planted = rng.random((n, n, n)) < zeros
@@ -156,27 +156,6 @@ def test_kernel_image_is_the_einsum(n, seed, zeros, special, scale):
         assert kernel_steps(p, xs, 1) == str(exc)
     else:
         assert kernel_steps(p, xs, 1) == ([repr(v) for v in want], repr(_sum([abs(a - b) for a, b in zip(xs, want)])))
-
-
-def test_kernels_are_cached_by_zero_mask():
-    """Two n = 3 operators with two exact zeros each, in different places,
-    their orbits alternated in one process: each takes the kernel compiled
-    for its own zeros and equals the reference."""
-    rng = np.random.default_rng(11)
-    q = rng.dirichlet(np.ones(3), size=(3, 3))
-    q = 0.5 * (q + q.transpose(1, 0, 2))
-    ops = []
-    for pair, outcome in [((0, 1), 0), ((1, 2), 2)]:
-        p = q.copy()
-        for i, j in (pair, pair[::-1]):
-            p[i, j, outcome] = 0.0
-            p[i, j] /= p[i, j].sum()
-        ops.append(make_operator(HeredityTensor(3, p)))
-    assert (ops[0].tensor.p == 0.0).sum() == (ops[1].tensor.p == 0.0).sum() == 2
-    x = orbit_starts(3)[0]
-    for V in ops + ops:
-        got = trajectory(V, x, tol=1e-300, max_iter=50, record_path=True)
-        assert repr(got) == repr(reference_trajectory(V, x, tol=1e-300, max_iter=50, record_path=True))
 
 
 @pytest.mark.parametrize("first", [0.0, -0.0, -1e-13])
@@ -240,8 +219,9 @@ def test_fallback_then_inline_steps(excess, max_iter):
     [("uniqueness_sufficiency_gap", (0.5, 0.0, math.inf)), ("unique_not_contractive_s2", (0.0, 0.0, math.nan))],
 )
 def test_non_finite_start_raises_as_the_einsum(name, coords):
-    """A start with an inf or NaN coordinate takes the einsum, whose 0.0 *
-    inf is NaN: the first NaN coordinate of its image is the one named."""
+    """A start with an inf or NaN coordinate: the kernel adds every product,
+    0.0 * inf included, so its image is NaN where the einsum's is, and the
+    first NaN coordinate is the one named."""
     V = load_fixture(name).build()
     with pytest.raises(SimplexError) as want:
         reference_trajectory(V, SimplexPoint(coords), max_iter=3)
