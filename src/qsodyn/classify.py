@@ -41,10 +41,11 @@ def check_necessary_bbistochastic(V: QsoOperator) -> list:
 class NumericOrderVerdict:
     """Search result for a point where V(x) fails to sit below x in b-order.
 
-    A witness is found only by the sampled search. Its absence is proof
-    where the coefficients give e <= 0 exactly (``order_bound`` of
-    :attr:`QsoOperator.clauses`), and otherwise evidence from the stated
-    search effort.
+    A witness is found only by the sampled search. ``method`` is
+    ``"coefficient_bound"`` where the coefficients give e <= 0 exactly
+    (``order_bound`` of :attr:`QsoOperator.clauses`): no scan ran, and the
+    absence of a witness is proof. It is ``"sampled"`` where the scan ran:
+    the absence is evidence from the stated search effort.
     """
 
     violated: bool
@@ -53,6 +54,7 @@ class NumericOrderVerdict:
     gap: float = 0.0
     resolution: int = 0
     sample_count: int = 0
+    method: str = "sampled"
 
 
 def _default_resolution(n: int) -> int:
@@ -107,7 +109,7 @@ def verify_bbistochastic_numeric(
     n = V.n
     res = _default_resolution(n) if resolution is None else resolution
     if V.clauses.order_bound:
-        return NumericOrderVerdict(False, resolution=res, sample_count=samples)
+        return NumericOrderVerdict(False, resolution=res, sample_count=samples, method="coefficient_bound")
     hit = _first_witness(V, grid_array(n, res))
     if hit is None and samples > 0:
         hit = _first_witness(V, sample_array(n, samples, seed))

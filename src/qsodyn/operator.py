@@ -557,14 +557,48 @@ def find_fixed_points(V: QsoOperator, tol: float = 1e-9) -> FixedPointSet:
     )
 
 
-def _multistart(V: QsoOperator, tol: float = 1e-9) -> FixedPointSet:
-    """Multistart search from the C(n+5, 6) + n + 1 seeds: the vertices, the
-    barycenter and the resolution-6 grid, all pre-iterated and then polished
-    by damped Newton as one array. Points within DEDUP_RADIUS in l1 merge."""
-    n = V.n
+@lru_cache(maxsize=8)
+def _search_seeds(n: int) -> np.ndarray:
+    """The C(n+5, 6) + n + 1 seeds of :func:`_multistart`: the vertices, the
+    barycenter and the resolution-6 grid, sorted as their coordinate tuples
+    sort. Built once per n and returned read-only from a cache of the 8
+    latest n; the largest at n <= 8 is 1,725 x 8 doubles, 110 KB."""
     seeds = np.concatenate([np.eye(n), renormalize_rows(np.full((1, n), 1.0 / n)), grid_array(n, 6)])
     seeds = seeds[np.lexsort(seeds.T[::-1])]  # stable, like sorting the coordinate tuples
+    seeds.flags.writeable = False
+    return seeds
 
+
+def _merge(A: np.ndarray, res: list):
+    """Greedy merge of the rows of A, with residuals res, in row order: each
+    row joins the first kept row within DEDUP_RADIUS in l1, and replaces it
+    where its residual is lower; a row near none is kept. A kept row's
+    distances to every row are taken in one pass when it is kept or
+    replaced. Returns the kept (coordinates, residual) pairs sorted by
+    coordinates, and the number of rows merged."""
+    found: list[int] = []  # rows of A kept, in order of discovery
+    dist: list[list] = []  # dist[idx][j]: l1 distance from row found[idx] to row j
+    merged = 0
+    for j, r in enumerate(res):
+        for idx, c in enumerate(found):
+            if dist[idx][j] <= DEDUP_RADIUS:
+                if r < res[c]:
+                    found[idx] = j
+                    dist[idx] = np.abs(A - A[j]).sum(axis=1).tolist()
+                merged += 1
+                break
+        else:
+            found.append(j)
+            dist.append(np.abs(A - A[j]).sum(axis=1).tolist())
+    return sorted(((A[c].tolist(), res[c]) for c in found), key=lambda xr: xr[0]), merged
+
+
+def _multistart(V: QsoOperator, tol: float = 1e-9) -> FixedPointSet:
+    """Multistart search from :func:`_search_seeds`, all pre-iterated and
+    then polished by damped Newton as one array. The polished rows whose
+    residual is not above tol merge by :func:`_merge`."""
+    n = V.n
+    seeds = _search_seeds(n)
     limits, last_step = _pre_iterate(V, seeds)
     # rows are independent; blocks bound the memory of the stacked Jacobians
     block = block_rows(n)
@@ -573,22 +607,10 @@ def _multistart(V: QsoOperator, tol: float = 1e-9) -> FixedPointSet:
     newton_steps = sum(steps for _, steps in polished)
     residuals = np.abs(evaluate_array(V, cands) - cands).sum(axis=1)
     accepted = ~(residuals > tol)
-
-    found: list[tuple] = []  # (coordinates, residual), in order of discovery
-    merged = 0
-    for cand, res in zip(cands[accepted], residuals[accepted].tolist()):
-        for idx, (x, r) in enumerate(found):
-            if np.abs(x - cand).sum() <= DEDUP_RADIUS:
-                if res < r:
-                    found[idx] = (cand, res)
-                merged += 1
-                break
-        else:
-            found.append((cand, res))
-    found.sort(key=lambda xr: xr[0].tolist())
+    kept, merged = _merge(cands[accepted], residuals[accepted].tolist())
     return FixedPointSet(
-        points=[SimplexPoint(tuple(x.tolist())) for x, _ in found],
-        residuals=[r for _, r in found],
+        points=[SimplexPoint(tuple(x)) for x, _ in kept],
+        residuals=[r for _, r in kept],
         dedup_radius=DEDUP_RADIUS,
         diagnostics={
             "seeds_tried": len(seeds),

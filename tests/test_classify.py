@@ -150,7 +150,8 @@ def reference_verdict(V, seed=0, samples=DEFAULT_SAMPLES):
     cy = np.cumsum(evaluate_array(V, X), axis=1)[:, :-1]
     hits = np.argwhere(cy > cx + EPS_ORDER)
     if len(hits) == 0:
-        return NumericOrderVerdict(False, resolution=res, sample_count=samples)
+        method = "coefficient_bound" if V.clauses.order_bound else "sampled"
+        return NumericOrderVerdict(False, resolution=res, sample_count=samples, method=method)
     r, k = hits[0]
     return NumericOrderVerdict(
         True, SimplexPoint(tuple(X[r].tolist())), int(k) + 1, float(cx[r, k] - cy[r, k]),

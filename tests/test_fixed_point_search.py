@@ -17,6 +17,7 @@ from conftest import (
     load_fixture,
     random_general_operator,
     reference_fixed_points,
+    reference_merge,
     reference_seeds,
 )
 from qsodyn.abscont import va_operator
@@ -25,8 +26,10 @@ from qsodyn.operator import (
     DEDUP_RADIUS,
     HeredityTensor,
     QsoOperator,
+    _merge,
     _multistart,
     _pre_iterate,
+    _search_seeds,
     find_fixed_points,
     make_operator,
     proven_fixed_points,
@@ -291,3 +294,81 @@ def test_theorem_is_exact_one_ulp_inside(p):
     assert fps.diagnostics["method"] == "coefficient_theorem"
     searched = _multistart(V)
     assert repr((fps.points, fps.residuals)) == repr((searched.points, searched.residuals))
+
+
+def edge(*offsets):
+    """Rows (0.3 + t, 0.7 - t) of the edge e_1-e_2: rows t and t' lie about
+    2 |t - t'| apart in l1."""
+    return np.array([[0.3 + t, 0.7 - t] for t in offsets])
+
+
+class TestMerge:
+    """The merge on hand-built candidate rows against the nested loop of
+    ``conftest.reference_merge``, which measures each (row, kept point) pair
+    on its own: the same points, residuals and merged count, to the bit."""
+
+    @staticmethod
+    def assert_matches_reference(A, res):
+        got = _merge(A, res)
+        found, merged = reference_merge(A, res, DEDUP_RADIUS)
+        assert repr(got) == repr(([(x.tolist(), r) for x, r in found], merged))
+        return got
+
+    def test_later_row_near_the_replacement_only(self):
+        """Row 1 replaces row 0 (lower residual); row 2 is 0.8e-6 from row 1
+        and 1.6e-6 from row 0, so it merges into the replacement."""
+        A = edge(0.0, 0.4e-6, 0.8e-6)
+        kept, merged = self.assert_matches_reference(A, [5e-10, 1e-10, 3e-10])
+        assert (kept, merged) == ([(A[1].tolist(), 1e-10)], 2)
+
+    def test_later_row_near_the_replaced_point_only(self):
+        """Row 1 replaces row 0; row 2 is 0.8e-6 from row 0 but 1.6e-6 from
+        row 1, so it is a point of its own."""
+        A = edge(0.0, 0.4e-6, -0.4e-6)
+        kept, merged = self.assert_matches_reference(A, [5e-10, 1e-10, 3e-10])
+        assert (kept, merged) == ([(A[2].tolist(), 3e-10), (A[1].tolist(), 1e-10)], 1)
+
+    def test_distance_of_exactly_the_radius_merges(self):
+        # the merge reads no simplex constraint, so the rows need not sum to
+        # 1; these lie exactly DEDUP_RADIUS apart
+        A = np.array([[0.0, 0.25, 0.75], [DEDUP_RADIUS, 0.25, 0.75], [2 * DEDUP_RADIUS, 0.25, 0.75]])
+        assert np.abs(A[1] - A[0]).sum() == DEDUP_RADIUS
+        kept, merged = self.assert_matches_reference(A, [3e-10, 2e-10, 4e-10])
+        assert (kept, merged) == ([(A[1].tolist(), 2e-10)], 2)
+
+    def test_equal_residuals_keep_the_first(self):
+        A = edge(0.0, 0.4e-6, -0.4e-6)
+        kept, merged = self.assert_matches_reference(A, [2e-10, 2e-10, 2e-10])
+        assert (kept, merged) == ([(A[0].tolist(), 2e-10)], 2)
+
+    def test_three_clusters(self):
+        """Rows of three clusters, interleaved, each with a replacement."""
+        rows = [(0.0, 5e-10), (0.2, 4e-10), (0.4e-6, 1e-10), (0.4, 3e-10), (0.2 + 0.4e-6, 4e-10),
+                (0.4 - 0.4e-6, 2e-10), (0.8e-6, 6e-10), (0.4 - 0.1e-6, 1e-11), (0.2 - 0.4e-6, 1e-12)]
+        A = edge(*(t for t, _ in rows))
+        kept, merged = self.assert_matches_reference(A, [r for _, r in rows])
+        assert kept == [(A[2].tolist(), 1e-10), (A[8].tolist(), 1e-12), (A[7].tolist(), 1e-11)]
+        assert merged == 6
+
+    def test_no_rows(self):
+        assert self.assert_matches_reference(np.empty((0, 3)), []) == ([], 0)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_seeds_are_built_once_read_only(n):
+    """The search's seeds are the reference seeds in their order, built
+    once per n; a write into them raises."""
+    seeds = _search_seeds(n)
+    assert seeds.tolist() == [list(s.coords) for s in reference_seeds(n)]
+    assert _search_seeds(n) is seeds
+    assert not seeds.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        seeds[0, 0] = 0.5
+
+
+def test_seed_cache_is_bounded():
+    maxsize = _search_seeds.cache_info().maxsize
+    assert maxsize == 8
+    for n in range(2, 3 + maxsize):
+        _search_seeds(n)
+    assert _search_seeds.cache_info().currsize == maxsize

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    cyclic_vertex_operator,
     load_fixture,
     random_general_operator,
     reference_batched_fixed_points,
@@ -280,6 +281,22 @@ def test_fixed_points_match_reference(V):
     got = _multistart(V)
     assert got.diagnostics.pop("method") == "multistart"
     assert repr(got) == repr(reference_batched_fixed_points(V))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_rejecting_searches_match_reference(n):
+    """Draws whose vertex cycle leaves polished rows above tol: the search
+    rejects them and merges the rest, to the reference's bits."""
+    rng = np.random.default_rng(30 + n)
+    rejected = 0
+    for _ in range(8):
+        V = cyclic_vertex_operator(n, rng)
+        got = _multistart(V)
+        assert got.diagnostics.pop("method") == "multistart"
+        assert repr(got) == repr(reference_batched_fixed_points(V))
+        assert got.diagnostics["merged"] > 0
+        rejected += got.diagnostics["rejected_by_residual"]
+    assert rejected > 0
 
 
 # the operators whose coefficients prove their fixed-point set: every

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_grid, reference_samples
+from conftest import reference_grid, reference_grid_array, reference_samples
 from qsodyn.simplex import (
     DimensionMismatch,
     SimplexError,
@@ -171,6 +171,32 @@ class TestSampling:
     def test_grid_matches_pointwise_construction(self, n, r):
         got = np.array([p.coords for p in grid_simplex(n, r)])
         assert got.tobytes() == np.array(reference_grid(n, r)).tobytes()
+
+    @pytest.mark.parametrize("n,r", [(2, 40), (3, 40), (4, 12), (5, 6), (8, 6)])
+    def test_grid_is_built_once_read_only(self, n, r):
+        """The cached lattice: the same object on a repeated call, and the
+        bytes the uncached construction gives."""
+        X = grid_array(n, r)
+        assert not X.flags.writeable
+        assert grid_array(n, r) is X
+        want = reference_grid_array(n, r)
+        assert X.shape == want.shape and X.dtype == want.dtype
+        assert X.tobytes() == want.tobytes()
+
+    def test_grid_write_raises(self):
+        X = grid_array(3, 6)
+        with pytest.raises(ValueError, match="read-only"):
+            X[0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            X += 0.0
+        assert X.tobytes() == reference_grid_array(3, 6).tobytes()
+
+    def test_grid_cache_is_bounded(self):
+        maxsize = grid_array.cache_info().maxsize
+        assert maxsize == 16
+        for r in range(1, maxsize + 2):
+            grid_array(2, r)
+        assert grid_array.cache_info().currsize == maxsize
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_samples_match_pointwise_construction(self, n):
