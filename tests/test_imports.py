@@ -186,30 +186,17 @@ def test_command_loads_only_what_it_runs(argv, loaded):
 
 def test_cli_import_compiles_no_orbit_kernel():
     """Start-up is most of every CLI command: importing the CLI compiles no
-    generated orbit code, which the first trajectory call does."""
+    generated orbit code, which the first trajectory call does, and builds
+    no grid or seed array, which the first scan or search does."""
     code = (
         "import qsodyn.cli\n"
-        "from qsodyn.operator import _orbit_kernel\n"
-        "print(_orbit_kernel.cache_info().currsize)\n"
-    )
-    path = [str(SRC.parent), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0\n"
-
-
-def test_cli_import_builds_no_lattice():
-    """Importing the CLI builds no grid and no seed array: the caches fill
-    on the first scan or search."""
-    code = (
-        "import qsodyn.cli\n"
-        "from qsodyn.operator import _search_seeds\n"
+        "from qsodyn.operator import _orbit_kernel, _search_seeds\n"
         "from qsodyn.simplex import grid_array\n"
-        "print(grid_array.cache_info().currsize, _search_seeds.cache_info().currsize)\n"
+        "print(*(f.cache_info().currsize for f in (_orbit_kernel, grid_array, _search_seeds)))\n"
     )
     path = [str(SRC.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 0\n"
+    assert proc.stdout == "0 0 0\n"
+
