@@ -5,6 +5,7 @@ return dataclasses and know no key name or CSV header."""
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -194,7 +195,7 @@ def iterate(spec_path, symmetrize, x_text, steps, tol, max_iter, out):
     """Trajectory CSV: step, coordinates, prefix sums, step size."""
     V = _load_operator(spec_path, symmetrize)
     x = _parse_point(x_text, V.n)
-    _require(tol > 0, f"--tol must be positive, got {tol}")
+    _require(0 < tol < math.inf, f"--tol must be positive and finite, got {tol}")
     _require(steps is None or steps >= 0, f"--steps must be >= 0, got {steps}")
     _require(max_iter >= 0, f"--max-iter must be >= 0, got {max_iter}")
     if steps is None:
@@ -229,7 +230,7 @@ def fixed_points(spec_path, symmetrize, tol, out):
     """Fixed points, JSON output: the vertex set where the coefficients prove
     it, otherwise the multistart search."""
     V = _load_operator(spec_path, symmetrize)
-    _require(tol > 0, f"--tol must be positive, got {tol}")
+    _require(0 < tol < math.inf, f"--tol must be positive and finite, got {tol}")
     fps = find_fixed_points(V, tol=tol)
     result = {
         "dedup_radius": fps.dedup_radius,

@@ -8,9 +8,12 @@ product, sum and quotient half-even to the working precision. Each of these
 operations is correctly rounded, so it gives the one value that mpmath's
 ``mpf_mul``, ``mpf_add`` and ``mpf_div`` give at the same precision; with the
 operations in the same order, every stored value is the one an mpmath
-computation would store. No signed values arise: coefficients lie in
-[0, 1] and the start point on the simplex, and the one difference, the
-mixing gap's |H - x|, is rounded as a magnitude, as ``mpf_sub`` rounds it.
+computation would store. The dot product, where nearly all the time goes,
+is one loop with the product, the sum and both roundings inlined; term by
+term it gives the very pairs that _add of _mul gives. No signed values
+arise: coefficients lie in [0, 1] and the start point on the simplex, and
+the one difference, the mixing gap's |H - x|, is rounded as a magnitude, as
+``mpf_sub`` rounds it.
 Float views round a pair to the nearest double as mpmath does; only the log
 view of the one-step matrices loads mpmath, for its raw ``mpf_log``. Every
 call gets the precision as an argument, so no mpmath context, global or
@@ -82,12 +85,52 @@ def _div(a: tuple, b: tuple, prec: int) -> tuple:
 
 def _dot(xs, ys, prec: int) -> tuple:
     """sum_l xs[l] * ys[l], accumulated left to right; a zero product
-    leaves the sum as it is, so it is skipped."""
-    acc = _ZERO
-    for a, b in zip(xs, ys):
-        if a[0] and b[0]:
-            acc = _add(acc, _mul(a, b, prec), prec)
-    return acc
+    leaves the sum as it is, so it is skipped.
+
+    One loop: each term is acc = _add(acc, _mul(a, b, prec), prec) with
+    _mul, _add and both _round calls inlined, and gives the same pair."""
+    m = e = 0
+    for (a, ea), (b, eb) in zip(xs, ys):
+        if not (a and b):
+            continue
+        # _mul: the product, rounded
+        k = a * b
+        f = ea + eb
+        n = k.bit_length() - prec
+        if n > 0:
+            t = k >> (n - 1)
+            if t & 1 and (t & 2 or k & ((1 << (n - 1)) - 1)):
+                k = (t >> 1) + 1
+            else:
+                k = t >> 1
+            f += n
+        if not m:
+            # _add(_ZERO, p) rounds p once more, which moves only a
+            # product that rounded up to 2**prec
+            if k >> prec:
+                k >>= 1
+                f += 1
+            m, e = k, f
+            continue
+        # _add: align the two, add, round
+        if e < f:
+            m, e, k, f = k, f, m, e
+        if e - f > 100 and e + m.bit_length() - f - k.bit_length() > prec + 4:
+            # the smaller term only moves a sticky bit, as in _add
+            m = (m << (prec + 4)) + 1
+            e -= prec + 4
+        else:
+            m = (m << (e - f)) + k
+            e = f
+        n = m.bit_length() - prec
+        if n > 0:
+            t = m >> (n - 1)
+            if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
+                m = (t >> 1) + 1
+            else:
+                m = t >> 1
+            e += n
+    return m, e
 
 
 def _unit_sum(row: list, prec: int) -> list:

@@ -280,8 +280,8 @@ def trajectory(
     operator makes one NumPy call a step, the einsum. While it records the
     path it pauses the garbage collector, and restores it as it was."""
     max_iter = index(max_iter)
-    if not tol > 0:  # NaN fails too
-        raise ValueError("tol must be positive")
+    if not 0 < tol < inf:  # NaN fails too
+        raise ValueError("tol must be positive and finite")
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
     if x.n != V.n:
@@ -544,8 +544,8 @@ def find_fixed_points(V: QsoOperator, tol: float = 1e-9) -> FixedPointSet:
     """The fixed points of V: the vertices that :func:`proven_fixed_points`
     proves, with their residuals from evaluate_array (0.0), and otherwise
     the points the multistart search :func:`_multistart` finds."""
-    if not tol > 0:  # NaN fails too
-        raise ValueError("tol must be positive")
+    if not 0 < tol < inf:  # NaN fails too
+        raise ValueError("tol must be positive and finite")
     X = proven_fixed_points(V)
     if X is None:
         return _multistart(V, tol)

@@ -9,6 +9,7 @@ import pytest
 
 from qsodyn.classify import NumericOrderVerdict, _default_resolution
 from qsodyn.generate import random_structured_tensors
+from qsodyn.markov import _ZERO, _add, _mul
 from qsodyn.operator import (
     FixedPointSet,
     HeredityTensor,
@@ -411,6 +412,17 @@ def reference_verify(V, resolution=None, samples=10_000, seed=0, eps=1e-12):
     # the scan runs in full whatever the bound says
     method = "coefficient_bound" if V.clauses.order_bound else "sampled"
     return NumericOrderVerdict(False, resolution=res, sample_count=samples, method=method)
+
+
+def reference_dot(xs, ys, prec):
+    """The Markov kernel's dot product as one _add of one _mul per term,
+    before the two were inlined into a single loop: the pairs it returns
+    are the ones markov._dot must return, mantissa and exponent alike."""
+    acc = _ZERO
+    for a, b in zip(xs, ys):
+        if a[0] and b[0]:
+            acc = _add(acc, _mul(a, b, prec), prec)
+    return acc
 
 
 def _ref_float(v):

@@ -172,7 +172,10 @@ class TestIterate:
             runner, ["iterate", "--spec", fixture_path("va_a05"), "--x", "nan,0.5"]
         )
 
-    @pytest.mark.parametrize("option", [["--tol", "0"], ["--steps", "-2"], ["--max-iter", "-1"]])
+    @pytest.mark.parametrize(
+        "option",
+        [["--tol", "0"], ["--steps", "-2"], ["--max-iter", "-1"], ["--tol", "inf"], ["--tol", "1e400"]],
+    )
     def test_out_of_range(self, runner, option):
         assert_validation_error(
             runner, ["iterate", "--spec", fixture_path("va_a05"), "--x", "0.5,0.5", *option]
@@ -240,6 +243,14 @@ class TestFixedPoints:
     def test_negative_tol(self, runner):
         assert_validation_error(
             runner, ["fixed-points", "--spec", fixture_path("va_a05"), "--tol", "-1"]
+        )
+
+    @pytest.mark.parametrize("tol", ["inf", "1e400"])
+    def test_non_finite_tol(self, runner, tol):
+        """An infinite tolerance would accept every polished row, and print
+        as the non-JSON token Infinity."""
+        assert_validation_error(
+            runner, ["fixed-points", "--spec", fixture_path("va_a23"), "--tol", tol]
         )
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import libmp
 
+from conftest import reference_dot
 from qsodyn.markov import _PREC, _add, _div, _dot, _log_float, _matmul, _mul, _pair, _round, _to_float, _unit_sum
 
 RND = libmp.round_nearest
@@ -46,6 +47,13 @@ def tie(prec, odd, below=5):
     kept = (1 << (prec - 1)) | (0b1010 << 3) | odd
     return (kept << below) | (1 << (below - 1)), 0
 
+
+def rounds_up(prec):
+    """prec + 1 one bits: times (1, 0), a product that rounds up to 2**prec."""
+    return (1 << (prec + 1)) - 1, 0
+
+
+ONE = (1, 0)
 
 # mantissas of up to three times the widest precision, with any exponent:
 # wide enough that the kernel's rounding, not its inputs, sets the result
@@ -115,6 +123,34 @@ class TestOperations:
     def test_dot_is_a_left_to_right_sum_of_rounded_products(self, terms, prec):
         xs, ys = zip(*terms)
         same(_dot(xs, ys, prec), mpf_dot(xs, ys, prec))
+
+    @given(st.lists(st.tuples(pairs, pairs), max_size=8), precs)
+    # a product that rounds up to 2**prec, as the first term and as a later one
+    @example([(rounds_up(53), ONE)], 53)
+    @example([(rounds_up(136), ONE), ((3, -7), (5, 2))], 136)
+    @example([((3, 0), (5, 0)), (rounds_up(53), ONE)], 53)
+    @example([((1, 300), ONE), (rounds_up(203), ONE)], 203)
+    # products on a tie, and a sum on a tie that rounds up to 2**prec
+    @example([(tie(53, 1), ONE)], 53)
+    @example([(tie(136, 0), ONE)], 136)
+    @example([(((1 << 53) - 1, 1), ONE), (ONE, ONE)], 53)
+    @example([(ONE, ONE), (((1 << 136) - 1, 1), ONE)], 136)
+    # a term more than 100 binary orders below the sum, and the reverse order
+    @example([(((1 << 53) - 1, 0), ONE), ((1, -200), ONE)], 53)
+    @example([((1, -200), ONE), (((1 << 53) - 1, 0), ONE)], 53)
+    @example([((5, 0), (3, 0)), ((7, -150), (1, -150))], 136)
+    @example([(ONE, ONE), ((1, -300), ONE)], 53)  # a power of two over the far term
+    # zeros before, between and after the nonzero terms
+    @example([((0, 0), ONE), ((3, -1), (5, 2)), ((7, 1), (0, 0)), ((9, -4), (11, 3)), ((0, 0), (0, 0))], 136)
+    # a single term, an all-zero dot and an empty one
+    @example([((3, -1), (5, 2))], 53)
+    @example([((0, 0), (5, 1)), ((3, 2), (0, 0))], 53)
+    @example([], 53)
+    def test_dot_gives_the_pairs_of_mul_then_add(self, terms, prec):
+        """The single loop returns the very pair, mantissa and exponent,
+        that an _add of each term's _mul returns."""
+        xs, ys = [a for a, _ in terms], [b for _, b in terms]
+        assert _dot(xs, ys, prec) == reference_dot(xs, ys, prec)
 
     @given(st.lists(pairs, min_size=1, max_size=6), precs)
     def test_unit_sum(self, row, prec):

@@ -10,11 +10,13 @@ required equal to the reference's to the bit.
 
 import numpy as np
 import pytest
+from mpmath import libmp
 
 from conftest import load_fixture, reference_markov
 from qsodyn.abscont import va_operator
 from qsodyn.generate import random_structured_tensors
 from qsodyn.markov import (
+    _PREC,
     CylinderSet,
     TransitionFamily,
     cylinder_measure,
@@ -101,6 +103,28 @@ def test_seeded_operators_match_reference(n, count):
     for V in random_structured_tensors(n, count, seed=80 + n):
         assert_kernel_matches_reference(V, make_point(rng.dirichlet(np.ones(n))))
     assert_kernel_matches_reference(V, vertex(n, 1))
+
+
+def test_six_states_at_the_benchmark_horizon_match_reference():
+    """One n = 6 family to horizon 40, the chains benchmark's horizon. Up
+    to horizon 30 none of its dot products meets a term more than 100
+    binary orders below the running sum, the sticky branch; to 40, 112 do.
+    The stored products are compared at the working precision as well as
+    through the float view."""
+    horizon = 40
+    V = random_structured_tensors(6, 1, seed=604)[0]
+    x = make_point(np.random.default_rng(604).dirichlet(np.ones(6)))
+    fam = TransitionFamily(V, x)
+    ref = reference_markov(V, x)
+    for k in (0, 17):
+        assert_same_bits(fam.compose_transitions(k, horizon), ref.compose_transitions(k, horizon))
+        got = [[libmp.from_man_exp(*v, _PREC) for v in row] for row in fam._product(k, horizon)]
+        assert got == [[v._mpf_ for v in row] for row in ref._compose(k, horizon)]
+    A, B = CylinderSet(0, (1,)), CylinderSet(0, (6,))
+    series = mixing_series(fam, A, B, horizon)
+    assert [m for m, _, _ in series.terms] == list(range(1, horizon + 1))
+    for m, tau, bound in series.terms:
+        assert_same_bits((tau, bound), ref.mixing_gap(A, B, m))
 
 
 def order_queries(n):

@@ -298,7 +298,7 @@ class TestIteration:
         with pytest.raises(DimensionMismatch):
             trajectory(va_operator(0.5), make_point([0.2, 0.3, 0.5]), max_iter=max_iter)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
     def test_nonpositive_tolerance_rejected(self, tol):
         with pytest.raises(ValueError, match="tol must be positive"):
             trajectory(va_operator(0.5), make_point([0.5, 0.5]), tol=tol, max_iter=50)
@@ -369,7 +369,7 @@ class TestFixedPoints:
         fps = find_fixed_points(sufficiency_gap_operator, tol=1e-9)
         assert [p.coords for p in fps.points] == [(0.0, 0.0, 1.0)]
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
     def test_nonpositive_tolerance_rejected(self, tol):
         """A NaN tolerance used to let the search take no Newton step and
         return its unpolished seeds."""
