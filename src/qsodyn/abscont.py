@@ -4,29 +4,21 @@ absolute-continuity classifier.
 
 The family keeps only p[1,1,1] = a free; the remaining coefficients are
 forced by normalization. One-step transitions then have the closed form
-H_11 at time k = (a*x1)^(2^k), with state 2 absorbing.
+H_11 at time k = (a*x1)^(2^k), with state 2 absorbing. Closed forms and
+series terms run on markov's integer kernel at 136 bits; the series squares
+its stay probabilities once a step, carried wider (see rn_series).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .markov import _ONE, _PREC, _ZERO, _add, _div, _log_float, _mul, _pair, _pow, _round, _sqrt, _to_float
 from .operator import QsoOperator, make_operator, tensor_from_entries
 from .simplex import SimplexPoint, make_point
-
-
-@functools.cache
-def _ctx():
-    """The private dps-40 context of every closed form, not mpmath's global one
-    that other threads may set; built on first use, so importing loads no mpmath."""
-    import mpmath
-    ctx = mpmath.MPContext()
-    ctx.dps = 40
-    return ctx
 
 
 TAIL_TOL = 1e-12
@@ -124,57 +116,39 @@ class CylinderClass:
             raise ValueError("window end must be >= window start")
 
 
-def _constructive_mpf(params: VaParams, c: CylinderClass):
-    """Product of the closed-form chain factors, in extended arithmetic.
+def _closed_form_pairs(params: VaParams, c: CylinderClass) -> tuple:
+    """The class's constructive and tabulated values, as _PREC-bit pairs.
 
-    Uses x1 at time t = a^(2^t - 1) * x1^(2^t) and the one-step entries.
+    Constructive: x1 at time l, a^(2^l - 1) * x1^(2^l), times the one-step
+    stay probabilities (a*x1)^(2^t) through the last time in state 1.
+    Tabulated: the printed formulas taken verbatim, with the exponent
+    2^(l-1), fractional for l = 0, as written.
     """
-    ctx = _ctx()
-    a = ctx.mpf(params.a)
-    x1 = ctx.mpf(params.x1)
-
-    def traj_x1(t: int):
-        if t == 0:
-            return x1
-        return a ** ((1 << t) - 1) * x1 ** (1 << t)
-
-    def h11(t: int):
-        return (a * x1) ** (1 << t)
-
     if c.kind == "two_one":
-        return ctx.zero
-    if c.kind == "all_ones":
-        acc = traj_x1(c.l)
-        for t in range(c.l, c.m):
-            acc *= h11(t)
-        return acc
+        return _ZERO, _ZERO
+    a, x1 = _pair(params.a, _PREC), _pair(params.x1, _PREC)
+    ax = _mul(a, x1, _PREC)
+    # the last time in state 1; all_twos leaves it before its window
+    end = {"all_ones": c.m, "all_twos": c.l, "ones_then_twos": c.k}[c.kind]
+    cons = x1 if c.l == 0 else _mul(_pow(a, (1 << c.l) - 1, _PREC), _pow(x1, 1 << c.l, _PREC), _PREC)
+    for t in range(c.l, end):
+        cons = _mul(cons, _pow(ax, 1 << t, _PREC), _PREC)
+    # the printed power of a, 2^end - 2^(l-1), is n/2 for odd n at l = 0:
+    # the square root's n-th power, the root taken at _PREC bits for n = 1
+    # and at _PREC + 10 otherwise, as the reference's half-integer power does
+    n = (1 << (end + 1)) - (1 << c.l)
+    if c.l:
+        power = _pow(a, n >> 1, _PREC)
+    else:
+        power = _sqrt(a, _PREC) if n == 1 else _pow(_sqrt(a, _PREC + 10), n, _PREC)
+    printed = _mul(power, _pow(x1, 1 << end, _PREC), _PREC)
     if c.kind == "all_twos":
-        return 1 - traj_x1(c.l)
-    # ones_then_twos: ones through time k, a single 1->2 step, twos after
-    acc = traj_x1(c.l)
-    for t in range(c.l, c.k):
-        acc *= h11(t)
-    acc *= 1 - h11(c.k)
-    return acc
-
-
-def _printed_mpf(params: VaParams, c: CylinderClass):
-    """The tabulated closed-form values, taken verbatim (exponent 2^(l-1))."""
-    ctx = _ctx()
-    a = ctx.mpf(params.a)
-    x1 = ctx.mpf(params.x1)
-    half_exp = ctx.mpf(2) ** (c.l - 1)  # fractional for l = 0, as written
-    if c.kind == "two_one":
-        return ctx.zero
-    if c.kind == "all_ones":
-        if a == 0:
-            return ctx.zero if c.m > 0 or x1 == 0 else x1
-        return a ** ((1 << c.m) - half_exp) * x1 ** (1 << c.m)
-    if c.kind == "all_twos":
-        return 1 - a**half_exp * x1 ** (1 << c.l)
-    if a == 0:
-        return ctx.zero
-    return a ** ((1 << c.k) - half_exp) * x1 ** (1 << c.k) * (1 - (a * x1) ** (1 << c.k))
+        return _add(_ONE, cons, _PREC, sub=True), _add(_ONE, printed, _PREC, sub=True)
+    if c.kind == "ones_then_twos":  # then a single 1->2 step
+        escape = _add(_ONE, _pow(ax, 1 << c.k, _PREC), _PREC, sub=True)
+        return _mul(cons, escape, _PREC), _mul(printed, escape, _PREC)
+    # at a = 0 the table gives the one-time window [0, 0] as x1 itself
+    return cons, x1 if params.a == 0.0 and c.m == 0 else printed
 
 
 @dataclass(frozen=True)
@@ -188,13 +162,12 @@ class CylinderValue:
 def va_cylinder_closed_form(params: VaParams, c: CylinderClass) -> CylinderValue:
     """Constructive chain-product measure, with the tabulated formula value
     recorded alongside; the constructive value is the ground truth."""
-    cons = _constructive_mpf(params, c)
-    printed = _printed_mpf(params, c)
+    cons, printed = _closed_form_pairs(params, c)
     return CylinderValue(
-        constructive=float(cons),
-        constructive_log=float(_ctx().log(cons)),
-        printed=float(printed),
-        discrepancy=float(abs(cons - printed)),
+        constructive=_to_float(cons),
+        constructive_log=_log_float(cons, _PREC),
+        printed=_to_float(printed),
+        discrepancy=_to_float(_add(cons, printed, _PREC, sub=True)),
     )
 
 
@@ -206,21 +179,17 @@ def cylinder_discrepancy_log(params: VaParams, windows: list) -> list:
     """
     out = []
     for c in windows:
-        v = va_cylinder_closed_form(params, c)
-        if v.discrepancy > 1e-15:
-            out.append((c, v.constructive, v.printed, v.discrepancy))
+        cons, printed = _closed_form_pairs(params, c)
+        difference = _to_float(_add(cons, printed, _PREC, sub=True))
+        if difference > 1e-15:
+            out.append((c, _to_float(cons), _to_float(printed), difference))
     return out
 
 
-def _stay_rate(params: VaParams):
-    """a * x1 in extended precision: the stay probability at time 0."""
-    ctx = _ctx()
-    return ctx.mpf(params.a) * ctx.mpf(params.x1)
-
-
-def _expectation_term(num_rate, den_rate, m: int):
-    """The two surviving series contributions at step m >= 1, from the two
-    stay rates a * x1.
+def _expectation_term(p: tuple, q: tuple) -> tuple:
+    """The two surviving series contributions at one step, from the two
+    stay probabilities p and q at _PREC bits; they are the pair _ONE only at
+    a stay rate of exactly 1, as a rate below it is at most 1 - 2**-53.
 
     K: squared deviation of the escape-probability ratio, weighted by the
     numerator's escape probability on the ones-then-exit event.
@@ -228,22 +197,19 @@ def _expectation_term(num_rate, den_rate, m: int):
     numerator's stay probability on the all-ones event. Both >= 0; infinite
     when the denominator's mass vanishes while the numerator's does not.
     """
-    e = 1 << (m - 1)
-    p = num_rate**e  # numerator stay probability
-    q = den_rate**e
-    # escape-ratio term
-    if q == 1:
-        k_term = 0.0 if p == 1 else math.inf
+    if q == _ONE:  # escape-ratio term
+        k_term = 0.0 if p == _ONE else math.inf
     else:
-        escape = 1 - p
-        k_term = (1 - escape / (1 - q)) ** 2 * escape
-    # stay-ratio term
-    if q == 0:
-        khat = 0.0 if p == 0 else math.inf
+        escape = _add(_ONE, p, _PREC, sub=True)
+        ratio = _div(escape, _add(_ONE, q, _PREC, sub=True), _PREC)
+        deviation = _add(_ONE, ratio, _PREC, sub=True)
+        k_term = _to_float(_mul(_mul(deviation, deviation, _PREC), escape, _PREC))
+    if not q[0]:  # stay-ratio term
+        khat = 0.0 if not p[0] else math.inf
     else:
-        khat = (1 - p / q) ** 2 * p
-    # a term past the double range reads inf
-    return float(k_term), float(khat)
+        deviation = _add(_ONE, _div(p, q, _PREC), _PREC, sub=True)
+        khat = _to_float(_mul(_mul(deviation, deviation, _PREC), p, _PREC))
+    return k_term, khat
 
 
 @dataclass(frozen=True)
@@ -278,26 +244,35 @@ def rn_series(num: VaParams, den: VaParams, m_max: int) -> RNSeriesReport:
     which carries zero mass for both chains in the limit; that exceptional
     trajectory is excluded from the accumulated series and reported in the
     note, matching the almost-sure form of the convergence dichotomy.
+
+    The step-m stay probabilities rate^(2^(m-1)) take one squaring a step.
+    Each squaring doubles the relative error carried, so both are carried
+    m_max + 24 bits wider than _PREC and rounded to it for each step's terms:
+    at _PREC, terms of exactly 1.0 drift from m = 87 and read inf by m = 150.
     """
+    from fractions import Fraction  # here: a family spec's operator does not need it
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
     # a zero denominator stay rate against a positive numerator one is a
     # finite-horizon singular witness, not a limit phenomenon; keep it. At a
     # numerator stay rate of 1 that chain never leaves state 1, so the
-    # all-ones trajectory carries all of its mass; keep it too
-    den_stay = den.a * den.x1
-    exceptional = 1.0 > num.a * num.x1 > den_stay > 0.0
+    # all-ones trajectory carries all of its mass; keep it too. The rates
+    # are compared exactly: their double products round, and underflow
+    exceptional = 1 > Fraction(num.a) * Fraction(num.x1) > Fraction(den.a) * Fraction(den.x1) > 0
     terms = []
     totals = []
     partial = 0.0
-    num_rate, den_rate = _stay_rate(num), _stay_rate(den)
+    wide = _PREC + m_max + 24
+    # the stay rates a * x1, exact: a product of two doubles has 106 bits
+    p_wide = _mul(_pair(num.a, _PREC), _pair(num.x1, _PREC), _PREC)
+    q_wide = _mul(_pair(den.a, _PREC), _pair(den.x1, _PREC), _PREC)
     for m in range(1, m_max + 1):
-        k_term, khat = _expectation_term(num_rate, den_rate, m)
+        k_term, khat = _expectation_term(_round(*p_wide, _PREC), _round(*q_wide, _PREC))
         contribution = k_term if exceptional else k_term + khat
         partial += contribution
         terms.append((m, k_term, khat, partial))
         totals.append(contribution)
-    classification = _classify_terms(totals)
+        p_wide, q_wide = _mul(p_wide, p_wide, wide), _mul(q_wide, q_wide, wide)
     note = ""
     if exceptional:
         note = (
@@ -306,10 +281,4 @@ def rn_series(num: VaParams, den: VaParams, m_max: int) -> RNSeriesReport:
             "chains; its stay-event contribution is excluded from the "
             "accumulated series"
         )
-    return RNSeriesReport(
-        numerator=num,
-        denominator=den,
-        terms=terms,
-        classification=classification,
-        exceptional_set_note=note,
-    )
+    return RNSeriesReport(num, den, terms, _classify_terms(totals), note)

@@ -14,15 +14,15 @@ from typing import Optional
 import click
 
 from . import __version__
-# classify, markov and abscont, and with them mpmath, load only in the commands calling them
+# classify, markov and abscont load only in the commands calling them; none loads mpmath
 from .operator import evaluate, find_fixed_points, trajectory
 from .simplex import l1_distance, make_point, partial_sum
 from .specfile import SpecFileError, load_spec, spec_hash
 
 EXIT_VALIDATION = 2
 EXIT_PARSE = 3
-# abscont terms are already 0 in double precision from about m = 12, while
-# the cost grows with the 2^m-bit exponents of the closed forms
+# abscont terms are already 0 in double precision from about m = 12; the
+# series takes one squaring a step, so its cost is linear in m up to here
 ABSCONT_M_MAX = 256
 
 
@@ -143,11 +143,7 @@ def validate(spec_path, symmetrize, seed, out):
             check_necessary_bbistochastic(V), verify_bbistochastic_numeric(V, seed=seed)
         ),
     }
-    _emit(
-        _envelope(spec_path, {"symmetrize": symmetrize, "seed": seed}, result),
-        out,
-        "validate",
-    )
+    _emit(_envelope(spec_path, {"symmetrize": symmetrize, "seed": seed}, result), out, "validate")
 
 
 @main.command()
@@ -176,11 +172,7 @@ def classify(spec_path, symmetrize, seed, out):
         result["contraction_1d"] = report.contraction_1d
     if report.contraction_2d is not None:
         result["contraction_2d"] = asdict(report.contraction_2d)
-    _emit(
-        _envelope(spec_path, {"symmetrize": symmetrize, "seed": seed}, result),
-        out,
-        "classify",
-    )
+    _emit(_envelope(spec_path, {"symmetrize": symmetrize, "seed": seed}, result), out, "classify")
 
 
 @main.command()

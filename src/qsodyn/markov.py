@@ -2,22 +2,22 @@
 time-dependent transition matrices, cylinder-set measures, and the mixing gap.
 
 Entries decay doubly exponentially along these chains, far past double
-underflow. The family therefore runs its recursion on nonnegative
-(mantissa, exponent) pairs of Python ints, value m * 2**e, and rounds every
-product, sum and quotient half-even to the working precision. Each of these
-operations is correctly rounded, so it gives the one value that mpmath's
-``mpf_mul``, ``mpf_add`` and ``mpf_div`` give at the same precision; with the
-operations in the same order, every stored value is the one an mpmath
-computation would store. The dot product, where nearly all the time goes,
-is one loop with the product, the sum and both roundings inlined; term by
-term it gives the very pairs that _add of _mul gives. No signed values
-arise: coefficients lie in [0, 1] and the start point on the simplex, and
-the one difference, the mixing gap's |H - x|, is rounded as a magnitude, as
-``mpf_sub`` rounds it.
-Float views round a pair to the nearest double as mpmath does; only the log
-view of the one-step matrices loads mpmath, for its raw ``mpf_log``. Every
-call gets the precision as an argument, so no mpmath context, global or
-private, is read or changed.
+underflow. The family therefore runs its recursion on nonnegative (mantissa,
+exponent) pairs of Python ints, value m * 2**e: the package's one
+extended-precision kernel, which abscont's closed forms and series run on
+too. Products, sums, quotients and square roots are rounded once, half-even,
+so each gives the one value that mpmath's ``mpf_mul``, ``mpf_add``,
+``mpf_div`` and ``mpf_sqrt`` give at the same precision, and an integer
+power takes ``mpf_pow_int``'s own steps; with the operations in the same
+order, every stored value is the one an mpmath computation would store. The
+dot product, where nearly all the time goes, is one loop with the product,
+the sum and both roundings inlined; term by term it gives the very pairs
+that _add of _mul gives. No signed values arise: coefficients lie in [0, 1]
+and the start point on the simplex, and a difference such as the mixing
+gap's |H - x| is rounded as a magnitude, as ``mpf_sub`` rounds it.
+Float views round a pair to the nearest double as mpmath does (inf above
+the double range); only the log view loads mpmath, for its raw ``mpf_log``.
+Every call gets the precision as an argument: no mpmath context is used.
 """
 
 from __future__ import annotations
@@ -81,6 +81,41 @@ def _div(a: tuple, b: tuple, prec: int) -> tuple:
     shift = max(prec - m.bit_length() + k.bit_length() + 5, 5)
     q, r = divmod(m << shift, k)
     return _round((q << 1) | (r > 0), e - f - shift - 1, prec)
+
+
+def _sqrt(a: tuple, prec: int) -> tuple:
+    """The square root: an integer root of at least prec + 2 bits and a
+    sticky bit for a nonzero remainder, as in mpf_sqrt, then one rounding."""
+    m, e = a
+    shift = max(2 * prec - m.bit_length() + 4, 4)
+    shift += (shift - e) & 1  # leaves an even exponent to halve
+    m <<= shift
+    r = math.isqrt(m)
+    return _round((r << 1) | (r * r < m), (e - shift) // 2 - 1, prec)
+
+
+def _pow(a: tuple, k: int, prec: int) -> tuple:
+    """a**k for k >= 0 in mpf_pow_int's steps, so with its bits: for k <= 2,
+    or below 1000 bits, the exact power rounded once; above, binary powering
+    with every product truncated to prec + 4 * k.bit_length() + 4 bits, then
+    one rounding. At prec bits the power would lose about log2(k) bits."""
+    m, e = a
+    odd_bits = m.bit_length() - (m & -m).bit_length() + 1  # as mpmath stores m
+    if k <= 2 or odd_bits * k < 1000:
+        return _round(m**k, e * k, prec)
+    work = prec + 4 * k.bit_length() + 4
+    pm, pe = 1, 0
+    while True:
+        if k & 1:
+            pm, pe = pm * m, pe + e
+            n = max(pm.bit_length() - work, 0)  # truncated, as in mpf_pow_int
+            pm, pe = pm >> n, pe + n
+            if k == 1:
+                return _round(pm, pe, prec)
+        m, e = m * m, 2 * e
+        n = max(m.bit_length() - work, 0)
+        m, e = m >> n, e + n
+        k >>= 1
 
 
 def _dot(xs, ys, prec: int) -> tuple:
@@ -157,8 +192,11 @@ def _pair(v: float, prec: int) -> tuple:
 
 def _to_float(v: tuple) -> float:
     """The double mpmath's to_float gives: 53 bits half-even, then ldexp
-    (which rounds a second time below the normal range)."""
-    return math.ldexp(*_round(*v, 53))
+    (which rounds a second time below the normal range); inf above it."""
+    try:
+        return math.ldexp(*_round(*v, 53))
+    except OverflowError:
+        return math.inf
 
 
 def _log_float(v: tuple, prec: int) -> float:

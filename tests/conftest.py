@@ -1,4 +1,5 @@
 import json
+import math
 from functools import lru_cache
 from importlib import resources
 from itertools import chain, combinations
@@ -7,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from qsodyn.abscont import CylinderClass, VaParams, _classify_terms
 from qsodyn.classify import NumericOrderVerdict, _default_resolution
 from qsodyn.generate import random_structured_tensors
 from qsodyn.markov import _ZERO, _add, _mul
@@ -558,6 +560,128 @@ class ReferenceMarkov:
 
 def reference_markov(operator, start, dps=40):
     return ReferenceMarkov(operator, start, dps)
+
+
+# -- the two-state family's closed forms and series in an mpmath dps-40
+# context, as abscont computed them before it ran on the markov kernel
+
+
+@lru_cache(maxsize=None)
+def _ctx():
+    """The private dps-40 context of every closed form, not mpmath's global one."""
+    ctx = mpmath.MPContext()
+    ctx.dps = 40
+    return ctx
+
+
+def _constructive_mpf(params: VaParams, c: CylinderClass):
+    """Product of the closed-form chain factors, in extended arithmetic.
+
+    Uses x1 at time t = a^(2^t - 1) * x1^(2^t) and the one-step entries.
+    """
+    ctx = _ctx()
+    a = ctx.mpf(params.a)
+    x1 = ctx.mpf(params.x1)
+
+    def traj_x1(t: int):
+        if t == 0:
+            return x1
+        return a ** ((1 << t) - 1) * x1 ** (1 << t)
+
+    def h11(t: int):
+        return (a * x1) ** (1 << t)
+
+    if c.kind == "two_one":
+        return ctx.zero
+    if c.kind == "all_ones":
+        acc = traj_x1(c.l)
+        for t in range(c.l, c.m):
+            acc *= h11(t)
+        return acc
+    if c.kind == "all_twos":
+        return 1 - traj_x1(c.l)
+    # ones_then_twos: ones through time k, a single 1->2 step, twos after
+    acc = traj_x1(c.l)
+    for t in range(c.l, c.k):
+        acc *= h11(t)
+    acc *= 1 - h11(c.k)
+    return acc
+
+
+def _printed_mpf(params: VaParams, c: CylinderClass):
+    """The tabulated closed-form values, taken verbatim (exponent 2^(l-1))."""
+    ctx = _ctx()
+    a = ctx.mpf(params.a)
+    x1 = ctx.mpf(params.x1)
+    half_exp = ctx.mpf(2) ** (c.l - 1)  # fractional for l = 0, as written
+    if c.kind == "two_one":
+        return ctx.zero
+    if c.kind == "all_ones":
+        if a == 0:
+            return ctx.zero if c.m > 0 or x1 == 0 else x1
+        return a ** ((1 << c.m) - half_exp) * x1 ** (1 << c.m)
+    if c.kind == "all_twos":
+        return 1 - a**half_exp * x1 ** (1 << c.l)
+    if a == 0:
+        return ctx.zero
+    return a ** ((1 << c.k) - half_exp) * x1 ** (1 << c.k) * (1 - (a * x1) ** (1 << c.k))
+
+
+def _stay_rate(params: VaParams):
+    """a * x1 in extended precision: the stay probability at time 0."""
+    ctx = _ctx()
+    return ctx.mpf(params.a) * ctx.mpf(params.x1)
+
+
+def _expectation_term(num_rate, den_rate, m: int):
+    """The two surviving series contributions at step m >= 1, from the two
+    stay rates a * x1.
+
+    K: squared deviation of the escape-probability ratio, weighted by the
+    numerator's escape probability on the ones-then-exit event.
+    K_hat: squared deviation of the stay-probability ratio, weighted by the
+    numerator's stay probability on the all-ones event. Both >= 0; infinite
+    when the denominator's mass vanishes while the numerator's does not.
+    """
+    e = 1 << (m - 1)
+    p = num_rate**e  # numerator stay probability
+    q = den_rate**e
+    # escape-ratio term
+    if q == 1:
+        k_term = 0.0 if p == 1 else math.inf
+    else:
+        escape = 1 - p
+        k_term = (1 - escape / (1 - q)) ** 2 * escape
+    # stay-ratio term
+    if q == 0:
+        khat = 0.0 if p == 0 else math.inf
+    else:
+        khat = (1 - p / q) ** 2 * p
+    # a term past the double range reads inf
+    return float(k_term), float(khat)
+
+
+def reference_closed_form(params, c):
+    """The four CylinderValue fields, as doubles."""
+    cons = _constructive_mpf(params, c)
+    printed = _printed_mpf(params, c)
+    return float(cons), float(_ctx().log(cons)), float(printed), float(abs(cons - printed))
+
+
+def reference_rn_series(num, den, m_max):
+    """rn_series's terms, its classification and whether it excludes the
+    exceptional set, each term from its own power of the stay rates; the
+    exceptional set is decided on the exact rates."""
+    num_rate, den_rate = _stay_rate(num), _stay_rate(den)
+    exceptional = 1 > num_rate > den_rate > 0
+    terms, totals, partial = [], [], 0.0
+    for m in range(1, m_max + 1):
+        k_term, khat = _expectation_term(num_rate, den_rate, m)
+        contribution = k_term if exceptional else k_term + khat
+        partial += contribution
+        terms.append((m, k_term, khat, partial))
+        totals.append(contribution)
+    return terms, _classify_terms(totals), exceptional
 
 
 @pytest.fixture(autouse=True)

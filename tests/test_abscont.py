@@ -12,6 +12,7 @@ from qsodyn.abscont import (
     va_operator,
     va_transition_closed_form,
 )
+from conftest import reference_closed_form, reference_rn_series
 from qsodyn.classify import check_uniqueness_conditions
 from qsodyn.markov import TransitionFamily
 from qsodyn.operator import evaluate
@@ -235,3 +236,99 @@ class TestRnSeries:
         r = rn_series(VaParams.of(1.0, 1.0), VaParams.of(1.0, 0.5), 12)
         assert r.classification == "singular_evidence"
         assert r.exceptional_set_note == ""
+
+
+class TestExceptionalSet:
+    @pytest.mark.parametrize("d", [1e-150, 1e-200])
+    def test_decided_on_exact_stay_rates(self, d):
+        """The denominator's stay rate d * d is positive and below the
+        numerator's 0.15 at both d; at 1e-200 it underflows to 0.0 as a
+        double product, which must not change the verdict or the note."""
+        r = rn_series(VaParams.of(0.5, 0.3), VaParams.of(d, d), 12)
+        assert r.classification == "equivalent_evidence"
+        assert "all-ones" in r.exceptional_set_note
+
+
+# 0.6 cut to 26 bits, so that S * S is a double: a stay rate S**2 against S**3
+S = float.fromhex("0x1.3333330000000p-1")
+EDGES = [0.0, 1.0, 0.5, 2 / 3, 1 - 2**-53, 1e-200, 3.7e-201, S]
+WINDOWS = [
+    CylinderClass("all_ones", 0, 0),
+    CylinderClass("all_ones", 2, 5),
+    CylinderClass("all_ones", 5, 40),
+    CylinderClass("all_twos", 0, 0),
+    CylinderClass("all_twos", 0, 4),
+    CylinderClass("all_twos", 2, 5),
+    CylinderClass("ones_then_twos", 0, 1, 0),
+    CylinderClass("ones_then_twos", 0, 5, 2),
+    CylinderClass("ones_then_twos", 2, 6, 3),
+    CylinderClass("two_one", k=3),
+]
+
+
+def draws(rng, count):
+    """Edge values, values of the 1e-200 scale and values in [0, 1)."""
+    out = []
+    for _ in range(count):
+        r = rng.random()
+        if r < 0.35:
+            out.append(EDGES[rng.integers(len(EDGES))])
+        else:
+            out.append(rng.random() * (1e-200 if r < 0.45 else 1.0))
+    return out
+
+
+def random_window(rng):
+    kind = ("all_ones", "all_twos", "ones_then_twos")[rng.integers(3)]
+    l = int(rng.integers(0, 7))
+    m = l + int(rng.integers(1, 11))
+    return CylinderClass(kind, l, m, int(rng.integers(l, m)))
+
+
+def series_pair(rng):
+    """A numerator and a denominator, the latter equal to the former, one
+    double off it, with y1 = x1**2, or drawn on its own."""
+    a, x1, b, y1 = draws(rng, 4)
+    den = [
+        (a, x1),
+        (a, float(np.nextafter(x1, 0.0))),
+        (a, y1),
+        (b, x1 * x1),
+        (b, y1),
+    ][rng.integers(5)]
+    return VaParams.of(a, x1), VaParams.of(*den)
+
+
+class TestAgainstTheMpmathReference:
+    """Every closed form and series term equals, as a double, what the
+    mpmath dps-40 computation in conftest gives."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_closed_forms(self, seed):
+        rng = np.random.default_rng(seed)
+        for a, x1 in zip(draws(rng, 50), draws(rng, 50)):
+            params = VaParams.of(a, x1)
+            for c in WINDOWS + [random_window(rng) for _ in range(6)]:
+                v = va_cylinder_closed_form(params, c)
+                got = (v.constructive, v.constructive_log, v.printed, v.discrepancy)
+                assert got == reference_closed_form(params, c), (a, x1, c)
+
+    @pytest.mark.parametrize("m_max, count", [(12, 60), (40, 40), (100, 20), (256, 10)])
+    def test_series(self, m_max, count):
+        rng = np.random.default_rng(m_max)
+        for _ in range(count):
+            num, den = series_pair(rng)
+            r = rn_series(num, den, m_max)
+            terms, classification, exceptional = reference_rn_series(num, den, m_max)
+            assert r.terms == terms, (num, den)
+            assert r.classification == classification
+            assert bool(r.exceptional_set_note) == exceptional
+
+    def test_two_hundred_squarings(self):
+        """Each squaring doubles the relative error of a stay probability:
+        carried at 136 bits, the K_hat terms here drift from 1.0 at m = 87
+        and read inf by m = 150."""
+        num, den = VaParams.of(S, S), VaParams.of(S, S * S)
+        r = rn_series(num, den, 200)
+        assert r.terms == reference_rn_series(num, den, 200)[0]
+        assert [khat for _, _, khat, _ in r.terms[7:]] == [1.0] * 193

@@ -156,18 +156,24 @@ COMMANDS = [
     (["validate", "--spec", _fixture("uniqueness_sufficiency_gap")], {"hashlib", "qsodyn.classify"}),
     (["classify", "--spec", _fixture("attracting_not_unique")], {"hashlib", "qsodyn.classify"}),
     (["fixed-points", "--spec", _fixture("attracting_not_unique")], {"hashlib"}),
-    # a family spec builds its operator through abscont, with no mpmath
-    (["iterate", "--spec", _fixture("va_a23"), "--x", "0.5,0.5", "--steps", "3"], {"qsodyn.abscont"}),
+    # a family spec builds its operator through abscont, which imports the
+    # markov kernel it runs on; no command loads mpmath
+    (["iterate", "--spec", _fixture("va_a23"), "--x", "0.5,0.5", "--steps", "3"],
+     {"qsodyn.abscont", "qsodyn.markov"}),
     (["markov", "--spec", _fixture("va_a05"), "--x", "0.5,0.5", "--horizon", "3"],
      {"hashlib", "qsodyn.abscont", "qsodyn.markov"}),
     (["mixing", "--spec", _fixture("va_a23"), "--x", "0.5,0.5", "--A", "0:1", "--B", "0:1", "--m-max", "3"],
      {"qsodyn.abscont", "qsodyn.markov"}),
     (["abscont", "--a", "0.5", "--x", "0.3,0.7", "--y", "0.6,0.4", "--m-max", "3"],
-     {"mpmath", "qsodyn.abscont"}),
+     {"qsodyn.abscont", "qsodyn.markov"}),
+    (["abscont", "--a", "0.5", "--x", "0.3,0.7", "--y", "0.6,0.4", "--m-max", "3", "--format", "csv"],
+     {"qsodyn.abscont", "qsodyn.markov"}),
 ]
 
 
-@pytest.mark.parametrize("argv, loaded", COMMANDS, ids=[argv[0] for argv, _ in COMMANDS])
+@pytest.mark.parametrize(
+    "argv, loaded", COMMANDS, ids=[argv[0] + ("-csv" if "csv" in argv else "") for argv, _ in COMMANDS]
+)
 def test_command_loads_only_what_it_runs(argv, loaded):
     """The command runs in a fresh interpreter, as from the shell; then the
     optional modules in sys.modules are exactly the ones it calls."""

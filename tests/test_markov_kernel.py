@@ -1,11 +1,14 @@
 """The Markov chain's integer kernel against mpmath's own raw operations.
 
 Each kernel operation on nonnegative (mantissa, exponent) pairs must give
-the value that ``mpf_mul``, ``mpf_add``, ``mpf_sub`` (as a magnitude) and
-``mpf_div`` give at the same precision with round-half-even. Operands are handed to mpmath through
+the value that ``mpf_mul``, ``mpf_add``, ``mpf_sub`` (as a magnitude),
+``mpf_div``, ``mpf_sqrt`` and ``mpf_pow_int`` give at the same precision with
+round-half-even. Operands are handed to mpmath through
 ``from_man_exp``, and results are compared as normalized mpf tuples, so two
 equal values compare equal however their mantissas are scaled.
 """
+
+import math
 
 import mpmath
 import pytest
@@ -13,7 +16,9 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import libmp
 
 from conftest import reference_dot
-from qsodyn.markov import _PREC, _add, _div, _dot, _log_float, _matmul, _mul, _pair, _round, _to_float, _unit_sum
+from qsodyn.markov import (
+    _PREC, _add, _div, _dot, _log_float, _matmul, _mul, _pair, _pow, _round, _sqrt, _to_float, _unit_sum,
+)
 
 RND = libmp.round_nearest
 PRECS = [libmp.dps_to_prec(dps) for dps in (15, 40, 60)]  # 53, 136, 203 bits
@@ -172,6 +177,58 @@ class TestOperations:
         for i, row in enumerate(A):
             for j, col in enumerate(zip(*B)):
                 same(got[i][j], mpf_dot(row, col, prec))
+
+
+class TestRootsAndPowers:
+    """The two operations the two-state family's closed forms add."""
+
+    # the family's precision, and the 10 bits wider that its half-integer
+    # powers take the root at
+    ROOT_PRECS = [53, _PREC, _PREC + 10]
+
+    @given(pairs, st.sampled_from(ROOT_PRECS))
+    # roots whose dropped bits read exactly half but for the remainder: only
+    # the sticky bit rounds them up
+    @example((1, 49), 53)
+    @example((7, 46), _PREC)
+    @example((5, -33), _PREC + 10)
+    @example((0, 0), 53)
+    @example((1, 0), _PREC)
+    @example((1, -1), _PREC)
+    def test_sqrt_is_mpf_sqrt(self, v, prec):
+        same(_sqrt(v, prec), libmp.mpf_sqrt(mpf(v), prec, RND))
+
+    @settings(max_examples=60)
+    @given(pairs, st.integers(0, 1 << 12), precs)
+    @example((3, -2), 1 << 12, _PREC)
+    @example((1, -5), 3000, 53)  # a power of two stays exact
+    @example(((1 << 136) - 1, -136), 1 << 12, _PREC)
+    @example(((1 << 600) - 1, -600), 2, 53)  # a wide square, rounded once
+    @example((0, 0), 0, 53)
+    def test_pow_is_mpf_pow_int(self, v, k, prec):
+        """The same steps, so the same bits: the exact power below 1000 bits,
+        truncated binary powering above."""
+        same(_pow(v, k, prec), libmp.mpf_pow_int(mpf(v), k, prec, RND))
+
+    @settings(max_examples=60)
+    @given(st.builds(normalized, st.integers(1, (1 << 146) - 1), exponents), st.integers(1, 1 << 12), precs)
+    @example(((1 << 136) - 1, -136), 1 << 12, _PREC)
+    @example(((1 << 53) - 1, -53), (1 << 12) - 1, 53)
+    def test_pow_is_within_two_ulps_of_the_exact_power(self, v, k, prec):
+        """|_pow - v**k| <= 2**(1 - prec) v**k, against the exact integer power."""
+        (m, e), x = _pow(v, k, prec), v[0] ** k
+        shift = e - v[1] * k
+        got, exact = m << max(shift, 0), x << max(-shift, 0)
+        assert abs(got - exact) << (prec - 1) <= exact
+
+    @given(positive, st.integers(1025, 10**6))
+    @example((1, 0), 1025)  # 2**1024
+    @example(((1 << 54) - 1, 0), 1024)  # rounds up to 2**1024
+    @example((1, 0), 10**9)
+    def test_float_view_is_inf_above_the_double_range(self, v, top):
+        """A value in [2**(top - 1), 2**top), past the largest double."""
+        v = (v[0], top - v[0].bit_length())
+        assert _to_float(v) == libmp.to_float(mpf(v), rnd=RND) == math.inf
 
 
 class TestRoundingCases:
