@@ -78,7 +78,7 @@ def _first_witness(V: QsoOperator, X: np.ndarray) -> Optional[tuple]:
         if bad.any():
             r = int(np.nonzero(bad.any(axis=1))[0][0])
             k = int(np.nonzero(bad[r])[0][0])
-            return SimplexPoint(tuple(B[r].tolist())), k + 1, float(cx[r, k] - cy[r, k])
+            return SimplexPoint(B[r].tolist()), k + 1, float(cx[r, k] - cy[r, k])
     return None
 
 

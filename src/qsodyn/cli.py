@@ -109,7 +109,7 @@ def _order_checks(necessary, verdict) -> dict:
         "necessary_conditions": [asdict(c) for c in necessary],
         "numeric_b_verdict": {
             **asdict(verdict),
-            "witness_point": list(witness.coords) if witness else None,
+            "witness_point": list(witness) if witness else None,
         },
     }
 
@@ -208,7 +208,7 @@ def iterate(spec_path, symmetrize, x_text, steps, tol, max_iter, out):
     prev = None
     for step, p in enumerate(path):
         delta = 0.0 if prev is None else l1_distance(prev, p)
-        rows.append([step, *p.coords, *(partial_sum(p, k) for k in range(1, n)), delta])
+        rows.append([step, *p, *(partial_sum(p, k) for k in range(1, n)), delta])
         prev = p
     _emit_csv(header, rows, out, "iterate")
 
@@ -222,13 +222,13 @@ def fixed_points(spec_path, symmetrize, tol, out):
     """Fixed points, JSON output: the vertex set where the coefficients prove
     it, otherwise the multistart search."""
     V = _load_operator(spec_path, symmetrize)
-    _require(0 < tol < math.inf, f"--tol must be positive and finite, got {tol}")
+    _require(0 < tol < 2, f"--tol must be in (0, 2), as an l1 residual is at most 2, got {tol}")
     fps = find_fixed_points(V, tol=tol)
     result = {
         "dedup_radius": fps.dedup_radius,
         "diagnostics": fps.diagnostics,
         "points": [
-            {"coords": list(p.coords), "residual_l1": r}
+            {"coords": list(p), "residual_l1": r}
             for p, r in zip(fps.points, fps.residuals)
         ],
     }
@@ -259,7 +259,7 @@ def markov(spec_path, symmetrize, x_text, horizon, out):
         for j in range(1, V.n + 1)
     }
     result = {"transition_matrices": mats, "cylinder_measures": {**singles, **pairs}}
-    _emit(_envelope(spec_path, {"symmetrize": symmetrize, "x": list(x.coords), "horizon": horizon}, result), out, "markov")
+    _emit(_envelope(spec_path, {"symmetrize": symmetrize, "x": list(x), "horizon": horizon}, result), out, "markov")
 
 
 @main.command()
@@ -343,7 +343,7 @@ def abscont(a, a2, x_text, y_text, m_max, fmt, out):
             for c, cons, printed, d in disc
         ],
     }
-    config = {"a": a, "a2": a2, "x": list(x.coords), "y": list(y.coords), "m_max": m_max}
+    config = {"a": a, "a2": a2, "x": list(x), "y": list(y), "m_max": m_max}
     _emit(_envelope(None, config, result), out, "abscont")
 
 

@@ -233,7 +233,7 @@ class TransitionFamily:
         self._P = [[[_pair(v, _PREC) for v in vec] for vec in plane] for plane in p]
         # a double start point sums to 1 only within float rounding; at
         # this precision that error would set a floor under every gap
-        self._traj = [_unit_sum([_pair(v, _PREC) for v in start.coords], _PREC)]
+        self._traj = [_unit_sum([_pair(v, _PREC) for v in start], _PREC)]
         self._mats: list = []  # _mats[k] = one-step matrix from time k
         self._prods: dict = {}  # _prods[k][m - k - 1] = H^[k,k+1] ... H^[m-1,m]
 

@@ -99,8 +99,9 @@ class QsoOperator:
     """A validated quadratic stochastic operator x -> V(x). Its tensor is not
     changed after construction: ``clauses`` is decided once.
 
-    Every reader takes p as :func:`make_operator` stores it, read-only and
-    exactly symmetric in its first two indices, which construction checks."""
+    Every reader takes p as :func:`make_operator` stores it, read-only,
+    exactly symmetric in its first two indices and in [0, 1], which
+    construction checks."""
 
     tensor: HeredityTensor
 
@@ -113,6 +114,10 @@ class QsoOperator:
         if asym.any():
             i, j, k = np.argwhere(asym)[0]
             raise TensorError(f"asymmetric pair ({i + 1},{j + 1}) at outcome {k + 1}: {p[i, j, k]} vs {p[j, i, k]}")
+        out = ~((p >= 0.0) & (p <= 1.0))
+        if out.any():  # the order bound in clauses needs A_k to grow with k
+            i, j, k = np.argwhere(out)[0]
+            raise TensorError(f"coefficient ({i + 1},{j + 1},{k + 1}) = {p[i, j, k]} outside [0, 1]")
 
     @property
     def n(self) -> int:
@@ -136,7 +141,7 @@ class QsoOperator:
 
         For e: where upper_block_zero fails at p[i,j,k],
         (A_k - S_k)[i,j] >= p[i,j,k] > 0. Where it holds, (A_k - S_k)[i,j]
-        = 0 for k < min(i,j), and A_k grows with k, as make_operator's
+        = 0 for k < min(i,j), and A_k grows with k, as the stored
         coefficients are nonnegative: so the last k of each step of S_k
         decides, k = max(i,j) - 1 against 1/2 and k = n - 1 against 1. The
         entries of S_k sum to k*n, so e <= 0 proves cumulative_mass.
@@ -288,8 +293,8 @@ def trajectory(
         raise DimensionMismatch(f"operator on {V.n} states, point has {x.n}")
     path = [x] if record_path else None
     p = V.tensor.p
-    # a recorded step allocates two objects the collector tracks and no
-    # cycle: left on, it would pass over the growing path every 350 steps
+    # a recorded step allocates one object the collector tracks, its point,
+    # and no cycle: left on, it would pass over the growing path every 700 steps
     # and promote it towards the full collections, about 10 ms each in the
     # sweep (2-core x86-64)
     pause = record_path and gc.isenabled()
@@ -297,23 +302,23 @@ def trajectory(
         gc.disable()
     try:
         if V.n <= KERNEL_MAX_N:
-            xs, used, step = _orbit_kernel(V.n)(p.ravel().tolist(), x.coords, tol, max_iter, path)
+            xs, used, step = _orbit_kernel(V.n)(p.ravel().tolist(), x, tol, max_iter, path)
         else:
-            xs, used, step = x.coords, 0, inf
+            xs, used, step = x, 0, inf
             while used < max_iter:
-                nxt = _renormalize(np.einsum("ijk,i,j->k", p, xs, xs).tolist(), 1e-9)
+                nxt = SimplexPoint(_renormalize(np.einsum("ijk,i,j->k", p, xs, xs).tolist(), 1e-9))
                 step = _sum([abs(a - b) for a, b in zip(xs, nxt)])
-                xs = tuple(nxt)
+                xs = nxt
                 used += 1
                 if path is not None:
-                    path.append(SimplexPoint(xs))
+                    path.append(xs)
                 if step <= tol:
                     break
     finally:
         if pause:
             gc.enable()
     return TrajectoryResult(
-        limit=x if used == 0 else SimplexPoint(xs),
+        limit=xs,
         iterations_used=used,
         final_step_l1=step,
         converged=step <= tol,
@@ -326,7 +331,7 @@ def _orbit_kernel(n: int):
     """The orbit at n as straight-line code, compiled on first use (0.3 ms
     at n = 2, 1.5 ms at n = 5, 2-core x86-64, Python 3.11.7). Its call
     orbit(c, x, tol, max_iter, path), c being p.ravel().tolist(), returns
-    (coordinates, steps taken, last l1 step) and appends each point taken
+    (last point, steps taken, last l1 step) and appends each point taken
     to path unless path is None; no coefficient enters the source.
 
     y_k adds (p[i,j,k] * x_i) * x_j from +0.0 over every (i, j) in
@@ -359,7 +364,7 @@ def _orbit_kernel(n: int):
         f"            path.append(SimplexPoint(({', '.join(X)},)))",
         "        if step <= tol:",
         "            break",
-        f"    return ({', '.join(X)},), used, step",
+        f"    return x if used == 0 else SimplexPoint(({', '.join(X)},)), used, step",
     ]
     namespace = {"inf": inf, "_renormalize": _renormalize, "SimplexPoint": SimplexPoint}
     exec(compile("\n".join(src), f"<orbit, n = {n}>", "exec"), namespace)
@@ -543,14 +548,16 @@ def proven_fixed_points(V: QsoOperator) -> Optional[np.ndarray]:
 def find_fixed_points(V: QsoOperator, tol: float = 1e-9) -> FixedPointSet:
     """The fixed points of V: the vertices that :func:`proven_fixed_points`
     proves, with their residuals from evaluate_array (0.0), and otherwise
-    the points the multistart search :func:`_multistart` finds."""
-    if not 0 < tol < inf:  # NaN fails too
-        raise ValueError("tol must be positive and finite")
+    the points the multistart search :func:`_multistart` finds. An l1
+    residual on the simplex is at most 2, so tol >= 2 would accept every
+    polished row."""
+    if not 0 < tol < 2:  # NaN fails too
+        raise ValueError("tol must be in (0, 2): an l1 residual on the simplex is at most 2")
     X = proven_fixed_points(V)
     if X is None:
         return _multistart(V, tol)
     return FixedPointSet(
-        points=[SimplexPoint(tuple(x)) for x in X.tolist()],
+        points=list(map(SimplexPoint, X.tolist())),
         residuals=np.abs(evaluate_array(V, X) - X).sum(axis=1).tolist(),
         dedup_radius=DEDUP_RADIUS,
         diagnostics=dict.fromkeys(SEARCH_COUNTERS, 0) | {"method": "coefficient_theorem"},
@@ -609,7 +616,7 @@ def _multistart(V: QsoOperator, tol: float = 1e-9) -> FixedPointSet:
     accepted = ~(residuals > tol)
     kept, merged = _merge(cands[accepted], residuals[accepted].tolist())
     return FixedPointSet(
-        points=[SimplexPoint(tuple(x)) for x, _ in kept],
+        points=[SimplexPoint(x) for x, _ in kept],
         residuals=[r for _, r in kept],
         dedup_radius=DEDUP_RADIUS,
         diagnostics={

@@ -26,21 +26,18 @@ class DimensionMismatch(ValueError):
     """Operands live on simplices of different dimension."""
 
 
-@dataclass(frozen=True)
-class SimplexPoint:
-    """A probability vector on the simplex of dimension n-1."""
+class SimplexPoint(tuple):
+    """A probability vector on the simplex of dimension n-1: its coordinate tuple."""
 
-    coords: tuple
+    __slots__ = ()
+    n = property(len)
+    coords = property(tuple)  # the plain tuple
 
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-    def __getitem__(self, i: int) -> float:
-        return self.coords[i]
+    def __repr__(self) -> str:
+        return f"SimplexPoint(coords={tuple(self)!r})"
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float)
+        return np.asarray(self, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -65,7 +62,7 @@ def make_point(coords: Sequence[float], eps: float = EPS_SIMPLEX) -> SimplexPoin
     arr = np.asarray(coords, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise SimplexError(f"need at least 2 coordinates, got shape {arr.shape}")
-    return SimplexPoint(tuple(_renormalize(arr.tolist(), eps)))
+    return SimplexPoint(_renormalize(arr.tolist(), eps))
 
 
 def _sum(xs: list) -> float:
@@ -132,7 +129,7 @@ def vertex(n: int, i: int) -> SimplexPoint:
     """The i-th (1-based) vertex of the simplex on n states."""
     coords = [0.0] * n
     coords[i - 1] = 1.0
-    return SimplexPoint(tuple(coords))
+    return SimplexPoint(coords)
 
 
 def partial_sum(x: SimplexPoint, k: int) -> float:
@@ -140,7 +137,7 @@ def partial_sum(x: SimplexPoint, k: int) -> float:
     if not 1 <= k <= x.n - 1:
         raise ValueError(f"k={k} out of range 1..{x.n - 1}")
     # left to right as np.cumsum; sum() compensates its rounding since 3.12
-    return float(reduce(add, x.coords[:k]))
+    return float(reduce(add, x[:k]))
 
 
 def _check_same_dim(x: SimplexPoint, y: SimplexPoint) -> None:
@@ -151,8 +148,8 @@ def _check_same_dim(x: SimplexPoint, y: SimplexPoint) -> None:
 def b_leq(x: SimplexPoint, y: SimplexPoint, eps: float = EPS_ORDER) -> OrderVerdict:
     """Prefix-sum (b-)order: holds iff every prefix sum of x is <= that of y."""
     _check_same_dim(x, y)
-    cx = np.cumsum(x.coords)[:-1]
-    cy = np.cumsum(y.coords)[:-1]
+    cx = np.cumsum(x)[:-1]
+    cy = np.cumsum(y)[:-1]
     for k0, (a, b) in enumerate(zip(cx, cy)):
         if a > b + eps:
             return OrderVerdict(False, first_violating_index=k0 + 1, gap=float(b - a))
@@ -166,7 +163,7 @@ def l1_distance(x: SimplexPoint, y: SimplexPoint) -> float:
 
 def _as_points(X: np.ndarray) -> list:
     """Rows of an array already on the simplex as points, without revalidation."""
-    return [SimplexPoint(tuple(row)) for row in X.tolist()]
+    return list(map(SimplexPoint, X.tolist()))
 
 
 def sample_array(n: int, count: int, seed: int) -> np.ndarray:

@@ -253,6 +253,18 @@ class TestFixedPoints:
             runner, ["fixed-points", "--spec", fixture_path("va_a23"), "--tol", tol]
         )
 
+    @pytest.mark.parametrize("tol", ["2", "1e300"])
+    def test_tol_of_two_or_more(self, runner, tol):
+        """An l1 residual on the simplex is at most 2: from 2 on every
+        polished row would pass."""
+        assert_validation_error(
+            runner, ["fixed-points", "--spec", fixture_path("va_a23"), "--tol", tol]
+        )
+
+    def test_tol_just_below_two(self, runner):
+        payload = run_json(runner, ["fixed-points", "--spec", fixture_path("va_a23"), "--tol", "1.999"])
+        assert payload["config"]["tol"] == 1.999
+
 
 class TestMarkov:
     def test_matrices_and_measures(self, runner):

@@ -26,6 +26,7 @@ from qsodyn.operator import (
     DEDUP_RADIUS,
     HeredityTensor,
     QsoOperator,
+    TensorError,
     _merge,
     _multistart,
     _pre_iterate,
@@ -138,12 +139,14 @@ def test_every_seed_is_tried(n):
 
 
 class TestLeavingTheSimplex:
-    """An operator that skips make_operator's range and mass checks (its
-    tensor is symmetric and read-only, as QsoOperator requires): its image
-    leaves the simplex, and the search raises as evaluate() does."""
+    """An operator that skips make_operator's mass check (its tensor is
+    symmetric, read-only and in [0, 1], as QsoOperator requires): its image
+    leaves the simplex, and the search raises as evaluate() does. A
+    negative coefficient, the one way to a negative image coordinate, is
+    refused by the constructor."""
 
     def test_excess_mass(self):
-        p = load_fixture("attracting_not_unique").build().tensor.p * 1.001
+        p = random_general_operator(3, np.random.default_rng(3)).tensor.p * 1.001
         p.flags.writeable = False
         V = QsoOperator(HeredityTensor(3, p))
         with pytest.raises(SimplexError):
@@ -155,9 +158,8 @@ class TestLeavingTheSimplex:
         p = load_fixture("attracting_not_unique").build().tensor.p.copy()
         p[0, 0] = [1.5, -0.5, 0.0]
         p.flags.writeable = False
-        V = QsoOperator(HeredityTensor(3, p))
-        with pytest.raises(SimplexError, match="below"):
-            find_fixed_points(V)
+        with pytest.raises(TensorError, match=r"coefficient \(1,1,1\) = 1.5 outside \[0, 1\]"):
+            QsoOperator(HeredityTensor(3, p))
 
 
 def structured_p():

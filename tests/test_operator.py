@@ -9,7 +9,7 @@ import pytest
 import qsodyn.abscont
 import qsodyn.generate
 import qsodyn.specfile
-from conftest import load_fixture, random_general_operator
+from conftest import cyclic_vertex_operator, load_fixture, random_general_operator
 from qsodyn.abscont import va_operator
 from qsodyn.generate import random_structured_tensors
 from qsodyn.operator import (
@@ -138,6 +138,29 @@ class TestMakeOperator:
         q.flags.writeable = False
         with pytest.raises(TensorError, match=r"pair \(1,1\) at outcome 1: nan vs nan"):
             QsoOperator(HeredityTensor(2, q))
+
+    def test_constructor_rejects_a_coefficient_outside_the_unit_interval(self):
+        """p[1,3,2] = -0.4 in an otherwise symmetric, read-only tensor whose
+        pairs sum to 1: order_bound, which needs nonnegative coefficients,
+        would hold, yet V(x) breaks the order at the grid point
+        (0.025, 0, 0.975), k = 1."""
+        rows = {(1, 1): (0.6, 0.2, 0.2), (1, 2): (0.3, 0.3, 0.4), (1, 3): (0.8, -0.4, 0.6),
+                (2, 2): (0.0, 0.5, 0.5), (2, 3): (0.0, 0.3, 0.7), (3, 3): (0.0, 0.0, 1.0)}
+        p = np.zeros((3, 3, 3))
+        for (i, j), row in rows.items():
+            p[i - 1, j - 1] = p[j - 1, i - 1] = row
+        x = np.array([0.025, 0.0, 0.975])
+        assert np.einsum("ijk,i,j->k", p, x, x)[0] > x[0]
+        p.flags.writeable = False
+        with pytest.raises(TensorError) as err:
+            QsoOperator(HeredityTensor(3, p))
+        assert str(err.value) == "coefficient (1,3,2) = -0.4 outside [0, 1]"
+        q = p.copy()
+        q[0, 2, 1] = q[2, 0, 1] = 0.0
+        q[0, 2, 2] = q[2, 0, 2] = 1.2
+        q.flags.writeable = False
+        with pytest.raises(TensorError, match=r"\(1,3,3\) = 1.2 outside"):
+            QsoOperator(HeredityTensor(3, q))
 
     def test_mirroring(self):
         V = va_operator(0.3)
@@ -279,9 +302,9 @@ class TestIteration:
             (gc.enable if was else gc.disable)()
 
     def test_recorded_orbit_runs_no_young_collection(self, sufficiency_gap_operator):
-        """2,000 recorded steps allocate 4,000 tracked objects, five young
-        collections' worth at the threshold of 700: paused, the collector
-        runs at most once before the orbit and once after it."""
+        """2,000 recorded steps allocate 2,000 tracked points, about three
+        young collections' worth at the threshold of 700: paused, the
+        collector runs at most once before the orbit and once after it."""
         starts = []
         count = lambda phase, info: starts.append(info["generation"]) if phase == "start" else None
         assert gc.isenabled()
@@ -374,8 +397,23 @@ class TestFixedPoints:
         """A NaN tolerance used to let the search take no Newton step and
         return its unpolished seeds."""
         V = random_general_operator(3, np.random.default_rng(3))
-        with pytest.raises(ValueError, match="tol must be positive"):
+        with pytest.raises(ValueError, match=r"tol must be in \(0, 2\)"):
             find_fixed_points(V, tol=tol)
+
+    @pytest.mark.parametrize("tol", [2.0, 1e300])
+    def test_tolerance_of_two_or_more_rejected(self, tol):
+        """An l1 residual on the simplex is at most 2: from 2 on every
+        polished row would pass, and on this operator a point with residual
+        about 2 did."""
+        V = cyclic_vertex_operator(3, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"tol must be in \(0, 2\)"):
+            find_fixed_points(V, tol=tol)
+
+    def test_tolerance_just_below_two_accepted(self):
+        V = cyclic_vertex_operator(3, np.random.default_rng(0))
+        fps = find_fixed_points(V, tol=1.999)
+        assert fps.diagnostics["method"] == "multistart"
+        assert all(r <= 1.999 for r in fps.residuals)
 
     def test_pairwise_separation(self, three_vertex_operator):
         fps = find_fixed_points(three_vertex_operator)

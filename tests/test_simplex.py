@@ -1,13 +1,17 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_grid, reference_grid_array, reference_samples
+from conftest import random_general_operator, reference_grid, reference_grid_array, reference_samples
+from qsodyn.classify import NumericOrderVerdict
+from qsodyn.operator import trajectory
 from qsodyn.simplex import (
     DimensionMismatch,
     SimplexError,
+    SimplexPoint,
     _sum,
     b_leq,
     grid_array,
@@ -58,6 +62,58 @@ class TestMakePoint:
     def test_non_finite_rejected(self, coords):
         with pytest.raises(SimplexError):
             make_point(coords)
+
+
+class TestPointContract:
+    """A point is the tuple of its coordinates: one object, no attribute
+    dict, equal to the plain tuple of the same floats."""
+
+    def test_equals_its_coordinate_tuple(self):
+        p = make_point([0.2, 0.3, 0.5])
+        assert p == (0.2, 0.3, 0.5) == p.coords
+        assert hash(p) == hash((0.2, 0.3, 0.5))
+        assert p != (0.2, 0.5, 0.3)
+
+    def test_coords_and_slices_are_plain_tuples(self):
+        p = make_point([0.2, 0.3, 0.5])
+        assert type(p.coords) is tuple
+        assert type(p[:2]) is tuple and p[:2] == (0.2, 0.3)
+        assert p[0] == 0.2 and p[-1] == 0.5
+
+    def test_n_as_array_and_repr(self):
+        p = make_point([0.25, 0.75])
+        assert p.n == 2
+        a = p.as_array()
+        assert a.dtype == np.float64 and a.tolist() == [0.25, 0.75]
+        assert repr(p) == "SimplexPoint(coords=(0.25, 0.75))"
+        assert repr(vertex(3, 1)) == "SimplexPoint(coords=(1.0, 0.0, 0.0))"
+
+    def test_no_instance_dict_and_immutable(self):
+        p = make_point([0.2, 0.3, 0.5])
+        assert not hasattr(p, "__dict__")
+        with pytest.raises(AttributeError):
+            p.coords = (1.0, 0.0, 0.0)
+        with pytest.raises(AttributeError):
+            p.label = "x"
+        with pytest.raises(TypeError):
+            p[0] = 1.0
+
+    def test_asdict_of_a_verdict_with_a_witness(self):
+        """cli reports the order verdict through dataclasses.asdict."""
+        w = make_point([0.025, 0.0, 0.975])
+        d = asdict(NumericOrderVerdict(True, witness_point=w, violating_k=1, gap=-0.5))
+        assert d["witness_point"] == w.coords and d["violating_k"] == 1
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_recorded_path_holds_points(self, n):
+        """At n = 3 the generated kernel records the path, at n = 6 the
+        einsum loop: every element is a point with no attribute dict."""
+        V = random_general_operator(n, np.random.default_rng(n))
+        tr = trajectory(V, make_point([1.0 / n] * n), max_iter=20, record_path=True)
+        assert len(tr.path) == tr.iterations_used + 1 > 10
+        for p in tr.path:
+            assert type(p) is SimplexPoint and not hasattr(p, "__dict__") and p.n == n
+        assert tr.limit == tr.path[-1] and type(tr.limit) is SimplexPoint
 
 
 class TestPartialSum:
