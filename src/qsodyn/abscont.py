@@ -1,24 +1,26 @@
-"""The one-parameter two-state family with closed-form transitions, its
+"""The one-parameter two-state family's closed-form transitions, its
 cylinder measures, likelihood-ratio machinery, and the numerical
 absolute-continuity classifier.
 
-The family keeps only p[1,1,1] = a free; the remaining coefficients are
-forced by normalization. One-step transitions then have the closed form
-H_11 at time k = (a*x1)^(2^k), with state 2 absorbing. Closed forms and
-series terms run on markov's integer kernel at 136 bits; the series squares
-its stay probabilities once a step, carried wider (see rn_series).
+The family keeps only p[1,1,1] = a free (specfile writes its coefficients).
+One-step transitions have the closed form H_11 at time k = (a*x1)^(2^k),
+with state 2 absorbing. Closed forms and series terms run on markov's
+integer kernel at 136 bits, the series carried wider (see rn_series); only
+a closed form's log view loads mpmath.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .markov import _ONE, _PREC, _ZERO, _add, _div, _log_float, _mul, _pair, _pow, _round, _sqrt, _to_float
-from .operator import QsoOperator, make_operator, tensor_from_entries
+from .operator import QsoOperator
 from .simplex import SimplexPoint, make_point
+from .specfile import OperatorSpec, check_weight
 
 
 TAIL_TOL = 1e-12
@@ -28,17 +30,7 @@ SINGULAR_FLOOR = 1e-6
 
 def va_operator(a: float) -> QsoOperator:
     """The two-state operator with self-replication weight a on state 1."""
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"a must lie in [0, 1], got {a}")
-    entries = {
-        (1, 1, 1): a,
-        (1, 1, 2): 1.0 - a,
-        (1, 2, 1): 0.0,
-        (1, 2, 2): 1.0,
-        (2, 2, 1): 0.0,
-        (2, 2, 2): 1.0,
-    }
-    return make_operator(tensor_from_entries(2, entries))
+    return OperatorSpec(n=2, va=a).build()
 
 
 @dataclass(frozen=True)
@@ -47,8 +39,7 @@ class VaParams:
     x: SimplexPoint
 
     def __post_init__(self):
-        if not 0.0 <= self.a <= 1.0:
-            raise ValueError(f"a must lie in [0, 1], got {self.a}")
+        check_weight(self.a)
         if self.x.n != 2:
             raise ValueError("the family lives on two states")
 
@@ -154,9 +145,14 @@ def _closed_form_pairs(params: VaParams, c: CylinderClass) -> tuple:
 @dataclass(frozen=True)
 class CylinderValue:
     constructive: float
-    constructive_log: float
     printed: float
     discrepancy: float  # |constructive - printed|, linear domain
+    pair: tuple  # the constructive value at _PREC bits
+
+    @property
+    def constructive_log(self) -> float:
+        """Taken from the pair when read, as the log view loads mpmath."""
+        return _log_float(self.pair, _PREC)
 
 
 def va_cylinder_closed_form(params: VaParams, c: CylinderClass) -> CylinderValue:
@@ -165,9 +161,9 @@ def va_cylinder_closed_form(params: VaParams, c: CylinderClass) -> CylinderValue
     cons, printed = _closed_form_pairs(params, c)
     return CylinderValue(
         constructive=_to_float(cons),
-        constructive_log=_log_float(cons, _PREC),
         printed=_to_float(printed),
         discrepancy=_to_float(_add(cons, printed, _PREC, sub=True)),
+        pair=cons,
     )
 
 
@@ -177,13 +173,8 @@ def cylinder_discrepancy_log(params: VaParams, windows: list) -> list:
 
     Returns (class, constructive, printed, |difference|) for each mismatch.
     """
-    out = []
-    for c in windows:
-        cons, printed = _closed_form_pairs(params, c)
-        difference = _to_float(_add(cons, printed, _PREC, sub=True))
-        if difference > 1e-15:
-            out.append((c, _to_float(cons), _to_float(printed), difference))
-    return out
+    values = ((c, va_cylinder_closed_form(params, c)) for c in windows)
+    return [(c, v.constructive, v.printed, v.discrepancy) for c, v in values if v.discrepancy > 1e-15]
 
 
 def _expectation_term(p: tuple, q: tuple) -> tuple:
@@ -250,7 +241,6 @@ def rn_series(num: VaParams, den: VaParams, m_max: int) -> RNSeriesReport:
     m_max + 24 bits wider than _PREC and rounded to it for each step's terms:
     at _PREC, terms of exactly 1.0 drift from m = 87 and read inf by m = 150.
     """
-    from fractions import Fraction  # here: a family spec's operator does not need it
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
     # a zero denominator stay rate against a positive numerator one is a

@@ -1,6 +1,7 @@
-"""Operator spec files: sparse JSON coefficient lists, or a one-parameter
-family selector. Keys other than ``n``, ``coefficients`` and ``va``, such as
-a ``metadata`` block, are ignored."""
+"""Operator spec files: sparse JSON coefficient lists, or a selector of the
+paper's two-state family (p[1,1,1] = a free, state 2 absorbing), whose
+coefficients are written out here. Keys other than ``n``, ``coefficients``
+and ``va``, such as a ``metadata`` block, are ignored."""
 
 from __future__ import annotations
 
@@ -22,12 +23,18 @@ class OperatorSpec:
     va: Optional[float] = None
 
     def build(self, symmetrize: bool = False) -> QsoOperator:
+        entries = self.coefficients
         if self.va is not None:
-            from .abscont import va_operator
-            return va_operator(self.va)
-        return make_operator(
-            tensor_from_entries(self.n, self.coefficients), symmetrize=symmetrize
-        )
+            a = check_weight(self.va)
+            entries = {(1, 1, 1): a, (1, 1, 2): 1.0 - a, (1, 2, 2): 1.0, (2, 2, 2): 1.0}
+        return make_operator(tensor_from_entries(self.n, entries), symmetrize=symmetrize)
+
+
+def check_weight(a: float) -> float:
+    """The family's weight a, which must lie in [0, 1]."""
+    if not 0.0 <= a <= 1.0:
+        raise ValueError(f"a must lie in [0, 1], got {a}")
+    return a
 
 
 def _as_float(value, message: str) -> float:

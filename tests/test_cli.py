@@ -51,16 +51,14 @@ class TestValidate:
         assert "utf-8" in err["message"]
 
     def test_validation_error_exit_code(self, runner, tmp_path):
+        """A tensor that does not normalize, and a family weight outside [0, 1]."""
         spec = tmp_path / "invalid.json"
-        spec.write_text(
-            json.dumps(
-                {"n": 2, "coefficients": [{"i": 1, "j": 1, "k": 1, "p": 0.5}]}
-            )
-        )
-        result = runner.invoke(main, ["validate", "--spec", str(spec)])
-        assert result.exit_code == EXIT_VALIDATION
-        err = json.loads(result.stderr)
-        assert err["error"] == "validation_error"
+        for data in ({"n": 2, "coefficients": [{"i": 1, "j": 1, "k": 1, "p": 0.5}]}, {"va": {"a": 1.5}}):
+            spec.write_text(json.dumps(data))
+            result = runner.invoke(main, ["validate", "--spec", str(spec)])
+            assert result.exit_code == EXIT_VALIDATION
+            err = json.loads(result.stderr)
+            assert err["error"] == "validation_error"
 
     def test_index_out_of_range_is_a_validation_error(self, runner, tmp_path):
         spec = tmp_path / "out_of_range.json"

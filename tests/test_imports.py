@@ -144,8 +144,9 @@ def test_src_stays_under_its_line_budget():
 
 # the modules only some commands need; what else the CLI imports at start-up
 # (click, numpy, operator, simplex, specfile) every command uses. hashlib is
-# loaded only by the JSON reports that hash their spec file.
-OPTIONAL = ("hashlib", "mpmath", "qsodyn.abscont", "qsodyn.classify", "qsodyn.markov")
+# loaded only by the JSON reports that hash their spec file, fractions only
+# by classify and abscont, which decide with exact rationals.
+OPTIONAL = ("fractions", "hashlib", "mpmath", "qsodyn.abscont", "qsodyn.classify", "qsodyn.markov")
 
 
 def _fixture(name: str) -> str:
@@ -153,26 +154,34 @@ def _fixture(name: str) -> str:
 
 
 COMMANDS = [
-    (["validate", "--spec", _fixture("uniqueness_sufficiency_gap")], {"hashlib", "qsodyn.classify"}),
-    (["classify", "--spec", _fixture("attracting_not_unique")], {"hashlib", "qsodyn.classify"}),
+    (["validate", "--spec", _fixture("uniqueness_sufficiency_gap")], {"fractions", "hashlib", "qsodyn.classify"}),
+    (["classify", "--spec", _fixture("attracting_not_unique")], {"fractions", "hashlib", "qsodyn.classify"}),
     (["fixed-points", "--spec", _fixture("attracting_not_unique")], {"hashlib"}),
-    # a family spec builds its operator through abscont, which imports the
-    # markov kernel it runs on; no command loads mpmath
-    (["iterate", "--spec", _fixture("va_a23"), "--x", "0.5,0.5", "--steps", "3"],
-     {"qsodyn.abscont", "qsodyn.markov"}),
-    (["markov", "--spec", _fixture("va_a05"), "--x", "0.5,0.5", "--horizon", "3"],
-     {"hashlib", "qsodyn.abscont", "qsodyn.markov"}),
+    # specfile builds a family spec's operator itself, so only the chain
+    # commands load the markov kernel; abscont alone loads abscont, and no
+    # command loads mpmath
+    (["iterate", "--spec", _fixture("va_a23"), "--x", "0.5,0.5", "--steps", "3"], set()),
+    (["markov", "--spec", _fixture("va_a05"), "--x", "0.5,0.5", "--horizon", "3"], {"hashlib", "qsodyn.markov"}),
     (["mixing", "--spec", _fixture("va_a23"), "--x", "0.5,0.5", "--A", "0:1", "--B", "0:1", "--m-max", "3"],
-     {"qsodyn.abscont", "qsodyn.markov"}),
+     {"qsodyn.markov"}),
     (["abscont", "--a", "0.5", "--x", "0.3,0.7", "--y", "0.6,0.4", "--m-max", "3"],
-     {"qsodyn.abscont", "qsodyn.markov"}),
+     {"fractions", "qsodyn.abscont", "qsodyn.markov"}),
     (["abscont", "--a", "0.5", "--x", "0.3,0.7", "--y", "0.6,0.4", "--m-max", "3", "--format", "csv"],
-     {"qsodyn.abscont", "qsodyn.markov"}),
+     {"fractions", "qsodyn.abscont", "qsodyn.markov"}),
+]
+# the commands that run no chain, on a family spec
+FAMILY_COMMANDS = [
+    (["validate", "--spec", _fixture("va_a05")], {"fractions", "hashlib", "qsodyn.classify"}),
+    (["classify", "--spec", _fixture("va_a05")], {"fractions", "hashlib", "qsodyn.classify"}),
+    (["fixed-points", "--spec", _fixture("va_a05")], {"hashlib"}),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, loaded", COMMANDS, ids=[argv[0] + ("-csv" if "csv" in argv else "") for argv, _ in COMMANDS]
+    "argv, loaded",
+    COMMANDS + FAMILY_COMMANDS,
+    ids=[argv[0] + ("-csv" if "csv" in argv else "") for argv, _ in COMMANDS]
+    + [argv[0] + "-family" for argv, _ in FAMILY_COMMANDS],
 )
 def test_command_loads_only_what_it_runs(argv, loaded):
     """The command runs in a fresh interpreter, as from the shell; then the

@@ -6,7 +6,6 @@ from importlib import resources
 import numpy as np
 import pytest
 
-import qsodyn.abscont
 import qsodyn.generate
 import qsodyn.specfile
 from conftest import cyclic_vertex_operator, load_fixture, random_general_operator
@@ -88,7 +87,7 @@ class TestMakeOperator:
             made.append((tensor.p, V.tensor.p))
             return V
 
-        for module in (qsodyn.abscont, qsodyn.generate, qsodyn.specfile):
+        for module in (qsodyn.generate, qsodyn.specfile):
             monkeypatch.setattr(module, "make_operator", recording)
         manifest = json.loads(resources.files("qsodyn").joinpath("fixtures/manifest.json").read_text())
         for name in manifest["fixtures"]:

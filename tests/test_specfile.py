@@ -1,9 +1,9 @@
-import numpy as np
 import pytest
 
 from conftest import fixture_path
 from qsodyn.abscont import va_operator
 from qsodyn.specfile import (
+    OperatorSpec,
     SpecFileError,
     load_spec,
     parse_spec,
@@ -14,7 +14,16 @@ class TestParsing:
     def test_va_form(self):
         spec = parse_spec({"va": {"a": 0.5}})
         assert spec.va == 0.5
-        assert np.allclose(spec.build().tensor.p, va_operator(0.5).tensor.p)
+        for a in (0.0, 5e-324, 0.5, 2 / 3, 1 - 2**-53, 1.0):
+            for symmetrize in (False, True):
+                built = OperatorSpec(n=2, va=a).build(symmetrize=symmetrize).tensor.p
+                assert built.tobytes() == va_operator(a).tensor.p.tobytes(), (a, symmetrize)
+        for a in (-0.1, 1.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError) as from_spec:
+                OperatorSpec(n=2, va=a).build()
+            with pytest.raises(ValueError) as from_family:
+                va_operator(a)
+            assert str(from_spec.value) == str(from_family.value) == f"a must lie in [0, 1], got {a}"
 
     def test_coefficient_form(self):
         spec = parse_spec(
