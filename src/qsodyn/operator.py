@@ -27,6 +27,7 @@ EPS_COEF = 1e-12
 
 TRAJECTORY_TOL = 1e-12
 TRAJECTORY_MAX_ITER = 10_000
+ORBIT_EPS = 1e-9  # how far an image's total may stray from 1 before a step renormalizes it
 # an orbit at n <= KERNEL_MAX_N runs in one call of generated straight-line
 # code (_orbit_kernel): on dense draws 2.2 us a step at n = 4 and 3.9 at
 # n = 5, against 5.7 and 6.1 through the einsum, but 6.5 against 6.6 at
@@ -94,14 +95,28 @@ class CoefficientClauses:
     order_bound: bool
 
 
+def _check_coefficients(p: np.ndarray, eps: float) -> None:
+    """Raise at the first coefficient, in row-major order, outside
+    [-eps, 1 + eps], NaN included; then at the first p[i,j,k] more than eps
+    from p[j,i,k]. The range goes first: an inf and its mirror differ by NaN."""
+    out = ~((p >= -eps) & (p <= 1.0 + eps))
+    if out.any():
+        i, j, k = np.argwhere(out)[0]
+        raise TensorError(f"coefficient ({i + 1},{j + 1},{k + 1}) = {p[i, j, k]} outside [0, 1]")
+    asym = ~(np.abs(p - p.transpose(1, 0, 2)) <= eps)  # NaN fails too
+    if asym.any():
+        i, j, k = np.argwhere(asym)[0]
+        raise TensorError(f"asymmetric pair ({i + 1},{j + 1}) at outcome {k + 1}: {p[i, j, k]} vs {p[j, i, k]}")
+
+
 @dataclass(frozen=True)
 class QsoOperator:
     """A validated quadratic stochastic operator x -> V(x). Its tensor is not
     changed after construction: ``clauses`` is decided once.
 
-    Every reader takes p as :func:`make_operator` stores it, read-only,
-    exactly symmetric in its first two indices and in [0, 1], which
-    construction checks."""
+    Every reader takes p as :func:`make_operator` stores it, read-only, in
+    [0, 1] and exactly symmetric in its first two indices, which
+    construction checks exactly, in that order."""
 
     tensor: HeredityTensor
 
@@ -110,14 +125,7 @@ class QsoOperator:
         if not isinstance(p, np.ndarray) or p.shape != (n, n, n) or p.flags.writeable or not p.flags.owndata:
             # a read-only view of a writeable array could still change
             raise TensorError(f"tensor must be a read-only array of shape {(n, n, n)} that owns its data")
-        asym = p != p.transpose(1, 0, 2)  # NaN is asymmetric too
-        if asym.any():
-            i, j, k = np.argwhere(asym)[0]
-            raise TensorError(f"asymmetric pair ({i + 1},{j + 1}) at outcome {k + 1}: {p[i, j, k]} vs {p[j, i, k]}")
-        out = ~((p >= 0.0) & (p <= 1.0))
-        if out.any():  # the order bound in clauses needs A_k to grow with k
-            i, j, k = np.argwhere(out)[0]
-            raise TensorError(f"coefficient ({i + 1},{j + 1},{k + 1}) = {p[i, j, k]} outside [0, 1]")
+        _check_coefficients(p, 0.0)  # the order bound in clauses needs A_k to grow with k
 
     @property
     def n(self) -> int:
@@ -186,9 +194,9 @@ class QsoOperator:
 def make_operator(tensor: HeredityTensor, symmetrize: bool = False) -> QsoOperator:
     """Validate a heredity tensor and store it exactly symmetric, read-only.
 
-    Checks: at least two states and an (n, n, n) array; then, each to within
-    EPS_COEF, entries in [0, 1], symmetry in the first two indices, and unit
-    mass over the third index for every pair. It stores the average of p and
+    Checks, in order: two states or more, an (n, n, n) array, and, to within
+    EPS_COEF, :func:`_check_coefficients` (range, then symmetry) and unit mass
+    over the third index for every pair. It stores the average of p and
     its (1, 0, 2) transpose, clipped onto [0, 1]: p to the bit where p is
     symmetric, else each coefficient between its two halves. ``symmetrize``
     averages before the checks, so a pair may differ by more than EPS_COEF.
@@ -202,20 +210,7 @@ def make_operator(tensor: HeredityTensor, symmetrize: bool = False) -> QsoOperat
     mean = 0.5 * (p + p.transpose(1, 0, 2))
     if symmetrize:
         p = mean
-    bad = ~((p >= -EPS_COEF) & (p <= 1 + EPS_COEF))  # NaN fails both comparisons
-    if bad.any():
-        i, j, k = np.unravel_index(np.argmax(bad), bad.shape)
-        raise TensorError(
-            f"coefficient ({i + 1},{j + 1},{k + 1}) = {p[i, j, k]} "
-            "outside [0, 1]"
-        )
-    asym = np.abs(p - p.transpose(1, 0, 2))
-    if asym.max() > EPS_COEF:
-        i, j, k = np.unravel_index(np.argmax(asym), asym.shape)
-        raise TensorError(
-            f"asymmetric pair ({i + 1},{j + 1}) at outcome {k + 1}: "
-            f"{p[i, j, k]} vs {p[j, i, k]}"
-        )
+    _check_coefficients(p, EPS_COEF)
     sums = p.sum(axis=2)
     dev = np.abs(sums - 1.0)
     if dev.max() > EPS_COEF:
@@ -233,7 +228,7 @@ def evaluate(V: QsoOperator, x: SimplexPoint) -> SimplexPoint:
     if x.n != V.n:
         raise DimensionMismatch(f"operator on {V.n} states, point has {x.n}")
     xa = x.as_array()
-    return make_point(np.einsum("ijk,i,j->k", V.tensor.p, xa, xa), eps=1e-9)
+    return make_point(np.einsum("ijk,i,j->k", V.tensor.p, xa, xa), eps=ORBIT_EPS)
 
 
 def block_rows(n: int) -> int:
@@ -306,7 +301,7 @@ def trajectory(
         else:
             xs, used, step = x, 0, inf
             while used < max_iter:
-                nxt = SimplexPoint(_renormalize(np.einsum("ijk,i,j->k", p, xs, xs).tolist(), 1e-9))
+                nxt = SimplexPoint(_renormalize(np.einsum("ijk,i,j->k", p, xs, xs).tolist(), ORBIT_EPS))
                 step = _sum([abs(a - b) for a, b in zip(xs, nxt)])
                 xs = nxt
                 used += 1
@@ -338,8 +333,8 @@ def _orbit_kernel(n: int):
     row-major order, as np.einsum("ijk,i,j->k", p, xs, xs) does, so y is
     the einsum's image to the bit, NaN where it has one. Where every
     y_k > 0.0 and their total t, added left to right from +0.0 as _sum adds
-    fewer than 8 terms, is within 1e-9 of 1, _renormalize would neither
-    raise nor clip, and z is y_k / t; otherwise z is _renormalize(y, 1e-9).
+    fewer than 8 terms, is within ORBIT_EPS of 1, _renormalize would neither
+    raise nor clip, and z is y_k / t; otherwise z is _renormalize(y, ORBIT_EPS).
     The l1 step adds |x_k - z_k| left to right as well."""
     X = [f"x{i}" for i in range(n)]
     Y = [f"y{k}" for k in range(n)]
@@ -353,10 +348,10 @@ def _orbit_kernel(n: int):
         "    while used < max_iter:",
         *(f"        y{k} = 0.0 + " + " + ".join(f"{c(i, j, k)} * x{i} * x{j}" for i in range(n) for j in range(n)) for k in range(n)),
         f"        t = 0.0 + {' + '.join(Y)}",
-        f"        if {' and '.join(y + ' > 0.0' for y in Y)} and abs(t - 1.0) <= 1e-9:",
+        f"        if {' and '.join(y + ' > 0.0' for y in Y)} and abs(t - 1.0) <= ORBIT_EPS:",
         f"            {', '.join(Z)} = {', '.join(y + ' / t' for y in Y)}",
         "        else:",
-        f"            {', '.join(Z)} = _renormalize([{', '.join(Y)}], 1e-9)",
+        f"            {', '.join(Z)} = _renormalize([{', '.join(Y)}], ORBIT_EPS)",
         f"        step = 0.0 + {' + '.join(f'abs({x} - {z})' for x, z in zip(X, Z))}",
         f"        {', '.join(X)} = {', '.join(Z)}",
         "        used += 1",
@@ -366,7 +361,7 @@ def _orbit_kernel(n: int):
         "            break",
         f"    return x if used == 0 else SimplexPoint(({', '.join(X)},)), used, step",
     ]
-    namespace = {"inf": inf, "_renormalize": _renormalize, "SimplexPoint": SimplexPoint}
+    namespace = {"inf": inf, "ORBIT_EPS": ORBIT_EPS, "_renormalize": _renormalize, "SimplexPoint": SimplexPoint}
     exec(compile("\n".join(src), f"<orbit, n = {n}>", "exec"), namespace)
     return namespace["orbit"]
 
@@ -427,7 +422,7 @@ def _pre_iterate(V: QsoOperator, X: np.ndarray):
     live = np.arange(len(X))  # the rows of X still iterating; rows holds their values
     rows = X
     for _ in range(PRE_ITER_MAX):
-        nxt = renormalize_rows(evaluate_array(V, rows), eps=1e-9)
+        nxt = renormalize_rows(evaluate_array(V, rows), eps=ORBIT_EPS)
         step = np.add.reduce(np.abs(nxt - rows), axis=1)
         rows = nxt
         stop = step <= PRE_ITER_TOL
@@ -566,12 +561,11 @@ def find_fixed_points(V: QsoOperator, tol: float = 1e-9) -> FixedPointSet:
 
 @lru_cache(maxsize=8)
 def _search_seeds(n: int) -> np.ndarray:
-    """The C(n+5, 6) + n + 1 seeds of :func:`_multistart`: the vertices, the
-    barycenter and the resolution-6 grid, sorted as their coordinate tuples
-    sort. Built once per n and returned read-only from a cache of the 8
-    latest n; the largest at n <= 8 is 1,725 x 8 doubles, 110 KB."""
-    seeds = np.concatenate([np.eye(n), renormalize_rows(np.full((1, n), 1.0 / n)), grid_array(n, 6)])
-    seeds = seeds[np.lexsort(seeds.T[::-1])]  # stable, like sorting the coordinate tuples
+    """The seeds of :func:`_multistart` in coordinate-tuple order, each point
+    once: the C(n+5, 6) resolution-6 grid points, the vertices among them,
+    and the barycenter, itself a grid point where n divides 6. Read-only."""
+    seeds = np.concatenate([renormalize_rows(np.full((1, n), 1.0 / n)), grid_array(n, 6)])
+    seeds = np.unique(seeds, axis=0, return_index=True)[0]  # return_index skips its import of numpy.ma
     seeds.flags.writeable = False
     return seeds
 

@@ -189,11 +189,11 @@ def reference_newton_polish(V, x, tol, max_steps=60):
 
 
 def reference_seeds(n):
-    seeds = [vertex(n, i) for i in range(1, n + 1)]
-    seeds.append(make_point([1.0 / n] * n))
-    seeds.extend(grid_simplex(n, 6))
-    seeds.sort(key=lambda p: p.coords)
-    return seeds
+    """The vertices, the barycenter and the resolution-6 grid, each point once."""
+    seeds = {vertex(n, i) for i in range(1, n + 1)}
+    seeds.add(make_point([1.0 / n] * n))
+    seeds.update(grid_simplex(n, 6))
+    return sorted(seeds, key=lambda p: p.coords)
 
 
 def reference_fixed_points(V, tol=1e-9, dedup_radius=1e-6):
@@ -364,6 +364,7 @@ def reference_batched_fixed_points(V, tol=1e-9, dedup_radius=1e-6):
     n = V.n
     seeds = np.concatenate([np.eye(n), reference_renormalize_rows(np.full((1, n), 1.0 / n)), grid_array(n, 6)])
     seeds = seeds[np.lexsort(seeds.T[::-1])]
+    seeds = seeds[np.r_[True, (seeds[1:] != seeds[:-1]).any(axis=1)]]  # each point once
     limits, last_step = reference_pre_iterate(V, seeds)
     polished = [
         reference_batched_newton(V, limits[s : s + REFERENCE_ROW_BLOCK], tol)

@@ -36,7 +36,7 @@ from qsodyn.operator import (
     proven_fixed_points,
     trajectory,
 )
-from qsodyn.simplex import SimplexError, l1_distance, make_point
+from qsodyn.simplex import SimplexError, l1_distance, make_point, vertex
 
 FIXTURES = ["attracting_not_unique", "uniqueness_sufficiency_gap", "unique_not_contractive_s2"]
 # (structured, general) operators compared with the reference at each n: 200 in all,
@@ -133,7 +133,7 @@ def test_every_seed_is_tried(n):
     V = random_general_operator(n, np.random.default_rng(n))
     fps = find_fixed_points(V)
     d = fps.diagnostics
-    assert d["seeds_tried"] == comb(n + 5, 6) + n + 1
+    assert d["seeds_tried"] == comb(n + 5, 6) + (6 % n != 0)  # the grid holds the barycenter where n divides 6
     assert d["merged"] + d["rejected_by_residual"] + len(fps.points) == d["seeds_tried"]
     assert 0 <= d["seeds_converged"] <= d["seeds_tried"]
 
@@ -358,10 +358,14 @@ class TestMerge:
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_seeds_are_built_once_read_only(n):
-    """The search's seeds are the reference seeds in their order, built
-    once per n; a write into them raises."""
+    """The search's seeds are the reference seeds in their order, each point
+    once, the vertices and the barycenter among them, built once per n; a
+    write into them raises."""
     seeds = _search_seeds(n)
     assert seeds.tolist() == [list(s.coords) for s in reference_seeds(n)]
+    rows = set(map(tuple, seeds.tolist()))
+    assert len(rows) == len(seeds)
+    assert {vertex(n, i) for i in range(1, n + 1)} | {make_point([1.0 / n] * n)} <= rows
     assert _search_seeds(n) is seeds
     assert not seeds.flags.writeable
     with pytest.raises(ValueError, match="read-only"):

@@ -123,7 +123,8 @@ class TestMakeOperator:
     def test_constructor_rejects_an_asymmetric_tensor(self):
         """p[1,2,1] = 0.6 and p[2,1,1] = 0.4 would let clauses read the row
         alone; the error names the first asymmetric pair, a signed zero is
-        symmetric with its opposite, and NaN with nothing."""
+        symmetric with its opposite, and NaN is refused by the range check,
+        which comes first."""
         p = np.array([[[0.5, 0.5], [0.6, 0.4]], [[0.4, 0.6], [-0.0, 1.0]]])
         p.flags.writeable = False
         with pytest.raises(TensorError) as err:
@@ -135,8 +136,33 @@ class TestMakeOperator:
         q = q.copy()
         q[0, 0, 0] = np.nan
         q.flags.writeable = False
-        with pytest.raises(TensorError, match=r"pair \(1,1\) at outcome 1: nan vs nan"):
+        with pytest.raises(TensorError) as err:
             QsoOperator(HeredityTensor(2, q))
+        assert str(err.value) == "coefficient (1,1,1) = nan outside [0, 1]"
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({(1, 3, 2): -0.4}, "coefficient (1,3,2) = -0.4 outside [0, 1]"),
+            # inf - inf is NaN: the range check, which comes first, names it
+            ({(1, 2, 1): np.inf, (2, 1, 1): np.inf}, "coefficient (1,2,1) = inf outside [0, 1]"),
+            # the first asymmetric pair in row-major order, not the largest
+            ({(1, 2, 3): 0.3, (2, 1, 3): 0.2, (2, 3, 1): 0.9, (3, 2, 1): 0.1},
+             "asymmetric pair (1,2) at outcome 3: 0.3 vs 0.2"),
+        ],
+    )
+    def test_both_builders_give_one_message(self, entries, message):
+        """make_operator and the constructor run one check, range first, then
+        symmetry, and report the same offender in the same words."""
+        p = np.full((3, 3, 3), 1 / 3)
+        for (i, j, k), v in entries.items():
+            p[i - 1, j - 1, k - 1] = v
+        p.flags.writeable = False
+        with pytest.raises(TensorError) as built:
+            make_operator(HeredityTensor(3, p))
+        with pytest.raises(TensorError) as constructed:
+            QsoOperator(HeredityTensor(3, p))
+        assert str(built.value) == str(constructed.value) == message
 
     def test_constructor_rejects_a_coefficient_outside_the_unit_interval(self):
         """p[1,3,2] = -0.4 in an otherwise symmetric, read-only tensor whose
