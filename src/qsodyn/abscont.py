@@ -1,6 +1,6 @@
 """The one-parameter two-state family's closed-form transitions, its
-cylinder measures, likelihood-ratio machinery, and the numerical
-absolute-continuity classifier.
+cylinder measures, likelihood-ratio machinery, and the exact verdict on
+whether its absolute-continuity series converges.
 
 The family keeps only p[1,1,1] = a free (specfile writes its coefficients).
 One-step transitions have the closed form H_11 at time k = (a*x1)^(2^k),
@@ -21,11 +21,6 @@ from .markov import _ONE, _PREC, _ZERO, _add, _div, _log_float, _mul, _pair, _po
 from .operator import QsoOperator
 from .simplex import SimplexPoint, make_point
 from .specfile import OperatorSpec, check_weight
-
-
-TAIL_TOL = 1e-12
-DECREASE_FACTOR = 10.0
-SINGULAR_FLOOR = 1e-6
 
 
 def va_operator(a: float) -> QsoOperator:
@@ -208,49 +203,43 @@ class RNSeriesReport:
     numerator: VaParams
     denominator: VaParams
     terms: list  # list of (m, K_term, Khat_term, partial_sum)
-    classification: str  # equivalent_evidence / singular_evidence / undecided
+    classification: str  # singular_evidence iff the series diverges, else equivalent_evidence
     exceptional_set_note: str
 
 
-def _classify_terms(totals: list) -> str:
-    last = totals[-1]
-    if last < TAIL_TOL:
-        tail = totals[-3:]
-        decreasing = all(
-            b == 0.0 or b <= a / DECREASE_FACTOR for a, b in zip(tail, tail[1:])
-        )
-        if decreasing or all(t == 0.0 for t in tail):
-            return "equivalent_evidence"
-    if len(totals) >= 5 and all(t >= SINGULAR_FLOOR for t in totals[-5:]):
-        return "singular_evidence"
-    return "undecided"
-
-
 def rn_series(num: VaParams, den: VaParams, m_max: int) -> RNSeriesReport:
-    """Partial sums of the conditional second-moment series, with an
-    evidence-level convergence verdict (never a proof).
+    """Partial sums of the conditional second-moment series, and whether it
+    converges, decided exactly on the stay rates alpha = a*x1 (numerator) and
+    beta = a'*y1 (denominator): singular_evidence iff alpha != beta and
+    alpha = 1, beta = 0 or beta = 1. The verdict is the convergence of the
+    printed series; it reads no start law.
 
-    When the numerator's stay rate exceeds the denominator's and is below 1,
-    the stay-event contribution lives only on the single all-ones trajectory,
-    which carries zero mass for both chains in the limit; that exceptional
-    trajectory is excluded from the accumulated series and reported in the
-    note, matching the almost-sure form of the convergence dichotomy.
+    Where 1 > alpha > beta > 0, the stay-event contribution lives only on the
+    all-ones trajectory, whose limiting mass is zero under both chains; that
+    exceptional trajectory is left out of the accumulated series and named
+    in the note, the almost-sure form of the convergence dichotomy.
 
-    The step-m stay probabilities rate^(2^(m-1)) take one squaring a step.
-    Each squaring doubles the relative error carried, so both are carried
-    m_max + 24 bits wider than _PREC and rounded to it for each step's terms:
-    at _PREC, terms of exactly 1.0 drift from m = 87 and read inf by m = 150.
+    Proof, with the step-m stay probabilities p_m = alpha^(2^(m-1)) and
+    q_m = beta^(2^(m-1)): if alpha = beta, every term is exactly 0; if
+    beta = 1 != alpha, every K term is infinite; if beta = 0 < alpha, every
+    K_hat term is; if alpha = 1 > beta > 0, K_hat_m = (1 - 1/q_m)^2 has no
+    bound. Otherwise alpha < 1 and 0 < beta < 1: p_m and q_m fall doubly
+    exponentially, so does K_m = (p_m - q_m)^2 (1 - p_m) / (1 - q_m)^2, and
+    K_hat_m <= p_m is counted only where p_m <= q_m. Both series converge.
+
+    The stay probabilities take one squaring a step. Each squaring doubles
+    the relative error carried, so both are carried m_max + 24 bits wider
+    than _PREC and rounded to it for each step's terms: at _PREC, terms of
+    exactly 1.0 drift from m = 87 and read inf by m = 150.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
-    # a zero denominator stay rate against a positive numerator one is a
-    # finite-horizon singular witness, not a limit phenomenon; keep it. At a
-    # numerator stay rate of 1 that chain never leaves state 1, so the
-    # all-ones trajectory carries all of its mass; keep it too. The rates
-    # are compared exactly: their double products round, and underflow
-    exceptional = 1 > Fraction(num.a) * Fraction(num.x1) > Fraction(den.a) * Fraction(den.x1) > 0
+    # exact rates, as double products round and underflow; beta = 0 < alpha is a finite-horizon
+    # witness, and at alpha = 1 all-ones carries all the numerator's mass: neither is exceptional
+    alpha, beta = Fraction(num.a) * Fraction(num.x1), Fraction(den.a) * Fraction(den.x1)
+    exceptional = 1 > alpha > beta > 0
+    singular = alpha != beta and (alpha == 1 or beta in (0, 1))
     terms = []
-    totals = []
     partial = 0.0
     wide = _PREC + m_max + 24
     # the stay rates a * x1, exact: a product of two doubles has 106 bits
@@ -258,10 +247,8 @@ def rn_series(num: VaParams, den: VaParams, m_max: int) -> RNSeriesReport:
     q_wide = _mul(_pair(den.a, _PREC), _pair(den.x1, _PREC), _PREC)
     for m in range(1, m_max + 1):
         k_term, khat = _expectation_term(_round(*p_wide, _PREC), _round(*q_wide, _PREC))
-        contribution = k_term if exceptional else k_term + khat
-        partial += contribution
+        partial += k_term if exceptional else k_term + khat
         terms.append((m, k_term, khat, partial))
-        totals.append(contribution)
         p_wide, q_wide = _mul(p_wide, p_wide, wide), _mul(q_wide, q_wide, wide)
     note = ""
     if exceptional:
@@ -271,4 +258,4 @@ def rn_series(num: VaParams, den: VaParams, m_max: int) -> RNSeriesReport:
             "chains; its stay-event contribution is excluded from the "
             "accumulated series"
         )
-    return RNSeriesReport(num, den, terms, _classify_terms(totals), note)
+    return RNSeriesReport(num, den, terms, "singular_evidence" if singular else "equivalent_evidence", note)

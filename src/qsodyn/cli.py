@@ -15,7 +15,7 @@ import click
 
 from . import __version__
 # classify, markov and abscont load only in the commands calling them; none loads mpmath
-from .operator import evaluate, find_fixed_points, trajectory
+from .operator import FIXED_POINT_TOL, TRAJECTORY_MAX_ITER, TRAJECTORY_TOL, evaluate, find_fixed_points, trajectory
 from .simplex import l1_distance, make_point, partial_sum
 from .specfile import SpecFileError, load_spec, spec_hash
 
@@ -180,8 +180,8 @@ def classify(spec_path, symmetrize, seed, out):
 @symmetrize_opt
 @click.option("--x", "x_text", required=True, help="start point, comma-separated")
 @click.option("--steps", type=int, default=None, help="fixed iteration count")
-@click.option("--tol", type=float, default=1e-12, show_default=True)
-@click.option("--max-iter", type=int, default=10_000, show_default=True)
+@click.option("--tol", type=float, default=TRAJECTORY_TOL, show_default=True)
+@click.option("--max-iter", type=int, default=TRAJECTORY_MAX_ITER, show_default=True)
 @out_opt
 def iterate(spec_path, symmetrize, x_text, steps, tol, max_iter, out):
     """Trajectory CSV: step, coordinates, prefix sums, step size."""
@@ -216,7 +216,7 @@ def iterate(spec_path, symmetrize, x_text, steps, tol, max_iter, out):
 @main.command("fixed-points")
 @spec_opt
 @symmetrize_opt
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@click.option("--tol", type=float, default=FIXED_POINT_TOL, show_default=True)
 @out_opt
 def fixed_points(spec_path, symmetrize, tol, out):
     """Fixed points, JSON output: the vertex set where the coefficients prove

@@ -27,6 +27,7 @@ EPS_COEF = 1e-12
 
 TRAJECTORY_TOL = 1e-12
 TRAJECTORY_MAX_ITER = 10_000
+FIXED_POINT_TOL = 1e-9
 ORBIT_EPS = 1e-9  # how far an image's total may stray from 1 before a step renormalizes it
 # an orbit at n <= KERNEL_MAX_N runs in one call of generated straight-line
 # code (_orbit_kernel): on dense draws 2.2 us a step at n = 4 and 3.9 at
@@ -540,7 +541,7 @@ def proven_fixed_points(V: QsoOperator) -> Optional[np.ndarray]:
     return np.eye(V.n)[np.array([V.n, *reversed(c.C)]) - 1]
 
 
-def find_fixed_points(V: QsoOperator, tol: float = 1e-9) -> FixedPointSet:
+def find_fixed_points(V: QsoOperator, tol: float = FIXED_POINT_TOL) -> FixedPointSet:
     """The fixed points of V: the vertices that :func:`proven_fixed_points`
     proves, with their residuals from evaluate_array (0.0), and otherwise
     the points the multistart search :func:`_multistart` finds. An l1
@@ -594,7 +595,7 @@ def _merge(A: np.ndarray, res: list):
     return sorted(((A[c].tolist(), res[c]) for c in found), key=lambda xr: xr[0]), merged
 
 
-def _multistart(V: QsoOperator, tol: float = 1e-9) -> FixedPointSet:
+def _multistart(V: QsoOperator, tol: float) -> FixedPointSet:
     """Multistart search from :func:`_search_seeds`, all pre-iterated and
     then polished by damped Newton as one array. The polished rows whose
     residual is not above tol merge by :func:`_merge`."""

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qsodyn.abscont import CylinderClass, VaParams, _classify_terms
+from qsodyn.abscont import CylinderClass, VaParams
 from qsodyn.classify import NumericOrderVerdict, _default_resolution
 from qsodyn.generate import random_structured_tensors
 from qsodyn.markov import _ZERO, _add, _mul
@@ -672,17 +672,18 @@ def reference_closed_form(params, c):
 def reference_rn_series(num, den, m_max):
     """rn_series's terms, its classification and whether it excludes the
     exceptional set, each term from its own power of the stay rates; the
-    exceptional set is decided on the exact rates."""
+    exceptional set and the classification are decided on the exact rates:
+    the series diverges iff the rates differ and the numerator's is 1 or the
+    denominator's is 0 or 1."""
     num_rate, den_rate = _stay_rate(num), _stay_rate(den)
     exceptional = 1 > num_rate > den_rate > 0
-    terms, totals, partial = [], [], 0.0
+    terms, partial = [], 0.0
     for m in range(1, m_max + 1):
         k_term, khat = _expectation_term(num_rate, den_rate, m)
-        contribution = k_term if exceptional else k_term + khat
-        partial += contribution
+        partial += k_term if exceptional else k_term + khat
         terms.append((m, k_term, khat, partial))
-        totals.append(contribution)
-    return terms, _classify_terms(totals), exceptional
+    singular = num_rate != den_rate and (num_rate == 1 or den_rate in (0, 1))
+    return terms, "singular_evidence" if singular else "equivalent_evidence", exceptional
 
 
 @pytest.fixture(autouse=True)

@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -332,3 +334,30 @@ class TestAgainstTheMpmathReference:
         r = rn_series(num, den, 200)
         assert r.terms == reference_rn_series(num, den, 200)[0]
         assert [khat for _, _, khat, _ in r.terms[7:]] == [1.0] * 193
+
+
+
+class TestExactVerdict:
+    def test_one_verdict_at_every_horizon_and_the_tail_agrees(self):
+        """On a, x1, a', y1 over EDGES the verdict does not move with the
+        horizon, and at 256 terms it reads equivalent exactly where the last
+        counted contribution is 0.0, singular exactly where it is inf or at
+        least 1. Every start pair runs at m_max 2; the longer horizons run
+        once for each pair of exact stay rates a * x1, which fix every term."""
+        verdicts = {}
+        for a, x1, b, y1 in product(EDGES, repeat=4):
+            num, den = VaParams.of(a, x1), VaParams.of(b, y1)
+            got = rn_series(num, den, 2).classification
+            rates = (Fraction(a) * Fraction(x1), Fraction(b) * Fraction(y1))
+            if rates in verdicts:
+                assert got == verdicts[rates], (num, den)
+                continue
+            verdicts[rates] = got
+            assert {rn_series(num, den, m).classification for m in (5, 12, 40)} == {got}, (num, den)
+            r = rn_series(num, den, 256)
+            assert r.classification == got, (num, den)
+            _, k, khat, _ = r.terms[-1]
+            last = k if r.exceptional_set_note else k + khat
+            assert (got == "equivalent_evidence") == (last == 0.0), (num, den, last)
+            assert (got == "singular_evidence") == (last >= 1.0), (num, den, last)
+        assert len(verdicts) == 29 * 29

@@ -4,8 +4,10 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import fixture_path, load_fixture
+from qsodyn.classify import verify_bbistochastic_numeric
 from qsodyn.cli import ABSCONT_M_MAX, EXIT_PARSE, EXIT_VALIDATION, main
-from qsodyn.operator import _multistart
+from qsodyn.operator import FIXED_POINT_TOL, _multistart
+from qsodyn.specfile import load_spec
 
 
 @pytest.fixture
@@ -204,7 +206,7 @@ class TestFixedPoints:
             "method": "coefficient_theorem",
         }
         # the 28 points of the resolution-6 grid, which hold the 3 vertices and the barycenter
-        assert _multistart(load_fixture("attracting_not_unique").build()).diagnostics == {
+        assert _multistart(load_fixture("attracting_not_unique").build(), FIXED_POINT_TOL).diagnostics == {
             "seeds_tried": 28,
             "seeds_converged": 28,
             "rejected_by_residual": 0,
@@ -216,8 +218,13 @@ class TestFixedPoints:
     def test_non_hyperbolic_terminal_vertex_is_the_only_point(self, runner, tmp_path):
         """Both vertex eigenvalues 2 p[k,3,k] are 1, so V(x) - x is quadratic
         near e_3 and the search accepts points up to 2.5e-3 from it by their
-        residual. The coefficients prove that e_3 is the only fixed point."""
-        rows = {
+        residual. The coefficients prove that e_3 is the only fixed point.
+
+        Like the second operator here, which breaks no clause, it lies
+        outside the order-bound class: the sampled verifier finds the order
+        violated at (0.025, 0, 0.975), k = 2, on both. So the coefficient
+        theorem decides Fix(V) where order_bound does not hold."""
+        non_hyperbolic = {
             (1, 1): (0.2, 0.1, 0.7),
             (1, 2): (0.5, 0.1, 0.4),
             (1, 3): (0.5, 0.2, 0.3),
@@ -225,18 +232,34 @@ class TestFixedPoints:
             (2, 3): (0.0, 0.5, 0.5),
             (3, 3): (0.0, 0.0, 1.0),
         }
-        spec = tmp_path / "non_hyperbolic.json"
-        spec.write_text(json.dumps({
-            "n": 3,
-            "coefficients": [
-                {"i": i, "j": j, "k": k, "p": p}
-                for (i, j), row in rows.items()
-                for k, p in enumerate(row, start=1)
-            ],
-        }))
-        result = run_json(runner, ["fixed-points", "--spec", str(spec)])["result"]
-        assert result["points"] == [{"coords": [0.0, 0.0, 1.0], "residual_l1": 0.0}]
-        assert result["diagnostics"]["method"] == "coefficient_theorem"
+        no_violation = {
+            (1, 1): (0.5, 0.25, 0.25),
+            (1, 2): (0.25, 0.5, 0.25),
+            (1, 3): (0.3, 0.3, 0.4),
+            (2, 2): (0.0, 0.5, 0.5),
+            (2, 3): (0.0, 0.25, 0.75),
+            (3, 3): (0.0, 0.0, 1.0),
+        }
+        for name, rows in [("non_hyperbolic", non_hyperbolic), ("no_violation", no_violation)]:
+            spec = tmp_path / f"{name}.json"
+            spec.write_text(json.dumps({
+                "n": 3,
+                "coefficients": [
+                    {"i": i, "j": j, "k": k, "p": p}
+                    for (i, j), row in rows.items()
+                    for k, p in enumerate(row, start=1)
+                ],
+            }))
+            V = load_spec(str(spec)).build()
+            assert not any(V.clauses.necessary.values()) and not V.clauses.order_bound, name
+            verdict = verify_bbistochastic_numeric(V)
+            assert (verdict.violated, verdict.witness_point.coords, verdict.violating_k) == (True, (0.025, 0.0, 0.975), 2)
+            result = run_json(runner, ["fixed-points", "--spec", str(spec)])["result"]
+            assert result["points"] == [{"coords": [0.0, 0.0, 1.0], "residual_l1": 0.0}], name
+            assert result["diagnostics"]["method"] == "coefficient_theorem"
+        # the second breaks no uniqueness bound, and the search finds e_3 alone there too
+        assert (V.clauses.violations, V.clauses.C) == ([], [])
+        assert [p.coords for p in _multistart(V, FIXED_POINT_TOL).points] == [(0.0, 0.0, 1.0)]
 
     def test_negative_tol(self, runner):
         assert_validation_error(
@@ -364,6 +387,18 @@ class TestAbscont:
                 ["abscont", "--a", "0.5", "--x", x, "--y", y, "--m-max", "12"],
             )
             assert payload["result"]["classification"] == "equivalent_evidence"
+
+    def test_verdict_does_not_move_with_the_horizon(self, runner):
+        """Once singular at 12 terms and equivalent at 40: its 12th term is
+        still 0.02, yet the series converges, as the numerator never stays."""
+        verdicts = {
+            run_json(
+                runner,
+                ["abscont", "--a", "0.999", "--x", "0,1", "--y", "1,0", "--m-max", m_max],
+            )["result"]["classification"]
+            for m_max in ("12", "40")
+        }
+        assert verdicts == {"equivalent_evidence"}
 
     def test_discrepancy_log_present(self, runner):
         payload = run_json(

@@ -24,6 +24,7 @@ from qsodyn.abscont import va_operator
 from qsodyn.generate import random_structured_tensors
 from qsodyn.operator import (
     DEDUP_RADIUS,
+    FIXED_POINT_TOL,
     HeredityTensor,
     QsoOperator,
     TensorError,
@@ -264,7 +265,7 @@ def test_extended_check_decides_the_boundary(name):
     }
     assert [x.coords for x in fps.points] == sorted(expected)
     assert fps.residuals == [0.0] * len(expected)
-    searched = _multistart(V)
+    searched = _multistart(V, FIXED_POINT_TOL)
     assert repr((fps.points, fps.residuals)) == repr((searched.points, searched.residuals))
 
 
@@ -294,7 +295,7 @@ def test_theorem_is_exact_one_ulp_inside(p):
     V = make_operator(HeredityTensor(3, p))
     fps = find_fixed_points(V)
     assert fps.diagnostics["method"] == "coefficient_theorem"
-    searched = _multistart(V)
+    searched = _multistart(V, FIXED_POINT_TOL)
     assert repr((fps.points, fps.residuals)) == repr((searched.points, searched.residuals))
 
 

@@ -28,6 +28,7 @@ from conftest import (
 from qsodyn.classify import verify_bbistochastic_numeric
 from qsodyn.generate import random_structured_tensors
 from qsodyn.operator import (
+    FIXED_POINT_TOL,
     KERNEL_MAX_N,
     HeredityTensor,
     _multistart,
@@ -278,7 +279,7 @@ def test_pre_iteration_matches_reference(V):
 
 @operators
 def test_fixed_points_match_reference(V):
-    got = _multistart(V)
+    got = _multistart(V, FIXED_POINT_TOL)
     assert got.diagnostics.pop("method") == "multistart"
     assert repr(got) == repr(reference_batched_fixed_points(V))
 
@@ -291,7 +292,7 @@ def test_rejecting_searches_match_reference(n):
     rejected = 0
     for _ in range(8):
         V = cyclic_vertex_operator(n, rng)
-        got = _multistart(V)
+        got = _multistart(V, FIXED_POINT_TOL)
         assert got.diagnostics.pop("method") == "multistart"
         assert repr(got) == repr(reference_batched_fixed_points(V))
         assert got.diagnostics["merged"] > 0
@@ -318,7 +319,7 @@ def test_theorem_returns_the_search_result(name, V):
     the search."""
     proven = proven_fixed_points(V)
     assert (proven is not None) == name.startswith(SETTLED)
-    got, searched = find_fixed_points(V), _multistart(V)
+    got, searched = find_fixed_points(V), _multistart(V, FIXED_POINT_TOL)
     assert repr((got.points, got.residuals)) == repr((searched.points, searched.residuals))
     if name.startswith(SETTLED):
         assert got.diagnostics == {
