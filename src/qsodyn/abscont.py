@@ -5,8 +5,8 @@ whether its absolute-continuity series converges.
 The family keeps only p[1,1,1] = a free (specfile writes its coefficients).
 One-step transitions have the closed form H_11 at time k = (a*x1)^(2^k),
 with state 2 absorbing. Closed forms and series terms run on markov's
-integer kernel at 136 bits, the series carried wider (see rn_series); only
-a closed form's log view loads mpmath.
+integer kernel at 136 bits, the series carried wider (see rn_series), and
+their log views on its log.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .markov import _ONE, _PREC, _ZERO, _add, _div, _log_float, _mul, _pair, _pow, _round, _sqrt, _to_float
+from .markov import _ONE, _PREC, _ZERO, _add, _div, _log_float, _mul, _pair, _pow, _round, _sqrt, _to_float, _view
 from .operator import QsoOperator
 from .simplex import SimplexPoint, make_point
 from .specfile import OperatorSpec, check_weight
@@ -54,23 +54,12 @@ class ClosedFormTransition:
 
 
 def va_transition_closed_form(params: VaParams, k: int) -> ClosedFormTransition:
-    """H_11 = (a*x1)^(2^k); state 2 is absorbing."""
+    """H_11 = (a*x1)^(2^k), as _closed_form_pairs takes a stay; state 2 is absorbing."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    ax = params.a * params.x1
-    e = 1 << k
-    if ax == 0.0:
-        h11, log_h11 = 0.0, float("-inf")
-    elif ax == 1.0:
-        h11, log_h11 = 1.0, 0.0
-    else:
-        log_h11 = e * math.log(ax)
-        h11 = math.exp(log_h11) if log_h11 > -745.0 else 0.0
-    h12 = 1.0 - h11
-    log_h12 = math.log(h12) if h12 > 0 else float("-inf")
-    linear = np.array([[h11, h12], [0.0, 1.0]])
-    logs = np.array([[log_h11, log_h12], [float("-inf"), 0.0]])
-    return ClosedFormTransition(linear=linear, log=logs)
+    h11 = _pow(_mul(_pair(params.a, _PREC), _pair(params.x1, _PREC), _PREC), 1 << k, _PREC)
+    h = [[h11, _add(_ONE, h11, _PREC, sub=True)], [_ZERO, _ONE]]
+    return ClosedFormTransition(linear=_view(h), log=_view(h, log=True))
 
 
 @dataclass(frozen=True)
@@ -140,14 +129,9 @@ def _closed_form_pairs(params: VaParams, c: CylinderClass) -> tuple:
 @dataclass(frozen=True)
 class CylinderValue:
     constructive: float
+    constructive_log: float
     printed: float
     discrepancy: float  # |constructive - printed|, linear domain
-    pair: tuple  # the constructive value at _PREC bits
-
-    @property
-    def constructive_log(self) -> float:
-        """Taken from the pair when read, as the log view loads mpmath."""
-        return _log_float(self.pair, _PREC)
 
 
 def va_cylinder_closed_form(params: VaParams, c: CylinderClass) -> CylinderValue:
@@ -156,9 +140,9 @@ def va_cylinder_closed_form(params: VaParams, c: CylinderClass) -> CylinderValue
     cons, printed = _closed_form_pairs(params, c)
     return CylinderValue(
         constructive=_to_float(cons),
+        constructive_log=_log_float(cons, _PREC),
         printed=_to_float(printed),
         discrepancy=_to_float(_add(cons, printed, _PREC, sub=True)),
-        pair=cons,
     )
 
 

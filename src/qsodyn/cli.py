@@ -14,7 +14,7 @@ from typing import Optional
 import click
 
 from . import __version__
-# classify, markov and abscont load only in the commands calling them; none loads mpmath
+# classify, markov and abscont load only in the commands calling them
 from .operator import FIXED_POINT_TOL, TRAJECTORY_MAX_ITER, TRAJECTORY_TOL, evaluate, find_fixed_points, trajectory
 from .simplex import l1_distance, make_point, partial_sum
 from .specfile import SpecFileError, load_spec, spec_hash
@@ -318,7 +318,6 @@ def abscont(a, a2, x_text, y_text, m_max, fmt, out):
             CylinderClass("all_twos", 2, 5),
             CylinderClass("ones_then_twos", 0, 5, 2),
             CylinderClass("ones_then_twos", 2, 6, 3),
-            CylinderClass("two_one", k=3),
         ],
     )
     result = {

@@ -16,12 +16,13 @@ that _add of _mul gives. No signed values arise: coefficients lie in [0, 1]
 and the start point on the simplex, and a difference such as the mixing
 gap's |H - x| is rounded as a magnitude, as ``mpf_sub`` rounds it.
 Float views round a pair to the nearest double as mpmath does (inf above
-the double range); only the log view loads mpmath, for its raw ``mpf_log``.
-Every call gets the precision as an argument: no mpmath context is used.
+the double range); the log view sums its own series, rounded as ``mpf_log``
+rounds. Every call gets the precision as an argument; mpmath is not used.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -199,12 +200,45 @@ def _to_float(v: tuple) -> float:
         return math.inf
 
 
+def _atanh2(p: int, q: int, w: int) -> int:
+    """2 atanh(p/q) = 2 sum (p/q)**(2i+1) / (2i+1) at w bits, for 0 <= p/q <= 1/3."""
+    t = (p << w) // q
+    t2, total, k = t * t >> w, t, 1
+    while t:
+        t, k = t * t2 >> w, k + 2
+        total += t // k
+    return 2 * total
+
+
+_ln2 = functools.lru_cache(maxsize=16)(lambda w: _atanh2(1, 3, w))  # ln 2 = 2 atanh(1/3)
+
+
 def _log_float(v: tuple, prec: int) -> float:
     """The natural log at prec bits as a double (-inf at zero), as
-    float(ctx.log(v)) gives in an mpmath context at that precision."""
-    from mpmath import libmp  # here, as it is slow to load and nothing else needs it
-    rnd = libmp.round_nearest
-    return libmp.to_float(libmp.mpf_log(libmp.from_man_exp(*v), prec, rnd), rnd=rnd)
+    float(ctx.log(v)) gives in an mpmath context at that precision.
+
+    v = f * 2**s, f in [1/sqrt 2, sqrt 2): s ln 2 + 2 atanh((f - 1) / (f + 1)),
+    in fixed point with 40 guard bits and as many more as f - 1 has leading
+    zeros, rounded to prec bits and to a double as mpmath rounds. As in
+    mpf_log, v - 1 is the log where it lost over prec + 20 bits to cancellation."""
+    m, e = v
+    if not m:
+        return -math.inf
+    d = m.bit_length() - 1  # f = m / 2**d
+    d += m * m >= 1 << (2 * d + 1)  # halve an f >= sqrt 2
+    num, s = m - (1 << d), e + d  # f - 1 = num / 2**d
+    if not s and m.bit_length() - abs(num).bit_length() > prec + 20:
+        log, w = num, -e  # v - 1 = num * 2**e
+    else:
+        w = prec + 40 + (d - abs(num).bit_length() if num else 0)
+        log = _atanh2(abs(num), m + (1 << d), w) * (-1 if num < 0 else 1)
+        log += s * _ln2(w) if s else 0
+    return _to_float(_round(abs(log), -w, prec)) * (-1 if log < 0 else 1)
+
+
+def _view(values: list, log: bool = False) -> np.ndarray:
+    """Doubles of a matrix of kernel values at _PREC bits, or of their logs."""
+    return np.array([[_log_float(v, _PREC) if log else _to_float(v) for v in row] for row in values])
 
 
 class TransitionFamily:
@@ -250,11 +284,6 @@ class TransitionFamily:
                 # stored coefficients from doubling every step
                 self._traj.append(_unit_sum([_dot(x, col, _PREC) for col in zip(*raw)], _PREC))
 
-    def _view(self, values: list, log: bool = False) -> np.ndarray:
-        """Doubles of a matrix of kernel values, or of their logs."""
-        f = (lambda v: _log_float(v, _PREC)) if log else _to_float
-        return np.array([[f(v) for v in row] for row in values])
-
     def _point(self, k: int) -> list:
         self.extend(k)
         return self._traj[k]
@@ -285,14 +314,14 @@ class TransitionFamily:
 
     def transition_matrix(self, k: int) -> np.ndarray:
         """One-step matrix H^[k, k+1], row-stochastic."""
-        return self._view(self._matrix(k))
+        return _view(self._matrix(k))
 
     def transition_matrix_log(self, k: int) -> np.ndarray:
-        return self._view(self._matrix(k), log=True)
+        return _view(self._matrix(k), log=True)
 
     def compose_transitions(self, k: int, m: int) -> np.ndarray:
         """Ordered product H^[k,k+1] ... H^[m-1,m]."""
-        return self._view(self._product(k, m))
+        return _view(self._product(k, m))
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,18 @@ class TestClosedFormTransitions:
             cf = va_transition_closed_form(params, k)
             assert math.isclose(cf.log[0, 0], fam.transition_matrix_log(k)[0, 0], rel_tol=1e-12)
 
+    def test_stay_past_the_double_range(self):
+        """At k = 1024 the log of H_11 = 2**-(2**1025) lies past the double
+        range; the closed form still returns, with the chain's logs."""
+        params = VaParams.of(0.5, 0.5)
+        fam = TransitionFamily(va_operator(0.5), params.x)
+        H = va_transition_closed_form(params, 1024)
+        assert H.linear.tolist() == [[0.0, 1.0], [0.0, 1.0]]
+        assert H.log[0, 0] == -math.inf
+        assert va_transition_closed_form(params, 1023).log[0, 0] == -1.2460659279417838e308
+        for k in (1023, 1024):
+            assert va_transition_closed_form(params, k).log[0, 0] == fam.transition_matrix_log(k)[0, 0]
+
 
 class TestCylinderClosedForms:
     def test_two_one_zero(self):

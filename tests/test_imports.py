@@ -158,8 +158,9 @@ COMMANDS = [
     (["classify", "--spec", _fixture("attracting_not_unique")], {"fractions", "hashlib", "qsodyn.classify"}),
     (["fixed-points", "--spec", _fixture("attracting_not_unique")], {"hashlib"}),
     # specfile builds a family spec's operator itself, so only the chain
-    # commands load the markov kernel; abscont alone loads abscont, and no
-    # command loads mpmath
+    # commands load the markov kernel; abscont alone loads abscont. No
+    # command loads mpmath: the kernel takes its own logs, and mpmath is
+    # only the tests' oracle
     (["iterate", "--spec", _fixture("va_a23"), "--x", "0.5,0.5", "--steps", "3"], set()),
     (["markov", "--spec", _fixture("va_a05"), "--x", "0.5,0.5", "--horizon", "3"], {"hashlib", "qsodyn.markov"}),
     (["mixing", "--spec", _fixture("va_a23"), "--x", "0.5,0.5", "--A", "0:1", "--B", "0:1", "--m-max", "3"],
@@ -197,6 +198,62 @@ def test_command_loads_only_what_it_runs(argv, loaded):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert set(json.loads(proc.stderr.splitlines()[-1])) == loaded
+
+
+# the three log views, out to values far below the double range
+LOG_VIEWS = """
+from qsodyn.abscont import CylinderClass, VaParams, va_cylinder_closed_form, va_operator, va_transition_closed_form
+from qsodyn.markov import TransitionFamily
+params = VaParams.of(0.7, 0.4)
+family = TransitionFamily(va_operator(0.7), params.x)
+views = [
+    [family.transition_matrix_log(k).tolist() for k in (0, 3, 12)],
+    [va_cylinder_closed_form(params, c).constructive_log
+     for c in (CylinderClass("all_ones", 1, 12), CylinderClass("ones_then_twos", 0, 11, 10))],
+    [va_transition_closed_form(params, k).log.tolist() for k in (0, 3, 12)],
+]
+"""
+
+
+def test_runs_where_mpmath_cannot_be_imported():
+    """A fresh interpreter whose import system refuses mpmath runs every
+    command of COMMANDS and the three log views, and reads what this
+    process reads."""
+    code = (
+        "import json, sys\n"
+        "class Refuse:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'mpmath':\n"
+        "            raise ImportError('mpmath refused')\n"
+        "sys.meta_path.insert(0, Refuse())\n"
+        "try:\n"
+        "    import mpmath\n"
+        "    sys.exit('mpmath was imported')\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "from click.testing import CliRunner\n"
+        "from qsodyn.cli import main\n"
+        f"runs = [CliRunner().invoke(main, argv) for argv in {[argv for argv, _ in COMMANDS]!r}]\n"
+        f"{LOG_VIEWS}"
+        "print(json.dumps([[[r.exit_code, r.output] for r in runs], views]))\n"
+    )
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    outputs, views = json.loads(proc.stdout)
+
+    from click.testing import CliRunner
+
+    from qsodyn.cli import main
+
+    here = {}
+    exec(LOG_VIEWS, here)
+    assert views == here["views"]
+    assert views[0][2][0][0] < -1000  # H_11 at k = 12, below the double range
+    for (argv, _), (exit_code, output) in zip(COMMANDS, outputs, strict=True):
+        result = CliRunner().invoke(main, argv)
+        assert (exit_code, output) == (0, result.output), argv
 
 
 def test_cli_import_compiles_no_orbit_kernel():

@@ -348,7 +348,26 @@ class TestDoubles:
     @example(v=(0, 0))
     @example(v=(1, 0))
     @example(v=(1, -(10**9)))
+    @example(v=((1 << 135) + 1, -135))  # next to 1: f - 1 has 134 leading zeros
+    @example(v=((1 << 136) - 1, -136))
+    @example(v=(1, -(2**1100)))  # a log past the double range
+    @example(v=((1 << 83) + 0b10000011, -83))  # v - 1 on a 7-bit midpoint
+    # s ln 2 within 2**-20 ulp of a 7-bit and a 53-bit midpoint: ln 2 needs
+    # more than 20 guard bits
+    @example(v=(1, -36379))
+    @example(v=(1, -21741))
     def test_log_view_is_a_context_log(self, dps, v):
         ctx = mpmath.MPContext()
         ctx.dps = dps
         assert _log_float(v, libmp.dps_to_prec(dps)) == float(ctx.log(ctx.make_mpf(mpf(v))))
+
+    @pytest.mark.parametrize("dps, v", [(1, (1, -108583)), (15, (27, -850))])
+    def test_log_view_is_correctly_rounded_where_mpf_log_is_not(self, dps, v):
+        """These logs lie about 2**-22 ulp from a rounding midpoint.
+        mpf_log's 20 guard bits round them the wrong way; the kernel's 40
+        give the correctly rounded double, taken here from a 4,000-bit log."""
+        prec = libmp.dps_to_prec(dps)
+        exact = libmp.mpf_log(mpf(v), 4000, RND)
+        want = libmp.to_float(libmp.mpf_pos(exact, prec, RND), rnd=RND)
+        assert _log_float(v, prec) == want
+        assert libmp.to_float(libmp.mpf_log(mpf(v), prec, RND), rnd=RND) != want
