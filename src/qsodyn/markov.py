@@ -16,8 +16,8 @@ that _add of _mul gives. No signed values arise: coefficients lie in [0, 1]
 and the start point on the simplex, and a difference such as the mixing
 gap's |H - x| is rounded as a magnitude, as ``mpf_sub`` rounds it.
 Float views round a pair to the nearest double as mpmath does (inf above
-the double range); the log view sums its own series, rounded as ``mpf_log``
-rounds. Every call gets the precision as an argument; mpmath is not used.
+the double range); the log view sums its own series and rounds it
+correctly. Every call gets the precision as an argument; mpmath is not used.
 """
 
 from __future__ import annotations
@@ -214,26 +214,26 @@ _ln2 = functools.lru_cache(maxsize=16)(lambda w: _atanh2(1, 3, w))  # ln 2 = 2 a
 
 
 def _log_float(v: tuple, prec: int) -> float:
-    """The natural log at prec bits as a double (-inf at zero), as
-    float(ctx.log(v)) gives in an mpmath context at that precision.
-
-    v = f * 2**s, f in [1/sqrt 2, sqrt 2): s ln 2 + 2 atanh((f - 1) / (f + 1)),
-    in fixed point with 40 guard bits and as many more as f - 1 has leading
-    zeros, rounded to prec bits and to a double as mpmath rounds. As in
-    mpf_log, v - 1 is the log where it lost over prec + 20 bits to cancellation."""
+    """The natural log correctly rounded to prec bits, then to a double by
+    _to_float (-inf at zero). v = f * 2**s, f in [1/sqrt 2, sqrt 2): s ln 2 +
+    2 atanh((f - 1) / (f + 1)) in fixed point, with 40 guard bits plus the
+    leading zeros of f - 1. Each series sums from below, within w units of
+    2**-w; where that error could move the rounding, w doubles and it is redone."""
     m, e = v
     if not m:
         return -math.inf
     d = m.bit_length() - 1  # f = m / 2**d
     d += m * m >= 1 << (2 * d + 1)  # halve an f >= sqrt 2
     num, s = m - (1 << d), e + d  # f - 1 = num / 2**d
-    if not s and m.bit_length() - abs(num).bit_length() > prec + 20:
-        log, w = num, -e  # v - 1 = num * 2**e
-    else:
-        w = prec + 40 + (d - abs(num).bit_length() if num else 0)
-        log = _atanh2(abs(num), m + (1 << d), w) * (-1 if num < 0 else 1)
-        log += s * _ln2(w) if s else 0
-    return _to_float(_round(abs(log), -w, prec)) * (-1 if log < 0 else 1)
+    w = prec + 40 + (d - abs(num).bit_length() if num else 0)
+    while num or s:  # v != 1, so the log is irrational and the loop ends
+        log = _atanh2(abs(num), m + (1 << d), w) * (-1 if num < 0 else 1) + (s * _ln2(w) if s else 0)
+        mag, err = abs(log), 2 * w * (abs(s) + 1)
+        lo = _round(mag - err, -w, prec)
+        if lo == _round(mag + err, -w, prec):
+            return _to_float(lo) * (-1 if log < 0 else 1)
+        w *= 2
+    return 0.0
 
 
 def _view(values: list, log: bool = False) -> np.ndarray:

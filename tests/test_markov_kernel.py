@@ -10,14 +10,14 @@ equal values compare equal however their mantissas are scaled.
 
 import math
 
-import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import libmp
 
 from conftest import reference_dot
+from qsodyn import markov
 from qsodyn.markov import (
-    _PREC, _add, _div, _dot, _log_float, _matmul, _mul, _pair, _pow, _round, _sqrt, _to_float, _unit_sum,
+    _PREC, _add, _atanh2, _div, _dot, _log_float, _matmul, _mul, _pair, _pow, _round, _sqrt, _to_float, _unit_sum,
 )
 
 RND = libmp.round_nearest
@@ -30,6 +30,28 @@ def mpf(v):
 
 def same(got, want):
     assert mpf(got) == want, (mpf(got), want)
+
+
+def rounded_log(v, prec):
+    """log v correctly rounded to prec bits, then to a double: mpf_log at
+    prec + 60 bits and wider, until four units in its last place (more than
+    its error) leave the rounding to prec bits settled. In [1/4, 1/2),
+    mpmath 1.3's mpf_log takes an x for one next to 1 (log(1/4 + 2**-32) at
+    7 bits reads 2**-30), so there it is log 2x - ln 2."""
+    x = mpf(v)
+    if x in (libmp.fzero, libmp.fone):
+        return libmp.to_float(libmp.mpf_log(x, prec))
+    work = prec + 60
+    while True:
+        if x[2] + x[3] == -1:
+            r = libmp.mpf_sub(libmp.mpf_log(libmp.mpf_shift(x, 1), work, RND), libmp.mpf_ln2(work, RND), work, RND)
+        else:
+            r = libmp.mpf_log(x, work, RND)
+        ulps = libmp.from_man_exp(4, r[2] + r[3] - work)
+        lo, hi = (libmp.mpf_pos(libmp.mpf_add(r, u), prec, RND) for u in (libmp.mpf_neg(ulps), ulps))
+        if lo == hi:
+            return libmp.to_float(lo, rnd=RND)
+        work *= 2
 
 
 def normalized(m, e):
@@ -351,23 +373,36 @@ class TestDoubles:
     @example(v=((1 << 135) + 1, -135))  # next to 1: f - 1 has 134 leading zeros
     @example(v=((1 << 136) - 1, -136))
     @example(v=(1, -(2**1100)))  # a log past the double range
-    @example(v=((1 << 83) + 0b10000011, -83))  # v - 1 on a 7-bit midpoint
+    @example(v=((1 << 30) + 1, -32))  # just above 1/4
+    # next to 1, within 2**-47 ulp of a 53-bit and 2**-71 ulp of a 7-bit
+    # midpoint: the first width leaves the rounding open
+    @example(v=((1 << 51) - 3, -51))
+    @example(v=((1 << 83) + 0b10000011, -83))
     # s ln 2 within 2**-20 ulp of a 7-bit and a 53-bit midpoint: ln 2 needs
     # more than 20 guard bits
     @example(v=(1, -36379))
     @example(v=(1, -21741))
     def test_log_view_is_a_context_log(self, dps, v):
-        ctx = mpmath.MPContext()
-        ctx.dps = dps
-        assert _log_float(v, libmp.dps_to_prec(dps)) == float(ctx.log(ctx.make_mpf(mpf(v))))
+        """The double of mpmath's log at dps digits, correctly rounded."""
+        prec = libmp.dps_to_prec(dps)
+        assert _log_float(v, prec) == rounded_log(v, prec)
 
-    @pytest.mark.parametrize("dps, v", [(1, (1, -108583)), (15, (27, -850))])
+    @pytest.mark.parametrize("dps, v", [(1, (1, -108583)), (15, (27, -850)), (1, ((1 << 30) + 1, -32))])
     def test_log_view_is_correctly_rounded_where_mpf_log_is_not(self, dps, v):
-        """These logs lie about 2**-22 ulp from a rounding midpoint.
-        mpf_log's 20 guard bits round them the wrong way; the kernel's 40
-        give the correctly rounded double, taken here from a 4,000-bit log."""
+        """mpf_log at dps digits (mpmath 1.3) rounds the first two wrongly,
+        as they lie about 2**-22 ulp from a rounding midpoint, and takes the
+        third, just above 1/4, for a value next to 1. The kernel gives the
+        double that a 4,000-bit log rounds to."""
         prec = libmp.dps_to_prec(dps)
         exact = libmp.mpf_log(mpf(v), 4000, RND)
-        want = libmp.to_float(libmp.mpf_pos(exact, prec, RND), rnd=RND)
-        assert _log_float(v, prec) == want
-        assert libmp.to_float(libmp.mpf_log(mpf(v), prec, RND), rnd=RND) != want
+        assert _log_float(v, prec) == libmp.to_float(libmp.mpf_pos(exact, prec, RND), rnd=RND)
+
+    @pytest.mark.parametrize("v", [((1 << 135) + 1, -135), ((1 << 136) - 1, -136), (3, -1), (1, -(2**1100))])
+    def test_log_view_sums_one_series_off_a_rounding_point(self, monkeypatch, v):
+        """The first width settles the rounding away from a hard case, next
+        to 1 too, where the leading zeros of f - 1 widen it: one series for
+        f, besides ln 2's."""
+        calls = []
+        monkeypatch.setattr(markov, "_atanh2", lambda p, q, w: calls.append((p, q)) or _atanh2(p, q, w))
+        _log_float(v, _PREC)
+        assert len([c for c in calls if c != (1, 3)]) == 1
